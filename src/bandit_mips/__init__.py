@@ -2,20 +2,13 @@
 
 A query against n vectors of dimension N is treated as a bandit over n arms
 whose rewards are single coordinate products; arms are pulled without
-replacement, so at most N pulls per arm ever make sense and the bound tells
-the search when an empirical mean is trustworthy.  A round-based halving
-loop then finds the top-K vectors while reading far fewer than n*N
-coordinates when the accuracy budget allows it.
+replacement, in one column order shared by all arms, so at most N pulls per
+arm ever make sense and the bound tells the search when an empirical mean is
+trustworthy.  A round-based halving loop then finds the top-K vectors while
+reading far fewer than n*N coordinates when the accuracy budget allows it.
 """
 
-from .arms import (
-    ArmState,
-    LazySource,
-    MaterializedSource,
-    RewardSource,
-    StreamSource,
-    pull_batch,
-)
+from .arms import LazySource, PositionSampler, StreamSource
 from .baselines import ExactResult, LshIndex, LshResult, lsh_build, lsh_query, naive_topk
 from .bench import (
     CompareReport,
@@ -30,12 +23,14 @@ from .bench import (
 from .bounds import hoeffding_count, pull_target, sample_size, shrinkage
 from .datasets import AdversarialInstance, DatasetSpec, gen_adversarial, gen_vectors
 from .elimination import (
+    Arms,
     EliminationConfig,
     EliminationTrace,
     RoundRecord,
     elimination_schedule,
     eliminate,
     median_elimination_topk,
+    pull_batch,
     round_pull_target,
 )
 from .fileio import (
@@ -62,21 +57,20 @@ from .mips import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmState",
-    "RewardSource",
-    "MaterializedSource",
-    "StreamSource",
+    "PositionSampler",
     "LazySource",
-    "pull_batch",
+    "StreamSource",
     "shrinkage",
     "hoeffding_count",
     "sample_size",
     "pull_target",
+    "Arms",
     "EliminationConfig",
     "EliminationTrace",
     "RoundRecord",
     "elimination_schedule",
     "round_pull_target",
+    "pull_batch",
     "eliminate",
     "median_elimination_topk",
     "ObjectiveKind",

@@ -1,293 +1,127 @@
-"""Reward sources and pull bookkeeping for bounded-pull bandit arms.
+"""Arm sets in the ``Arms`` protocol of ``elimination``.
 
-Each arm owns a finite reward list of length N and every pull consumes one
-list entry, so an arm supports at most N pulls and its empirical mean is
-exact once the list is exhausted.  Three source kinds exist:
+An arm set holds n arms with reward lists of a common length N and answers
+``sums(rows, t)``: the reward sums of ``rows`` after ``t`` pulls each.  Every
+survivor of the search has the same pull count, so an arm set is a few
+arrays, not n objects.
 
-  - ``MaterializedSource``: rewards stored in an array, consumed in uniform
-    random order without replacement.
-  - ``StreamSource``: rewards consumed in the stored order (used by the
-    adversarial generator, whose lists put all the ones first).
-  - ``LazySource``: reward at position j computed on demand from a callback,
-    consumed in uniform random order; nothing of size N is ever stored per
-    arm beyond the caller's own data.
-
-Random-order sources each own an RNG stream derived by hashing
-(master seed, arm_id), so results never depend on how a scheduler
-interleaves pulls across arms.
+``LazySource`` reads the rows of a matrix, computing rewards on demand in
+one column order shared by all arms; ``PositionSampler`` draws the random
+order that makes those reads uniform without-replacement samples.
+``StreamSource`` reads ones-then-zeros lists front to back, in closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import enum
 
 import numpy as np
 
-__all__ = [
-    "ArmState",
-    "RewardSource",
-    "MaterializedSource",
-    "StreamSource",
-    "LazySource",
-    "pull_batch",
-]
+__all__ = ["ObjectiveKind", "WINDOW_BLOCK", "PositionSampler", "LazySource", "StreamSource"]
 
-# Below this many cumulative draws a position sampler stays sparse (a dict of
-# displaced indices, O(draws) memory); past it the remaining positions are
-# materialized and shuffled once so that large batches cost O(1) amortized.
-DENSE_SWITCH = 256
+# Widest column window evaluated at once; bounds the temporary of a round to
+# survivors x WINDOW_BLOCK floats.
+WINDOW_BLOCK = 1024
+
+
+class ObjectiveKind(enum.Enum):
+    INNER_PRODUCT = "inner_product"
+    NEG_SQ_DISTANCE = "neg_sq_distance"
 
 
 class PositionSampler:
-    """Uniform without-replacement sampler over positions 0..list_len-1.
+    """The positions 0..N-1 in one uniformly random order drawn from ``seed``.
 
-    Sparse phase: partial Fisher-Yates over a virtual array, storing only
-    displaced entries in a dict.  Dense phase: a one-time shuffle of the
-    remaining positions.  Both phases realize the same distribution: every
-    ordering of consumed positions is equally likely.
+    ``draw(count)`` returns the next ``count`` positions of the order, so no
+    position repeats and N positions in total are a permutation.
     """
 
-    __slots__ = ("list_len", "drawn", "_rng", "_displaced", "_dense", "_cursor", "_switch")
-
-    def __init__(self, list_len: int, rng: np.random.Generator, dense_switch: int = DENSE_SWITCH):
-        if list_len < 1:
-            raise ValueError("list_len must be positive")
+    def __init__(self, list_len: int, seed: int = 0):
         self.list_len = list_len
         self.drawn = 0
-        self._rng = rng
-        self._displaced: dict[int, int] | None = {}
-        self._dense: np.ndarray | None = None
-        self._cursor = 0
-        self._switch = dense_switch
-
-    @property
-    def remaining(self) -> int:
-        return self.list_len - self.drawn
+        self._order = np.random.default_rng(seed).permutation(list_len)
 
     def draw(self, count: int) -> np.ndarray:
-        """Return ``count`` fresh positions, uniformly without replacement.
-
-        The sparse-to-dense handover fires exactly when the cumulative draw
-        count crosses the threshold, splitting a straddling batch, so the
-        position stream is a function of (rng, total positions drawn) alone
-        and never of how pulls were batched.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count > self.remaining:
+        if not 0 <= count <= self.list_len - self.drawn:
             raise ValueError(
-                f"overdraw: requested {count} of {self.remaining} remaining positions"
+                f"cannot draw {count} positions, {self.list_len - self.drawn} remain"
             )
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        if self._dense is not None:
-            return self._take_dense(count)
-        if self.drawn + count <= self._switch:
-            return self._draw_sparse(count)
-        head = self._switch - self.drawn
-        first = self._draw_sparse(head) if head > 0 else None
-        self._densify()
-        second = self._take_dense(count - head)
-        return second if first is None else np.concatenate([first, second])
-
-    def _take_dense(self, count: int) -> np.ndarray:
-        out = self._dense[self._cursor : self._cursor + count]
-        self._cursor += count
+        out = self._order[self.drawn : self.drawn + count]
         self.drawn += count
         return out
 
-    def _draw_sparse(self, count: int) -> np.ndarray:
-        start = self.drawn
-        lows = np.arange(start, start + count, dtype=np.int64)
-        js = self._rng.integers(lows, self.list_len)
-        out = np.empty(count, dtype=np.int64)
-        disp = self._displaced
-        get = disp.get
-        pop = disp.pop
-        for i in range(count):
-            t = start + i
-            j = int(js[i])
-            out[i] = get(j, j)
-            held = pop(t, t)  # position t is consumed and never indexed again
-            if j != t:
-                disp[j] = held
-        self.drawn += count
-        return out
 
-    def _densify(self) -> None:
-        t = self.drawn
-        rem = np.arange(t, self.list_len, dtype=np.int64)
-        for key, val in self._displaced.items():
-            if key >= t:
-                rem[key - t] = val
-        self._displaced = None
-        self._rng.shuffle(rem)
-        self._dense = rem
-        self._cursor = 0
+class LazySource:
+    """The rows of ``data`` as arms, rewards computed on demand.
 
-
-def _arm_rng(master_seed: int, arm_id: int) -> np.random.Generator:
-    # SeedSequence mixes the pair into an independent per-arm stream.
-    return np.random.default_rng(np.random.SeedSequence([master_seed, arm_id]))
-
-
-@dataclass(slots=True)
-class ArmState:
-    """Running pull count and reward sum for one arm.
-
-    The sum is kept in double precision; the mean of a fully drawn length-N
-    list is then exact to well within 1e-9 relative at any feasible N.
+    Arm i's reward at column j is ``data[i, j] * query[j]``, or with
+    ``NEG_SQ_DISTANCE`` ``-(data[i, j] - query[j])^2``.  Every arm reads the
+    columns in the cyclic order start, start + 1, ..., so a round's new
+    pulls for all survivors are one contiguous column window (two where it
+    wraps), evaluated in blocks of at most ``WINDOW_BLOCK`` columns.  The
+    reads are uniform without-replacement samples when the columns are in
+    uniformly random order (``mips.build_arms`` permutes them).  Cumulative
+    sums are kept for the rows asked about last.
     """
 
-    arm_id: int
-    pulls: int = 0
-    reward_sum: float = 0.0
+    def __init__(self, data: np.ndarray, query: np.ndarray, kind: ObjectiveKind, start: int = 0):
+        if data.ndim != 2 or query.shape != data.shape[1:]:
+            raise ValueError(f"query shape {query.shape} does not fit data {data.shape}")
+        if kind not in (ObjectiveKind.INNER_PRODUCT, ObjectiveKind.NEG_SQ_DISTANCE):
+            raise ValueError(f"unknown objective kind: {kind!r}")
+        self._data, self._query, self._kind = data, query, kind
+        self.n, self.list_len = data.shape
+        self.start = start % self.list_len
+        self._sums = np.zeros(self.n)
+        self._live = np.ones(self.n, dtype=bool)
+        self._pulls = 0
 
-    @property
-    def empirical_mean(self) -> float:
-        if self.pulls == 0:
-            raise ValueError("empirical mean undefined before the first pull")
-        return self.reward_sum / self.pulls
-
-
-class RewardSource:
-    """Base class: a finite reward list consumed one pull at a time."""
-
-    __slots__ = ("arm_id", "list_len")
-
-    def __init__(self, arm_id: int, list_len: int):
-        self.arm_id = arm_id
-        self.list_len = list_len
-
-    @property
-    def remaining(self) -> int:
-        raise NotImplementedError
-
-    def draw(self, count: int) -> np.ndarray:
-        """Consume ``count`` rewards; returns them as a float64 array."""
-        raise NotImplementedError
-
-    def reward_list(self) -> np.ndarray:
-        """The full underlying list (diagnostics; materializes O(N))."""
-        raise NotImplementedError
-
-    def true_mean(self) -> float:
-        return float(self.reward_list().mean(dtype=np.float64))
-
-
-class MaterializedSource(RewardSource):
-    """Stored rewards, pulled in uniform random order without replacement."""
-
-    __slots__ = ("_values", "_sampler")
-
-    def __init__(self, arm_id: int, values, seed: int = 0, dense_switch: int = DENSE_SWITCH):
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("values must be a non-empty 1-D array")
-        super().__init__(arm_id, values.size)
-        self._values = values
-        self._sampler = PositionSampler(values.size, _arm_rng(seed, arm_id), dense_switch)
-
-    @property
-    def remaining(self) -> int:
-        return self._sampler.remaining
-
-    def draw(self, count: int) -> np.ndarray:
-        return self._values[self._sampler.draw(count)]
-
-    def reward_list(self) -> np.ndarray:
-        return self._values
-
-
-class StreamSource(RewardSource):
-    """Stored rewards, pulled in exactly the stored order."""
-
-    __slots__ = ("_values", "_cursor")
-
-    def __init__(self, arm_id: int, values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("values must be a non-empty 1-D array")
-        super().__init__(arm_id, values.size)
-        self._values = values
-        self._cursor = 0
-
-    @property
-    def remaining(self) -> int:
-        return self.list_len - self._cursor
-
-    def draw(self, count: int) -> np.ndarray:
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count > self.remaining:
+    def sums(self, rows: np.ndarray, t: int) -> np.ndarray:
+        """Cumulative reward sums of ``rows`` over the first ``t`` positions."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if not self._pulls <= t <= self.list_len:
             raise ValueError(
-                f"overdraw: requested {count} of {self.remaining} remaining rewards"
+                f"pull count {t} outside [{self._pulls}, {self.list_len}]: "
+                "t never decreases and never exceeds the list length"
             )
-        out = self._values[self._cursor : self._cursor + count]
-        self._cursor += count
-        return out
+        if not self._live[rows].all():
+            raise ValueError("rows must be a subset of the rows of the previous call")
+        every_row = rows.size == self.n
+        done = self._pulls
+        while done < t:
+            a = (self.start + done) % self.list_len
+            b = min(a + t - done, self.list_len, a + WINDOW_BLOCK)
+            if every_row:
+                self._sums += self.draw(None, a, b)
+            else:
+                self._sums[rows] += self.draw(rows, a, b)
+            done += b - a
+        self._pulls = t
+        self._live[:] = False
+        self._live[rows] = True
+        return self._sums[rows]
 
-    def reward_list(self) -> np.ndarray:
-        return self._values
+    def draw(self, rows: np.ndarray | None, a: int, b: int) -> np.ndarray:
+        """Reward sums of ``rows`` (None: every row) over columns [a, b)."""
+        window = self._data[:, a:b] if rows is None else self._data[rows, a:b]
+        if self._kind is ObjectiveKind.INNER_PRODUCT:
+            return window @ self._query[a:b]
+        diff = window - self._query[a:b]
+        return -np.einsum("ij,ij->i", diff, diff)
 
 
-class LazySource(RewardSource):
-    """Rewards computed on demand, pulled in uniform random order.
+class StreamSource:
+    """Arms whose lists hold ``ones[i]`` ones then zeros, read front to back.
 
-    ``reward_fn`` maps an int64 position array to the float64 rewards at
-    those positions.  Per-arm memory stays O(pulls) until the sampler's
-    dense switch, never O(N) ahead of the pulls actually made.
+    The lists are read in their stored order, not a random one; the sums
+    are closed-form, min(ones, t).
     """
 
-    __slots__ = ("_reward_fn", "_sampler")
+    def __init__(self, ones: np.ndarray, list_len: int):
+        self.ones = ones
+        self.n, self.list_len = ones.size, list_len
 
-    def __init__(
-        self,
-        arm_id: int,
-        list_len: int,
-        reward_fn: Callable[[np.ndarray], np.ndarray],
-        seed: int = 0,
-        dense_switch: int = DENSE_SWITCH,
-    ):
-        super().__init__(arm_id, list_len)
-        self._reward_fn = reward_fn
-        self._sampler = PositionSampler(list_len, _arm_rng(seed, arm_id), dense_switch)
-
-    @property
-    def remaining(self) -> int:
-        return self._sampler.remaining
-
-    def draw(self, count: int) -> np.ndarray:
-        positions = self._sampler.draw(count)
-        rewards = np.asarray(self._reward_fn(positions), dtype=np.float64)
-        if rewards.shape != positions.shape:
-            raise ValueError("reward_fn must return one reward per position")
-        return rewards
-
-    def reward_list(self) -> np.ndarray:
-        return np.asarray(
-            self._reward_fn(np.arange(self.list_len, dtype=np.int64)), dtype=np.float64
-        )
-
-
-def pull_batch(source: RewardSource, state: ArmState, count: int) -> ArmState:
-    """Pull ``count`` rewards from ``source`` into ``state`` (mutated and returned).
-
-    Overdrawing past the list length raises; rewards are never silently
-    recycled.  Accumulation is float64 throughout.
-    """
-    if source.arm_id != state.arm_id:
-        raise ValueError("source and state belong to different arms")
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if state.pulls + count > source.list_len:
-        raise ValueError(
-            f"overdraw: arm {state.arm_id} has {source.list_len - state.pulls} pulls left, "
-            f"requested {count}"
-        )
-    if count:
-        rewards = source.draw(count)
-        state.pulls += count
-        state.reward_sum += float(rewards.sum(dtype=np.float64))
-    return state
+    def sums(self, rows: np.ndarray, t: int) -> np.ndarray:
+        if not 0 <= t <= self.list_len:
+            raise ValueError(f"pull count {t} outside [0, {self.list_len}]")
+        return np.minimum(self.ones[rows], t)

@@ -87,9 +87,10 @@ def _lift_data(data: np.ndarray) -> tuple[np.ndarray, float]:
     scale = float(norms.max())
     if scale == 0.0:
         raise ValueError("cannot index all-zero data")
-    scaled = data / scale
-    extra = np.sqrt(np.maximum(0.0, 1.0 - (norms / scale) ** 2))
-    return np.hstack([scaled, extra[:, None]]), scale
+    lifted = np.empty((data.shape[0], data.shape[1] + 1))
+    np.divide(data, scale, out=lifted[:, :-1])
+    lifted[:, -1] = np.sqrt(np.maximum(0.0, 1.0 - (norms / scale) ** 2))
+    return lifted, scale
 
 
 def _lift_query(q: np.ndarray) -> np.ndarray:
@@ -109,6 +110,8 @@ def lsh_build(vectors: VectorSet, a: int, b: int, seed: int = 0) -> LshIndex:
     """Hash all rows into b tables of a sign bits each."""
     if a < 1 or b < 1:
         raise ValueError("a and b must be at least 1")
+    if a > 63:
+        raise ValueError("a must be at most 63: a bucket key of a sign bits must fit in int64")
     lifted, scale = _lift_data(vectors.data)
     dim_l = lifted.shape[1]
     planes = np.empty((b, a, dim_l))

@@ -50,6 +50,8 @@ def hoeffding_count(epsilon: float, delta: float, range_width: float) -> float:
     interval of width ``range_width``.  This is the quantity the
     without-replacement inequality m / shrinkage(m, N) >= u is calibrated
     against; feed it to ``sample_size`` to shrink it for a finite list.
+    A ratio range_width / epsilon too large to square in float64 gives
+    u = inf, which ``sample_size`` maps to exhaustion.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -57,7 +59,11 @@ def hoeffding_count(epsilon: float, delta: float, range_width: float) -> float:
         raise ValueError("delta must lie in (0, 1)")
     if range_width <= 0.0:
         raise ValueError("range_width must be positive")
-    return math.log(1.0 / delta) / 2.0 * (range_width / epsilon) ** 2
+    try:
+        ratio_sq = (range_width / epsilon) ** 2
+    except OverflowError:
+        ratio_sq = math.inf
+    return math.log(1.0 / delta) / 2.0 * ratio_sq
 
 
 def sample_size(u: float, list_len: int) -> float:

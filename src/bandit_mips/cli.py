@@ -79,7 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="mean-scale accuracy; epsilon_ip = epsilon * dim (0 = exact)",
     )
     p_query.add_argument("--delta", type=float, default=0.1, help="failure probability")
-    p_query.add_argument("--seed", type=int, default=0)
+    p_query.add_argument(
+        "--seed", type=int, default=0,
+        help="picks the start offset into the data set's column permutation",
+    )
     p_query.add_argument(
         "--objective", choices=[k.value for k in ObjectiveKind], default="inner_product"
     )

@@ -63,9 +63,9 @@ class AdversarialInstance:
         out[: int(self.ones[arm_id])] = 1.0
         return out
 
-    def sources(self) -> list[StreamSource]:
-        """Fixed-order sources consuming each list front (ones) to back."""
-        return [StreamSource(i, self.reward_list(i)) for i in range(self.n)]
+    def sources(self) -> StreamSource:
+        """The arms of a search, each list read front (ones) to back."""
+        return StreamSource(self.ones, self.list_len)
 
 
 def gen_vectors(spec: DatasetSpec) -> VectorSet:

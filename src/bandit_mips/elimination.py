@@ -12,25 +12,50 @@ ceil((s - K)/2) of the s survivors, so the excess over K at least halves and
 the loop ends after at most ceil(log2 n) + 1 rounds with exactly K arms.
 Per-arm pulls never exceed the list length N: once the target reaches N the
 survivors are measured exactly and later rounds add no pulls.
+
+Arms are read through the ``Arms`` protocol: ``sums(rows, t)`` returns the
+cumulative reward sums of ``rows`` after ``t`` pulls each.  Every survivor
+has the same pull count, so the loop holds no per-arm state beyond an int
+array of survivors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Protocol
 
-from .arms import ArmState, RewardSource, pull_batch
+import numpy as np
+
 from .bounds import hoeffding_count, pull_target
 
 __all__ = [
+    "Arms",
     "EliminationConfig",
     "RoundRecord",
     "EliminationTrace",
     "elimination_schedule",
     "round_pull_target",
+    "pull_batch",
     "eliminate",
     "median_elimination_topk",
 ]
+
+
+class Arms(Protocol):
+    """n arms with reward lists of length ``list_len``, ids 0..n-1.
+
+    ``sums(rows, t)`` returns, for each id in the int array ``rows``, the sum
+    of its first ``t`` rewards in a uniformly random without-replacement
+    order (0 <= t <= list_len).  Across calls on one object ``rows`` only
+    shrinks and ``t`` never decreases, so an implementation may add only
+    the new pulls of the current rows.
+    """
+
+    n: int
+    list_len: int
+
+    def sums(self, rows: np.ndarray, t: int) -> np.ndarray: ...
 
 
 @dataclass(slots=True)
@@ -40,16 +65,13 @@ class EliminationConfig:
     ``epsilon`` is on the scale of the rewards' mean (suboptimality of the
     returned set stays below it with probability at least 1 - delta) and may
     be 0, which forces exhaustive, exact evaluation.  ``range_width`` is the
-    b - a spread the rewards are known to lie in.  ``seed`` is recorded so a
-    run can be reproduced; the reward sources own the actual RNG streams.
+    b - a spread the rewards are known to lie in.
     """
 
     k: int
     epsilon: float
     delta: float
     range_width: float = 1.0
-    seed: int = 0
-    objective_sign: str = "maximize"
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -60,8 +82,6 @@ class EliminationConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.range_width <= 0.0:
             raise ValueError("range_width must be positive")
-        if self.objective_sign != "maximize":
-            raise ValueError("only maximization is supported")
 
 
 @dataclass(slots=True)
@@ -114,87 +134,89 @@ def round_pull_target(
 
         u = (2 range_width^2 / eps_l^2) * ln(2(s-K) / (delta_l (floor((s-K)/2)+1)))
 
-    which ``sample_size`` then shrinks for the finite list.  eps_l = 0 jumps
-    straight to exhaustion (target N, exact means).
+    which ``sample_size`` then shrinks for the finite list.  A zero accuracy
+    (eps_l = 0, or eps_l/2 underflowing to 0) and a one-entry list jump
+    straight to exhaustion (target N, exact means).  The target is at least
+    one pull, also where u underflows to 0 (an accuracy far wider than the
+    range).
     """
     if survivors <= k:
         raise ValueError("survivors must exceed k")
-    if epsilon_round == 0.0:
+    if epsilon_round / 2.0 == 0.0 or list_len == 1:
         return list_len
     excess = survivors - k
     per_tail_delta = delta_round * (excess // 2 + 1) / (2.0 * excess)
     u = hoeffding_count(epsilon_round / 2.0, per_tail_delta, range_width)
-    return pull_target(u, list_len)
+    return max(pull_target(u, list_len), 1)
 
 
-def eliminate(survivors: list[ArmState], k: int) -> list[ArmState]:
-    """Drop the ceil((s - k)/2) arms with the least empirical means.
+def pull_batch(arms: Arms, rows: np.ndarray, t: int) -> np.ndarray:
+    """Empirical means of ``rows`` after ``t`` pulls each (t >= 1)."""
+    if t < 1:
+        raise ValueError("an empirical mean needs at least one pull")
+    return arms.sums(rows, t) / t
 
-    Ties on the mean drop the larger arm id first, making the outcome a pure
-    function of (means, ids).  Kept arms come back in their input order with
-    their cumulative state intact.
+
+def eliminate(rows: np.ndarray, means: np.ndarray, k: int) -> np.ndarray:
+    """Keep mask over ``rows``: drop the ceil((s - k)/2) least ``means``.
+
+    Ties on the mean drop the larger row id first, making the outcome a pure
+    function of (means, ids).  Applying the mask keeps the input order.
     """
-    s = len(survivors)
+    s = rows.size
     if s <= k:
         raise ValueError("survivors must exceed k")
     drop_count = (s - k + 1) // 2
-    order = sorted(survivors, key=lambda a: (a.empirical_mean, -a.arm_id))
-    dropped = {a.arm_id for a in order[:drop_count]}
-    return [a for a in survivors if a.arm_id not in dropped]
+    order = np.lexsort((-rows, means))  # ascending mean, then descending id
+    keep = np.ones(s, dtype=bool)
+    keep[order[:drop_count]] = False
+    return keep
 
 
 def median_elimination_topk(
-    sources: list[RewardSource], config: EliminationConfig
+    arms: Arms, config: EliminationConfig
 ) -> tuple[list[int], EliminationTrace]:
     """Return K arm ids whose K-th best true mean is epsilon-close to optimal.
 
-    The guarantee holds with probability at least 1 - delta when rewards are
-    drawn without replacement in uniform order and lie within range_width.
-    Returned ids are ordered by decreasing empirical mean (ties by id).  The
-    trace carries per-round budgets and targets, total pulls across all arms
-    including eliminated ones, and the per-arm maximum.
+    The guarantee holds with probability at least 1 - delta when each arm's
+    rewards are read in uniform order without replacement and lie within
+    range_width.  Returned ids are ordered by decreasing empirical mean
+    (ties by id).  The trace carries per-round budgets and targets, total
+    pulls across all arms including eliminated ones, and the per-arm
+    maximum.
 
     If there are at most K arms, all of them are returned with zero pulls.
     """
-    n = len(sources)
+    n, list_len = arms.n, arms.list_len
     if n < 1:
-        raise ValueError("need at least one source")
-    ids = [s.arm_id for s in sources]
-    if len(set(ids)) != n:
-        raise ValueError("arm ids must be unique")
-    list_len = sources[0].list_len
-    if any(s.list_len != list_len for s in sources):
-        raise ValueError("all reward lists must share one length")
+        raise ValueError("need at least one arm")
+    if list_len < 1:
+        raise ValueError("reward lists must be non-empty")
 
     trace = EliminationTrace()
     if n <= config.k:
-        trace.returned = sorted(ids)
+        trace.returned = list(range(n))
         return list(trace.returned), trace
 
-    alive: list[tuple[RewardSource, ArmState]] = [(s, ArmState(s.arm_id)) for s in sources]
-    all_states = [st for _, st in alive]
-    target_prev = 0
+    alive = np.arange(n)
+    target = 0
     round_index = 1
-    while len(alive) > config.k:
+    while alive.size > config.k:
         eps_l, delta_l = elimination_schedule(config.epsilon, config.delta, round_index)
+        target_prev = target
         target = round_pull_target(
-            len(alive), config.k, eps_l, delta_l, config.range_width, list_len
+            alive.size, config.k, eps_l, delta_l, config.range_width, list_len
         )
         target = max(target, target_prev)  # increments are never negative
-        increment = target - target_prev
-        if increment:
-            for source, state in alive:
-                pull_batch(source, state, increment)
-        trace.rounds.append(RoundRecord(round_index, len(alive), eps_l, delta_l, target))
-        kept = eliminate([st for _, st in alive], config.k)
-        kept_ids = {st.arm_id for st in kept}
-        alive = [(src, st) for src, st in alive if st.arm_id in kept_ids]
-        target_prev = target
+        trace.total_pulls += alive.size * (target - target_prev)
+        means = pull_batch(arms, alive, target)
+        trace.rounds.append(RoundRecord(round_index, alive.size, eps_l, delta_l, target))
+        keep = eliminate(alive, means, config.k)
+        alive, means = alive[keep], means[keep]
         round_index += 1
 
-    trace.total_pulls = sum(st.pulls for st in all_states)
-    trace.max_arm_pulls = max(st.pulls for st in all_states)
-    final = sorted((st for _, st in alive), key=lambda a: (-a.empirical_mean, a.arm_id))
-    trace.returned = [st.arm_id for st in final]
-    trace.returned_means = [st.empirical_mean for st in final]
+    trace.max_arm_pulls = target
+    order = np.lexsort((alive, -means))
+    trace.returned = alive[order].tolist()
+    trace.returned_means = means[order].tolist()
     return list(trace.returned), trace

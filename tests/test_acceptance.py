@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from bandit_mips.arms import ArmState, MaterializedSource, pull_batch
 from bandit_mips.baselines import naive_topk
 from bandit_mips.bench import ME, me_dominates, run_compare, run_validate
 from bandit_mips.bounds import pull_target, shrinkage
@@ -91,8 +90,8 @@ def test_criterion_3_sample_size_oracle():
 
 def test_criterion_4_oracle_equivalence():
     """naive_topk equals an independent re-implementation exactly on 100
-    random instances (n <= 50, N <= 200); lazy-arm means match brute force
-    within 1e-9 relative."""
+    random instances (n <= 50, N <= 200); exhausted arm means match brute
+    force within 1e-9 relative."""
 
     def reference(data, q, k):
         scores = []
@@ -113,37 +112,54 @@ def test_criterion_4_oracle_equivalence():
         vs, query = VectorSet(data), Query(q)
         assert naive_topk(vs, query, k).topk_ids == reference(data, q, k), trial
 
-        if trial % 10 == 0:  # exhaustive lazy-mean audit on a tenth of them
+        if trial % 10 == 0:  # exhaustive arm-mean audit on a tenth of them
             brute_means = data @ q / dim
-            for src in build_arms(vs, query, ObjectiveKind.INNER_PRODUCT, seed=trial):
-                state = pull_batch(src, ArmState(arm_id=src.arm_id), dim)
-                assert state.empirical_mean == pytest.approx(
-                    brute_means[src.arm_id], rel=1e-9, abs=1e-12
+            arms = build_arms(vs, query, ObjectiveKind.INNER_PRODUCT, start=trial)
+            means = arms.sums(np.arange(n), dim) / dim
+            for arm_id in range(n):
+                assert means[arm_id] == pytest.approx(
+                    brute_means[arm_id], rel=1e-9, abs=1e-12
                 )
 
 
 def test_criterion_5_exhaustion_exactness():
     """1000 randomized small arms: full draw returns the reward list as an
-    exact multiset and the empirical mean within 1e-9 relative."""
+    exact multiset and the empirical mean within 1e-9 relative.
+
+    Arms read their lists in the order of the pi prefix, so the multiset
+    check runs on one-hot data: with rows diag(values) and an all-ones
+    query, arm i's only nonzero reward sits at column i, the arms whose sums
+    change in a batch are the columns that batch read, and each final sum is
+    values[i] exactly."""
     rng = np.random.default_rng(88)
     for arm_id in range(1000):
         length = int(rng.integers(1, 30))
         values = rng.standard_normal(length)
         seed = int(rng.integers(2 ** 31))
+        start = int(rng.integers(length))
+        ones = Query(np.ones(length))
 
-        src = MaterializedSource(arm_id, values, seed=seed)
-        drawn = []
-        remaining = length
-        while remaining:
-            batch = int(rng.integers(1, remaining + 1))
-            drawn.extend(src.draw(batch))
-            remaining -= batch
-        assert sorted(drawn) == sorted(values.tolist())  # exact: no arithmetic applied
+        one_hot = VectorSet(np.diag(values), seed=seed)
+        order = np.roll(one_hot.permuted()[0], -start)
+        arms = build_arms(one_hot, ones, ObjectiveKind.INNER_PRODUCT, start)
+        rows = np.arange(length)
+        before = np.zeros(length)
+        t = 0
+        while t < length:
+            batch = int(rng.integers(1, length - t + 1))
+            now = arms.sums(rows, t + batch)
+            # this batch read exactly the next positions of the pi prefix
+            assert sorted(np.flatnonzero(now != before).tolist()) == sorted(
+                order[t : t + batch].tolist()
+            )
+            before, t = now, t + batch
+        assert sorted(now.tolist()) == sorted(values.tolist())  # exact: no arithmetic applied
 
-        twin = MaterializedSource(arm_id, values, seed=seed)
-        state = pull_batch(twin, ArmState(arm_id=arm_id), length)
-        assert state.pulls == length
-        assert state.empirical_mean == pytest.approx(values.mean(), rel=1e-9, abs=1e-15)
+        twin = build_arms(VectorSet(values[None, :], seed=seed), ones,
+                          ObjectiveKind.INNER_PRODUCT, start)
+        assert twin.sums(np.array([0]), length)[0] / length == pytest.approx(
+            values.mean(), rel=1e-9, abs=1e-15
+        )
 
 
 def test_criterion_6_validate_determinism(tmp_path):

@@ -8,7 +8,7 @@ different loop order must agree exactly on random instances.
 import numpy as np
 import pytest
 
-from bandit_mips.baselines import lsh_build, lsh_query, naive_topk
+from bandit_mips.baselines import _lift_data, lsh_build, lsh_query, naive_topk
 from bandit_mips.mips import ObjectiveKind, Query, VectorSet
 
 IP = ObjectiveKind.INNER_PRODUCT
@@ -186,3 +186,20 @@ def test_lsh_build_validates_widths():
         lsh_build(vs, a=0, b=1, seed=0)
     with pytest.raises(ValueError):
         lsh_build(vs, a=1, b=0, seed=0)
+
+
+def test_lsh_build_rejects_key_overflow():
+    # a = 64 would need the key weight 1 << 63, which wraps int64
+    vs = VectorSet(np.random.default_rng(6).standard_normal((20, 5)))
+    with pytest.raises(ValueError):
+        lsh_build(vs, a=64, b=1, seed=0)
+    index = lsh_build(vs, a=63, b=1, seed=0)  # largest key 2**63 - 1 still fits
+    assert all(key >= 0 for key in index.tables[0])
+
+
+def test_lsh_lift_matches_divide_then_stack():
+    data = np.random.default_rng(7).standard_normal((50, 17))
+    lifted, scale = _lift_data(data)
+    norms = np.linalg.norm(data, axis=1)
+    extra = np.sqrt(np.maximum(0.0, 1.0 - (norms / scale) ** 2))
+    assert np.array_equal(lifted, np.hstack([data / scale, extra[:, None]]))

@@ -138,6 +138,13 @@ def test_hoeffding_count_width_scaling():
     assert hoeffding_count(0.1, 0.1, 3.0) == pytest.approx(9.0 * base, rel=1e-12)
 
 
+def test_hoeffding_count_overflow_is_infinite():
+    # (1 / 1e-300)^2 overflows float64: the count is infinite, which
+    # pull_target maps to exhaustion, instead of an OverflowError
+    assert hoeffding_count(1e-300, 0.1, 1.0) == math.inf
+    assert pull_target(hoeffding_count(1e-300, 0.1, 1.0), 40) == 40
+
+
 def test_hoeffding_count_domain_errors():
     with pytest.raises(ValueError):
         hoeffding_count(0.0, 0.1, 1.0)

@@ -43,10 +43,11 @@ def test_adversarial_list_mean_close_to_target():
 
 def test_adversarial_sources_stream_ones_first():
     inst = gen_adversarial(DatasetSpec("adversarial", 5, 30, seed=1))
-    for src in inst.sources():
-        ones = int(inst.ones[src.arm_id])
-        if 0 < ones:
-            assert src.draw(ones).tolist() == [1.0] * ones
+    arms, rows = inst.sources(), np.arange(5)
+    for t in range(31):
+        # every pull up to an arm's ones count reads a one, every later one a zero
+        assert arms.sums(rows, t).tolist() == np.minimum(inst.ones, t).tolist()
+    assert (arms.sums(rows, 30) / 30).tolist() == inst.list_means.tolist()
 
 
 def test_gen_vectors_deterministic():

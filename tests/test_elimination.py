@@ -1,11 +1,11 @@
 """Round schedule, per-round pull targets, and the halving loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from bandit_mips.arms import ArmState, MaterializedSource, StreamSource
 from bandit_mips.bounds import shrinkage
 from bandit_mips.elimination import (
     EliminationConfig,
@@ -96,59 +96,81 @@ def test_round_target_requires_excess():
 # --- eliminate ----------------------------------------------------------------
 
 
-def states(means):
-    # pulls=1 so empirical_mean equals the given value
-    return [ArmState(arm_id=i, pulls=1, reward_sum=m) for i, m in enumerate(means)]
+def kept_ids(means, k, ids=None):
+    ids = np.arange(len(means)) if ids is None else np.asarray(ids)
+    keep = eliminate(ids, np.asarray(means, dtype=float), k)
+    return ids[keep].tolist()
 
 
 def test_eliminate_removal_counts():
-    assert len(eliminate(states([0.1, 0.2, 0.3, 0.4, 0.5]), 1)) == 3  # ceil(4/2)=2 removed
-    assert len(eliminate(states([0.1, 0.2, 0.3, 0.4]), 1)) == 2  # ceil(3/2)=2 removed
+    assert len(kept_ids([0.1, 0.2, 0.3, 0.4, 0.5], 1)) == 3  # ceil(4/2)=2 removed
+    assert len(kept_ids([0.1, 0.2, 0.3, 0.4], 1)) == 2  # ceil(3/2)=2 removed
 
 
 def test_eliminate_drops_smallest_means():
-    kept = eliminate(states([0.9, 0.1, 0.8, 0.2, 0.7]), 1)
-    assert [s.arm_id for s in kept] == [0, 2, 4]
+    assert kept_ids([0.9, 0.1, 0.8, 0.2, 0.7], 1) == [0, 2, 4]
 
 
 def test_eliminate_tie_drops_larger_id_first():
-    # means 0.5 and 0.5 tie; the larger arm_id goes first
-    kept = eliminate(states([0.9, 0.5, 0.5, 0.1]), 1)
-    assert sorted(s.arm_id for s in kept) == [0, 1]
+    # means 0.5 and 0.5 tie; the larger arm id goes first
+    assert sorted(kept_ids([0.9, 0.5, 0.5, 0.1], 1)) == [0, 1]
+    # ids, not positions, break the tie
+    assert sorted(kept_ids([0.9, 0.5, 0.5, 0.1], 1, ids=[3, 8, 2, 5])) == [2, 3]
 
 
 def test_eliminate_single_removal_keeps_tied_pair():
     # only one removal here, so both tied arms survive
-    kept = eliminate(states([0.9, 0.5, 0.5, 0.1]), 2)
-    assert sorted(s.arm_id for s in kept) == [0, 1, 2]
+    assert sorted(kept_ids([0.9, 0.5, 0.5, 0.1], 2)) == [0, 1, 2]
 
 
 def test_eliminate_preserves_input_order_and_state():
-    sts = states([0.3, 0.9, 0.5, 0.8])
-    kept = eliminate(sts, 2)
-    assert [s.arm_id for s in kept] == [1, 2, 3]
-    assert all(k is s for k, s in zip(kept, [sts[1], sts[2], sts[3]]))
+    ids = np.array([7, 3, 9, 1])
+    means = np.array([0.3, 0.9, 0.5, 0.8])
+    keep = eliminate(ids, means, 2)
+    assert ids[keep].tolist() == [3, 9, 1]
+    assert means[keep].tolist() == [0.9, 0.5, 0.8]
+    assert ids.tolist() == [7, 3, 9, 1] and means.tolist() == [0.3, 0.9, 0.5, 0.8]
 
 
 def test_eliminate_requires_more_than_k():
     with pytest.raises(ValueError):
-        eliminate(states([0.1, 0.2]), 2)
+        eliminate(np.arange(2), np.array([0.1, 0.2]), 2)
 
 
 # --- median_elimination_topk -------------------------------------------------
 
 
+class MatrixArms:
+    """Test-local arms: row i of ``rewards`` is arm i's list, read in stored order.
+
+    Shuffle the rows first for a uniformly random order.  Every call is
+    checked against the protocol: rows only shrink and t never decreases.
+    """
+
+    def __init__(self, rewards):
+        rewards = np.asarray(rewards, dtype=float)
+        self.n, self.list_len = rewards.shape
+        self.prefix = np.concatenate([np.zeros((self.n, 1)), np.cumsum(rewards, axis=1)], axis=1)
+        self.rows = set(range(self.n))
+        self.t = 0
+
+    def sums(self, rows, t):
+        assert set(rows.tolist()) <= self.rows and self.t <= t <= self.list_len
+        self.rows, self.t = set(rows.tolist()), t
+        return self.prefix[rows, t]
+
+
 def test_topk_trivial_when_n_at_most_k():
-    srcs = [MaterializedSource(i, [float(i)] * 4, seed=0) for i in range(3)]
-    ids, trace = median_elimination_topk(srcs, EliminationConfig(k=3, epsilon=0.1, delta=0.1))
+    arms = MatrixArms([[float(i)] * 4 for i in range(3)])
+    ids, trace = median_elimination_topk(arms, EliminationConfig(k=3, epsilon=0.1, delta=0.1))
     assert ids == [0, 1, 2]
     assert trace.total_pulls == 0
     assert trace.rounds == []
 
 
 def test_topk_constant_arms():
-    srcs = [MaterializedSource(0, [1.0] * 50, seed=1), MaterializedSource(1, [0.0] * 50, seed=2)]
-    ids, trace = median_elimination_topk(srcs, EliminationConfig(k=1, epsilon=0.5, delta=0.3))
+    arms = MatrixArms([[1.0] * 50, [0.0] * 50])
+    ids, trace = median_elimination_topk(arms, EliminationConfig(k=1, epsilon=0.5, delta=0.3))
     assert ids == [0]
     assert trace.max_arm_pulls <= 50
 
@@ -157,8 +179,8 @@ def test_topk_trace_arithmetic():
     """Per-round bookkeeping: halving counts, cumulative targets, pull sums."""
     rng = np.random.default_rng(5)
     n, list_len, k = 50, 500, 3
-    srcs = [MaterializedSource(i, rng.random(list_len), seed=7) for i in range(n)]
-    ids, trace = median_elimination_topk(srcs, EliminationConfig(k=k, epsilon=0.3, delta=0.1, seed=7))
+    arms = MatrixArms(np.random.default_rng(7).permuted(rng.random((n, list_len)), axis=1))
+    ids, trace = median_elimination_topk(arms, EliminationConfig(k=k, epsilon=0.3, delta=0.1))
 
     assert len(ids) == k
     survivors = [r.survivors for r in trace.rounds]
@@ -183,8 +205,8 @@ def test_topk_trace_arithmetic():
 def test_topk_deterministic_given_seed():
     def run():
         rng = np.random.default_rng(9)
-        srcs = [MaterializedSource(i, rng.random(200), seed=4) for i in range(20)]
-        return median_elimination_topk(srcs, EliminationConfig(k=2, epsilon=0.2, delta=0.1, seed=4))
+        arms = MatrixArms(np.random.default_rng(4).permuted(rng.random((20, 200)), axis=1))
+        return median_elimination_topk(arms, EliminationConfig(k=2, epsilon=0.2, delta=0.1))
 
     ids1, tr1 = run()
     ids2, tr2 = run()
@@ -198,25 +220,32 @@ def test_topk_adversarial_streams_halving():
     # deterministic streams: survivor counts 50 -> 26 -> 14 -> 8 -> 5 -> 4 -> 3
     rng = np.random.default_rng(2)
     list_len = 500
-    srcs = []
+    lists = []
     for i in range(50):
         ones = int(rng.integers(0, list_len + 1))
-        srcs.append(StreamSource(i, [1.0] * ones + [0.0] * (list_len - ones)))
-    ids, trace = median_elimination_topk(srcs, EliminationConfig(k=3, epsilon=0.3, delta=0.1))
+        lists.append([1.0] * ones + [0.0] * (list_len - ones))
+    ids, trace = median_elimination_topk(
+        MatrixArms(lists), EliminationConfig(k=3, epsilon=0.3, delta=0.1)
+    )
     assert [r.survivors for r in trace.rounds] == [50, 26, 14, 8, 5, 4]
     assert len(ids) == 3
 
 
-def test_topk_mixed_lengths_rejected():
-    srcs = [MaterializedSource(0, [1.0] * 5, seed=0), MaterializedSource(1, [1.0] * 6, seed=0)]
-    with pytest.raises(ValueError):
-        median_elimination_topk(srcs, EliminationConfig(k=1, epsilon=0.1, delta=0.1))
+def test_topk_returned_means_are_empirical():
+    # returned ids come by decreasing empirical mean, ties by id, with the
+    # means of the final pull count
+    arms = MatrixArms([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    ids, trace = median_elimination_topk(arms, EliminationConfig(k=2, epsilon=0.0, delta=0.1))
+    assert ids == [1, 3]
+    assert trace.returned_means == [1.0, 1.0]
+    assert trace.max_arm_pulls == 2
 
 
-def test_topk_duplicate_ids_rejected():
-    srcs = [MaterializedSource(0, [1.0] * 5, seed=0), MaterializedSource(0, [1.0] * 5, seed=0)]
+def test_topk_empty_arms_rejected():
     with pytest.raises(ValueError):
-        median_elimination_topk(srcs, EliminationConfig(k=1, epsilon=0.1, delta=0.1))
+        median_elimination_topk(MatrixArms(np.zeros((0, 5))), EliminationConfig(k=1, epsilon=0.1, delta=0.1))
+    with pytest.raises(ValueError):
+        median_elimination_topk(MatrixArms(np.zeros((3, 0))), EliminationConfig(k=1, epsilon=0.1, delta=0.1))
 
 
 def test_config_validation():
@@ -230,3 +259,26 @@ def test_config_validation():
         EliminationConfig(k=1, epsilon=0.1, delta=1.0)
     with pytest.raises(ValueError):
         EliminationConfig(k=1, epsilon=0.1, delta=0.1, range_width=0.0)
+
+
+def test_round_target_one_entry_list_exhausts():
+    # a one-entry list has nothing to shrink: one pull reads it all
+    assert round_pull_target(10, 2, 0.1, 0.1, 1.0, 1) == 1
+
+
+def test_round_target_underflowing_epsilon_exhausts():
+    assert round_pull_target(10, 2, 5e-324, 0.1, 1.0, 300) == 300
+    assert round_pull_target(10, 2, 1e-300, 0.1, 1.0, 300) == 300
+
+
+def test_round_target_at_least_one_pull():
+    # (width / eps_l)^2 underflows to 0, so u is 0; the round still pulls once
+    assert round_pull_target(10, 2, 1.0, 0.1, 1e-200, 300) == 1
+    arms = MatrixArms(np.arange(40.0).reshape(8, 5) * 1e-201)
+    config = EliminationConfig(k=2, epsilon=1.0, delta=0.1, range_width=1e-200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ids, trace = median_elimination_topk(arms, config)
+    assert trace.max_arm_pulls == 1
+    assert all(math.isfinite(m) for m in trace.returned_means)
+    assert ids == [7, 6]

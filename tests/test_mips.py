@@ -1,11 +1,11 @@
 """Inner-product and distance objectives cast as bounded reward lists."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from bandit_mips.arms import ArmState, pull_batch
 from bandit_mips.baselines import naive_topk
 from bandit_mips.mips import (
     DegenerateRangeError,
@@ -25,17 +25,21 @@ NSD = ObjectiveKind.NEG_SQ_DISTANCE
 def test_build_arms_inner_product_rewards():
     vs = VectorSet(np.array([[1.0, 2.0, 3.0]]))
     q = Query(np.array([1.0, 1.0, 1.0]))
-    (src,) = build_arms(vs, q, IP)
-    rewards = sorted(src.draw(3).tolist())
-    assert rewards == pytest.approx([1.0, 2.0, 3.0])
+    arms = build_arms(vs, q, IP, start=1)
+    order = np.roll(vs.permuted()[0], -1)
+    row = np.array([0])
+    # each pull adds the reward v[j] * q[j] of the next position of the order
+    got = [arms.sums(row, t)[0] for t in (1, 2, 3)]
+    assert got == pytest.approx(np.cumsum(vs.data[0, order]).tolist())
+    assert got[-1] == pytest.approx(6.0)
     assert true_means(vs, q, IP)[0] == pytest.approx(2.0)
 
 
 def test_build_arms_identical_vector_zero_distance():
     v = np.array([[0.3, -0.7, 2.0]])
     vs, q = VectorSet(v), Query(v[0])
-    (src,) = build_arms(vs, q, NSD)
-    assert src.draw(3).tolist() == [0.0, 0.0, 0.0]
+    arms = build_arms(vs, q, NSD)
+    assert [arms.sums(np.array([0]), t)[0] for t in (1, 2, 3)] == [0.0, 0.0, 0.0]
     assert true_means(vs, q, NSD)[0] == 0.0
 
 
@@ -54,9 +58,9 @@ def test_lazy_source_means_match_brute_force():
     vs = VectorSet(rng.standard_normal((8, 125)))
     q = Query(rng.standard_normal(125))
     for kind in (IP, NSD):
-        for src, want in zip(build_arms(vs, q, kind, seed=2), true_means(vs, q, kind)):
-            state = pull_batch(src, ArmState(arm_id=src.arm_id), 125)
-            assert state.empirical_mean == pytest.approx(want, rel=1e-9, abs=1e-12)
+        means = build_arms(vs, q, kind, start=2).sums(np.arange(8), 125) / 125
+        for got, want in zip(means, true_means(vs, q, kind)):
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_reward_range_inner_product_width():
@@ -98,19 +102,87 @@ def test_argmax_invariance_distance_objective():
 
 
 def test_no_reward_matrix_materialization():
-    """Coarse allocation bound: pulling a few rewards from every arm must not
-    allocate anything near the n*N product matrix (8 MB here)."""
+    """Coarse allocation bound: a query whose first round reads every
+    coordinate of every arm (epsilon 0) must not allocate anything near the
+    n*N product matrix (8 MB here) beyond the cached permuted copy."""
     rng = np.random.default_rng(35)
     vs = VectorSet(rng.standard_normal((100, 10_000)))
+    vs.permuted()  # the one n*N copy, built on first use and kept
     q = Query(rng.standard_normal(10_000))
-    srcs = build_arms(vs, q, IP, seed=1)
-    tracemalloc.start()
-    base = tracemalloc.get_traced_memory()[0]
-    for src in srcs:
-        src.draw(10)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak - base < 2_000_000  # well under n * N * 8 bytes
+    for kind in (IP, NSD):
+        tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        ids, trace = mips_topk(vs, q, 3, epsilon=0.0, delta=0.1, seed=1, kind=kind)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert trace.rounds[0].pull_target == 10_000  # round 1 exhausts
+        assert peak - base < 2_000_000  # well under n * N * 8 bytes
+
+
+def test_permuted_copy_built_on_first_bandit_query():
+    rng = np.random.default_rng(38)
+    data = rng.standard_normal((30, 50))
+    vs = VectorSet(data)
+    q = Query(rng.standard_normal(50))
+    naive_topk(vs, q, 3)
+    true_means(vs, q, NSD)
+    assert vs._permuted is None  # no second n x N array before a bandit query
+    mips_topk(vs, q, 3, epsilon=0.1, delta=0.1)
+    assert vs._permuted is not None
+    assert np.array_equal(vs.data, data)  # the caller's order is kept
+
+
+def test_true_means_distance_matches_whole_matrix_form():
+    # the row-blocked scan gives the same bits as the one-shot difference
+    rng = np.random.default_rng(39)
+    for data in (rng.random((200, 301)), rng.standard_normal((129, 40))):
+        vs, q = VectorSet(data), Query(rng.standard_normal(data.shape[1]))
+        diff = data - q.vector
+        whole = -np.einsum("ij,ij->i", diff, diff) / data.shape[1]
+        assert np.array_equal(true_means(vs, q, NSD), whole)
+
+
+def test_mips_topk_dim_one_exhausts():
+    rng = np.random.default_rng(40)
+    vs = VectorSet(rng.standard_normal((10, 1)))
+    q = Query(np.array([0.7]))
+    for kind in (IP, NSD):
+        ids, trace = mips_topk(vs, q, 3, epsilon=0.1, delta=0.1, kind=kind)
+        assert trace.max_arm_pulls == 1
+        assert ids == naive_topk(vs, q, 3, kind).topk_ids
+
+
+def test_mips_topk_tiny_epsilon_exhausts():
+    rng = np.random.default_rng(41)
+    vs = VectorSet(rng.standard_normal((30, 50)))
+    q = Query(rng.standard_normal(50))
+    ids, trace = mips_topk(vs, q, 4, epsilon=1e-300, delta=0.1)
+    assert trace.max_arm_pulls == 50
+    assert ids == naive_topk(vs, q, 4).topk_ids
+
+
+def test_mips_topk_tiny_reward_range_pulls_once():
+    # a reward range far narrower than epsilon underflows the Hoeffding count
+    rng = np.random.default_rng(42)
+    vs = VectorSet(rng.standard_normal((30, 50)) * 1e-170)
+    q = Query(rng.standard_normal(50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ids, trace = mips_topk(vs, q, 4, epsilon=0.1, delta=0.1)
+    assert trace.max_arm_pulls == 1
+    assert all(np.isfinite(trace.returned_means))
+    assert len(set(ids)) == 4
+
+
+def test_reward_range_overflow_rejected():
+    vs = VectorSet(np.array([[1e200, 1.0], [2.0, -1e200]]))
+    q = Query(np.array([1e200, 3.0]))
+    for kind in (IP, NSD):
+        with pytest.raises(ValueError, match="overflows") as info:
+            reward_range(vs, q, kind)
+        assert not isinstance(info.value, DegenerateRangeError)
+        with pytest.raises(ValueError, match="overflows"):
+            mips_topk(vs, q, 1, epsilon=0.1, delta=0.1, kind=kind)
 
 
 def test_mips_topk_one_hot_argmax():
@@ -172,6 +244,11 @@ def test_mips_topk_tight_epsilon_high_precision_desk_scale():
 def test_vectorset_validation():
     with pytest.raises(ValueError):
         VectorSet(np.array([[np.inf, 1.0]]))
+    with pytest.raises(ValueError):
+        VectorSet(np.array([[1.0, -np.inf]]))
+    with pytest.raises(ValueError):
+        VectorSet(np.array([[1.0, np.nan], [0.0, 2.0]]))
+    assert VectorSet(np.array([[-3.0, 1.0]])).coord_bound == 3.0
     with pytest.raises(ValueError):
         VectorSet(np.ones(3))  # needs 2-D
     with pytest.raises(ValueError):
