@@ -13,14 +13,22 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .baselines import lsh_build, lsh_query, naive_topk
 from .datasets import DatasetSpec, gen_adversarial
 from .elimination import EliminationConfig, median_elimination_topk
-from .fileio import read_dataset, read_query, write_curve, write_results
+from .fileio import (
+    CURVE_FIELDS,
+    RESULT_FIELDS,
+    read_dataset,
+    read_query,
+    write_curve,
+    write_results,
+)
 from .metrics import percentile, precision, suboptimality
 from .mips import (
     DegenerateRangeError,
@@ -79,7 +87,6 @@ class RunRecord:
     pulls_total: int
     ops_naive: int
     wall_ms: float
-    speedup_wall: float = 0.0
 
     @property
     def speedup_ops(self) -> float:
@@ -88,19 +95,7 @@ class RunRecord:
         return self.ops_naive / self.pulls_total
 
     def row(self) -> dict:
-        return {
-            "method": self.method,
-            "params": self.params,
-            "k": self.k,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "seed": self.seed,
-            "precision": self.precision,
-            "suboptimality": self.suboptimality,
-            "pulls_total": self.pulls_total,
-            "ops_naive": self.ops_naive,
-            "wall_ms": self.wall_ms,
-        }
+        return {key: getattr(self, key) for key in RESULT_FIELDS}
 
 
 @dataclass(slots=True)
@@ -116,7 +111,6 @@ class ValidateCell:
 class ValidateReport:
     records: list[RunRecord]
     cells: list[ValidateCell]
-    mean_percentile_by_epsilon: dict[float, float]
     all_passed: bool
 
 
@@ -194,14 +188,9 @@ def run_validate(
                     passed=cell_percentile <= eps,
                 )
             )
-    by_eps: dict[float, float] = {}
-    for eps in epsilons:
-        vals = [c.percentile_suboptimality for c in cells if c.epsilon == eps]
-        by_eps[eps] = sum(vals) / len(vals)
     report = ValidateReport(
         records=records,
         cells=cells,
-        mean_percentile_by_epsilon=by_eps,
         all_passed=all(c.passed for c in cells),
     )
     if out is not None:
@@ -213,11 +202,6 @@ def run_validate(
 class CompareReport:
     records: list[RunRecord]
     curve: list[dict]
-    naive_wall_ms: float
-
-
-def _knob_me(eps_label: str, value: float, delta: float) -> str:
-    return f"{eps_label}={value:g},delta={delta:g}"
 
 
 def run_compare(
@@ -257,176 +241,119 @@ def run_compare(
         raise ValueError(f"unknown methods: {sorted(unknown)}")
     if not queries:
         raise ValueError("need at least one query")
-    n, dim = vectors.n, vectors.dim
-    ops_naive = n * dim
+    eps_label = "eps_frac" if me_epsilons is None else "epsilon"
+    eps_values = [float(e) for e in (me_eps_fracs if me_epsilons is None else me_epsilons)]
+    me_deltas = list(me_deltas)
+    lsh_a = sorted({int(a) for a in lsh_a})
+    lsh_b = sorted({int(b) for b in lsh_b})
+    sweep_lists = {
+        ME: {"me_" + eps_label + "s": eps_values, "me_deltas": me_deltas},
+        LSH: {"lsh_a": lsh_a, "lsh_b": lsh_b},
+    }
+    for method in methods:
+        for name, values in sweep_lists.get(method, {}).items():
+            if not values:
+                raise ValueError(f"{name} is empty; {method} needs at least one value")
+    ops_naive = vectors.n * vectors.dim
+
+    truth_ids: list[list[int]] = []
+    naive_s = 0.0
+    for query in queries:
+        start = time.perf_counter()
+        truth_ids.append(naive_topk(vectors, query, k, kind).topk_ids)
+        naive_s += time.perf_counter() - start
+    means_per_query = [true_means(vectors, query, kind) for query in queries]
+
+    # A runner answers one query: (ids, ops, params, epsilon, delta, seed).
+    def naive(qi, query):
+        ids = naive_topk(vectors, query, k, kind).topk_ids
+        return ids, ops_naive, {"query": qi}, None, None, seed
+
+    def bandit(di, vi, delta, value, qi, query):
+        eps = value
+        if eps_label == "eps_frac":
+            try:
+                lo, hi = reward_range(vectors, query, kind)
+                eps = value * (hi - lo)
+            except DegenerateRangeError:
+                eps = 0.0
+        run_seed = derive_seed(seed, 3, di, vi, qi)
+        ids, trace = mips_topk(vectors, query, k, eps, delta, seed=run_seed, kind=kind)
+        if trace.total_pulls > ops_naive:
+            raise AssertionError("bandit exceeded the pull bound n*N")
+        params = {
+            eps_label: value,
+            "query": qi,
+            "rounds": len(trace.rounds),
+            "max_arm_pulls": trace.max_arm_pulls,
+        }
+        return ids, trace.total_pulls, params, eps, delta, run_seed
+
+    def lsh(index, b, qi, query):
+        res = lsh_query(index, vectors, query, k, b_use=b)
+        params = {
+            "a": index.a,
+            "b": b,
+            "query": qi,
+            "candidates": res.candidates,
+            "padded": res.padded,
+        }
+        return list(res.ids), res.ops, params, None, None, index.seed
+
+    def sweep():
+        """(method, sort key, knob, runner) per curve point; one LSH index alive at a time."""
+        if NAIVE in methods:
+            yield NAIVE, (NAIVE, 0.0, 0.0), "exhaustive", naive
+        if ME in methods:
+            for di, delta in enumerate(me_deltas):
+                for vi, value in enumerate(eps_values):
+                    knob = f"{eps_label}={value:g},delta={delta:g}"
+                    yield ME, (ME, float(delta), value), knob, partial(bandit, di, vi, delta, value)
+        if LSH in methods:
+            for a in lsh_a:
+                index = lsh_build(vectors, a, lsh_b[-1], seed=derive_seed(seed, 4, a))
+                for b in lsh_b:
+                    yield LSH, (LSH, float(a), float(b)), f"a={a},b={b}", partial(lsh, index, b)
 
     records: list[RunRecord] = []
     curve: list[tuple[tuple, dict]] = []  # (sort key, row)
-
-    truth_ids: list[list[int]] = []
-    means_per_query: list[np.ndarray] = []
-    naive_wall = 0.0
-    for query in queries:
-        start = time.perf_counter()
-        exact = naive_topk(vectors, query, k, kind)
-        naive_wall += time.perf_counter() - start
-        truth_ids.append(exact.topk_ids)
-        means_per_query.append(true_means(vectors, query, kind))
-    naive_wall_per_query = naive_wall / len(queries)
-
-    if NAIVE in methods:
+    for method, key, knob, run in sweep():
+        group: list[RunRecord] = []
         for qi, query in enumerate(queries):
-            records.append(
+            start = time.perf_counter()
+            ids, ops, params, eps, delta, run_seed = run(qi, query)
+            wall_ms = (time.perf_counter() - start) * 1e3
+            group.append(
                 RunRecord(
-                    method=NAIVE,
-                    params={"query": qi},
+                    method=method,
+                    params=params,
                     k=k,
-                    epsilon=None,
-                    delta=None,
-                    seed=seed,
-                    returned=list(truth_ids[qi]),
-                    precision=1.0,
-                    suboptimality=0.0,
-                    pulls_total=ops_naive,
+                    epsilon=eps,
+                    delta=delta,
+                    seed=run_seed,
+                    returned=ids,
+                    precision=precision(ids, truth_ids[qi], k),
+                    suboptimality=suboptimality(ids, means_per_query[qi], k),
+                    pulls_total=ops,
                     ops_naive=ops_naive,
-                    wall_ms=naive_wall_per_query * 1e3,
-                    speedup_wall=1.0,
+                    wall_ms=wall_ms,
                 )
             )
-        curve.append(
-            (
-                (NAIVE, 0.0, 0.0),
-                {
-                    "method": NAIVE,
-                    "knob": "exhaustive",
-                    "precision": 1.0,
-                    "speedup_ops": 1.0,
-                    "speedup_wall": 1.0,
-                },
-            )
+        records.extend(group)
+        values = (
+            method,
+            knob,
+            float(np.mean([g.precision for g in group])),
+            ops_naive * len(group) / max(sum(g.pulls_total for g in group), 1),
+            naive_s / max(sum(g.wall_ms for g in group) / 1e3, 1e-12),
         )
-
-    if ME in methods:
-        if me_epsilons is not None:
-            knob_values = [(float(e), "epsilon") for e in me_epsilons]
-        else:
-            knob_values = [(float(f), "eps_frac") for f in me_eps_fracs]
-        for di, delta in enumerate(me_deltas):
-            for vi, (value, label) in enumerate(knob_values):
-                group: list[RunRecord] = []
-                for qi, query in enumerate(queries):
-                    if label == "epsilon":
-                        eps_abs = value
-                    else:
-                        try:
-                            lo, hi = reward_range(vectors, query, kind)
-                            eps_abs = value * (hi - lo)
-                        except DegenerateRangeError:
-                            eps_abs = 0.0
-                    run_seed = derive_seed(seed, 3, di, vi, qi)
-                    start = time.perf_counter()
-                    ids, trace = mips_topk(
-                        vectors, query, k, eps_abs, delta, seed=run_seed, kind=kind
-                    )
-                    wall = time.perf_counter() - start
-                    rec = RunRecord(
-                        method=ME,
-                        params={
-                            label: value,
-                            "query": qi,
-                            "rounds": len(trace.rounds),
-                            "max_arm_pulls": trace.max_arm_pulls,
-                        },
-                        k=k,
-                        epsilon=eps_abs,
-                        delta=delta,
-                        seed=run_seed,
-                        returned=ids,
-                        precision=precision(ids, truth_ids[qi], k),
-                        suboptimality=suboptimality(ids, means_per_query[qi], k),
-                        pulls_total=trace.total_pulls,
-                        ops_naive=ops_naive,
-                        wall_ms=wall * 1e3,
-                        speedup_wall=naive_wall_per_query / wall if wall > 0 else math.inf,
-                    )
-                    if rec.pulls_total > rec.ops_naive:
-                        raise AssertionError("bandit exceeded the pull bound n*N")
-                    group.append(rec)
-                records.extend(group)
-                curve.append(
-                    (
-                        (ME, float(delta), value),
-                        {
-                            "method": ME,
-                            "knob": _knob_me(label, value, delta),
-                            "precision": float(np.mean([g.precision for g in group])),
-                            "speedup_ops": ops_naive
-                            * len(group)
-                            / max(sum(g.pulls_total for g in group), 1),
-                            "speedup_wall": naive_wall
-                            / max(sum(g.wall_ms for g in group) / 1e3, 1e-12),
-                        },
-                    )
-                )
-
-    if LSH in methods:
-        b_max = max(lsh_b)
-        for a in sorted(set(int(x) for x in lsh_a)):
-            index = lsh_build(vectors, a, b_max, seed=derive_seed(seed, 4, a))
-            for b in sorted(set(int(x) for x in lsh_b)):
-                group = []
-                for qi, query in enumerate(queries):
-                    start = time.perf_counter()
-                    res = lsh_query(index, vectors, query, k, b_use=b)
-                    wall = time.perf_counter() - start
-                    group.append(
-                        RunRecord(
-                            method=LSH,
-                            params={
-                                "a": a,
-                                "b": b,
-                                "query": qi,
-                                "candidates": res.candidates,
-                                "padded": res.padded,
-                            },
-                            k=k,
-                            epsilon=None,
-                            delta=None,
-                            seed=index.seed,
-                            returned=list(res.ids),
-                            precision=precision(res.ids, truth_ids[qi], k),
-                            suboptimality=suboptimality(res.ids, means_per_query[qi], k),
-                            pulls_total=res.ops,
-                            ops_naive=ops_naive,
-                            wall_ms=wall * 1e3,
-                            speedup_wall=naive_wall_per_query / wall if wall > 0 else math.inf,
-                        )
-                    )
-                records.extend(group)
-                curve.append(
-                    (
-                        (LSH, float(a), float(b)),
-                        {
-                            "method": LSH,
-                            "knob": f"a={a},b={b}",
-                            "precision": float(np.mean([g.precision for g in group])),
-                            "speedup_ops": ops_naive
-                            * len(group)
-                            / max(sum(g.pulls_total for g in group), 1),
-                            "speedup_wall": naive_wall
-                            / max(sum(g.wall_ms for g in group) / 1e3, 1e-12),
-                        },
-                    )
-                )
+        curve.append((key, dict(zip(CURVE_FIELDS, values))))
 
     curve.sort(key=lambda pair: pair[0])
     curve_rows = [row for _, row in curve]
-    report = CompareReport(
-        records=records, curve=curve_rows, naive_wall_ms=naive_wall_per_query * 1e3
-    )
     if out is not None:
         write_curve(out, curve_rows)
-    return report
+    return CompareReport(records=records, curve=curve_rows)
 
 
 def me_dominates(curve_rows, min_speedup: float = 5.0) -> tuple[bool, list[str]]:

@@ -19,27 +19,32 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict, fields
 
-from .bench import LSH, ME, NAIVE, run_compare, run_query, run_validate
+from .bench import LSH, ME, NAIVE, ValidateCell, run_compare, run_query, run_validate
 from .datasets import DatasetSpec, gen_vectors
-from .fileio import DatasetFormatError, read_dataset, write_dataset
+from .fileio import CURVE_FIELDS, DatasetFormatError, read_dataset, write_dataset
 from .mips import ObjectiveKind, Query
 
 _METHOD_ALIASES = {"me": ME, ME: ME, "lsh": LSH, "naive": NAIVE}
 
 
-def _floats(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
+def _number_list(cast):
+    """argparse type: a comma-separated list of ``cast`` values (blank parts skipped)."""
+
+    def parse(text: str) -> list:
+        try:
+            return [cast(part) for part in text.split(",") if part.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {cast.__name__} list: {text!r}"
+            ) from exc
+
+    return parse
 
 
-def _ints(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
+_floats = _number_list(float)
+_ints = _number_list(int)
 
 
 def _methods(text: str) -> list[str]:
@@ -134,6 +139,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_rows(fmt: str, rows: list[dict], header, json_payload=None) -> None:
+    """Print ``json_payload`` (default: the rows) as JSON, or the rows as CSV under ``header``."""
+    if fmt == "json":
+        print(json.dumps(rows if json_payload is None else json_payload, indent=2))
+        return
+    writer = csv.DictWriter(sys.stdout, fieldnames=header)
+    writer.writeheader()
+    writer.writerows(rows)
+
+
 def _cmd_gen(args) -> int:
     spec = DatasetSpec(args.dist, args.n, args.dim, args.seed)
     write_dataset(args.out, gen_vectors(spec))
@@ -174,22 +189,13 @@ def _cmd_validate(args) -> int:
         out=args.out,
         record_wall=args.record_wall,
     )
-    cells = [
-        {
-            "epsilon": c.epsilon,
-            "delta": c.delta,
-            "percentile_suboptimality": c.percentile_suboptimality,
-            "failure_fraction": c.failure_fraction,
-            "passed": c.passed,
-        }
-        for c in report.cells
-    ]
-    if args.format == "json":
-        print(json.dumps({"cells": cells, "all_passed": report.all_passed}, indent=2))
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=list(cells[0].keys()))
-        writer.writeheader()
-        writer.writerows(cells)
+    cells = [asdict(c) for c in report.cells]
+    _print_rows(
+        args.format,
+        cells,
+        [f.name for f in fields(ValidateCell)],
+        {"cells": cells, "all_passed": report.all_passed},
+    )
     if args.out:
         print(f"wrote {len(report.records)} run records to {args.out}", file=sys.stderr)
     return 0 if report.all_passed else 1
@@ -223,12 +229,7 @@ def _cmd_compare(args) -> int:
         out=args.out,
         **kwargs,
     )
-    if args.format == "json":
-        print(json.dumps(report.curve, indent=2))
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=list(report.curve[0].keys()))
-        writer.writeheader()
-        writer.writerows(report.curve)
+    _print_rows(args.format, report.curve, CURVE_FIELDS)
     if args.out:
         print(f"wrote {len(report.curve)} curve rows to {args.out}", file=sys.stderr)
     return 0

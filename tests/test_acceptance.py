@@ -1,7 +1,9 @@
 """Acceptance gate: one test per shipping criterion, named so the verbose
 pytest report reads as the checklist.  Tolerances are stated inline; every
 expected value is produced by an oracle independent of the code under test
-(brute-force scans, double computation, or byte comparison).
+(brute-force scans, double computation, or byte comparison).  Criterion 1
+also has a negative control that weakens the search and expects the grid
+to fail, so a pass shows the gate can tell.
 
 Criterion 1 runs the full desk-scale grid and is the slowest piece together
 with criterion 7's four comparison sweeps; the whole module stays in the
@@ -14,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from bandit_mips import elimination
 from bandit_mips.baselines import naive_topk
 from bandit_mips.bench import ME, me_dominates, run_compare, run_validate
 from bandit_mips.bounds import pull_target, shrinkage
@@ -52,6 +55,22 @@ def test_criterion_1_pac_validation_grid(validate_report):
         slack = 2.0 * math.sqrt(c.delta * (1.0 - c.delta) / VALIDATE_RUNS)
         assert c.failure_fraction <= c.delta + slack, (c.epsilon, c.delta)
     assert elapsed_s < 600.0, "grid exceeded the 10 minute budget"
+
+
+def test_criterion_1_gate_fails_on_halved_pull_targets(monkeypatch):
+    """Negative control for criterion 1: with every round's pull target
+    halved, the unchanged grid (seed 0) must fail.  Measured: dividing the
+    targets by 2 fails 14 of 24 cells, by 1.2 fails 4, by 1.1 fails none."""
+    honest = elimination.round_pull_target
+
+    def halved(*args, **kwargs):
+        return max(1, math.ceil(honest(*args, **kwargs) / 2))
+
+    monkeypatch.setattr(elimination, "round_pull_target", halved)
+    report = run_validate(
+        EPSILONS, DELTAS, n=500, list_len=5000, k=1, runs=VALIDATE_RUNS, seed=0,
+    )
+    assert report.all_passed is False
 
 
 def test_criterion_2_pull_bound_never_violated(validate_report):

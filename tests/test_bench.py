@@ -53,7 +53,6 @@ def test_validate_small_grid_mechanics(tmp_path):
     for cell in report.cells:
         assert cell.passed == (cell.percentile_suboptimality <= cell.epsilon)
         assert 0.0 <= cell.failure_fraction <= 1.0
-    assert set(report.mean_percentile_by_epsilon) == {0.3, 0.6}
     # the results file mirrors the in-memory records
     rows = read_results(out)
     assert len(rows) == 20
@@ -149,6 +148,61 @@ def test_compare_absolute_epsilons(small_instance):
     assert all(r.epsilon == 0.05 for r in me_rows)
     (knob,) = {r["knob"] for r in rep.curve if r["method"] == ME}
     assert knob.startswith("epsilon=0.05")
+
+
+def _knob(rec):
+    """The curve knob a record belongs to, rebuilt from its params."""
+    if rec.method == NAIVE:
+        return "exhaustive"
+    if rec.method == ME:
+        return f"eps_frac={rec.params['eps_frac']:g},delta={rec.delta:g}"
+    return f"a={rec.params['a']},b={rec.params['b']}"
+
+
+def test_compare_curve_rows_aggregate_their_records(small_instance):
+    vs, queries = small_instance
+    rep = run_compare(
+        vs, queries, 3,
+        me_eps_fracs=(0.5, 2.0), me_deltas=(0.1, 0.3), lsh_a=(2, 4), lsh_b=(1, 4), seed=3,
+    )
+    ops_naive = vs.n * vs.dim
+    groups = {}
+    for rec in rep.records:
+        groups.setdefault((rec.method, _knob(rec)), []).append(rec)
+    assert sorted(groups) == sorted((row["method"], row["knob"]) for row in rep.curve)
+    assert len(rep.curve) == 1 + 2 * 2 + 2 * 2
+    for row in rep.curve:
+        group = groups[(row["method"], row["knob"])]
+        assert [rec.params["query"] for rec in group] == list(range(len(queries)))
+        assert row["precision"] == pytest.approx(
+            sum(rec.precision for rec in group) / len(group), rel=1e-12
+        )
+        assert row["speedup_ops"] == pytest.approx(
+            ops_naive * len(queries) / sum(rec.pulls_total for rec in group), rel=1e-12
+        )
+    (naive_row,) = [row for row in rep.curve if row["method"] == NAIVE]
+    assert naive_row["precision"] == 1.0
+    assert naive_row["speedup_ops"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"methods": (ME,), "me_eps_fracs": ()}, "me_eps_fracs"),
+        ({"methods": (ME,), "me_epsilons": ()}, "me_epsilons"),
+        ({"methods": (ME,), "me_deltas": ()}, "me_deltas"),
+        ({"methods": (LSH,), "lsh_a": ()}, "lsh_a"),
+        ({"methods": (LSH,), "lsh_b": ()}, "lsh_b"),
+    ],
+)
+def test_compare_empty_sweep_list_rejected(small_instance, kwargs, name):
+    vs, queries = small_instance
+    with pytest.raises(ValueError, match=name):
+        run_compare(vs, queries, 2, **kwargs)
+    # an empty list of a method that is not selected is never read
+    others = tuple(m for m in (NAIVE, ME, LSH) if m not in kwargs["methods"])
+    rep = run_compare(vs, queries, 2, **{**kwargs, "methods": others})
+    assert {row["method"] for row in rep.curve} == set(others)
 
 
 def test_compare_unknown_method_rejected(small_instance):

@@ -79,10 +79,7 @@ def test_validate_failing_cell_exit_one(monkeypatch, capsys):
             epsilon=0.1, delta=0.1, percentile_suboptimality=0.5,
             failure_fraction=1.0, passed=False,
         )
-        return ValidateReport(
-            records=[], cells=[cell], mean_percentile_by_epsilon={0.1: 0.5},
-            all_passed=False,
-        )
+        return ValidateReport(records=[], cells=[cell], all_passed=False)
 
     monkeypatch.setattr(cli_mod, "run_validate", fake_validate)
     code = main(["validate", "--epsilons", "0.1", "--deltas", "0.1"])
@@ -131,6 +128,23 @@ def test_compare_generates_when_no_data(capsys):
     assert code == 0
     rows = json.loads(capsys.readouterr().out)
     assert any(r["method"] == "naive" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--methods", "me", "--eps-fracs", ""], "me_eps_fracs"),
+        (["--deltas", ""], "me_deltas"),
+        (["--methods", "lsh", "--lsh-a", ""], "lsh_a"),
+        (["--lsh-b", ""], "lsh_b"),
+    ],
+)
+def test_compare_empty_sweep_list_exit_two(flags, name, capsys):
+    code = main(["compare", "--n", "12", "--dim", "50", "--queries", "2", "--k", "1", *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and name in captured.err
 
 
 def test_missing_file_exit_two(tmp_path, capsys):
