@@ -17,7 +17,7 @@ exact inner product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,10 +57,11 @@ def naive_topk(
 class LshIndex:
     """Sign-projection index over the lifted (dim+1)-space.
 
-    ``planes[t]`` holds table t's ``a`` unit projection directions; table t
-    is seeded by (seed, t) alone, so for a fixed seed the same table is
-    rebuilt identically regardless of how many tables an index has.  Growing
-    b therefore only ever adds candidates.
+    ``planes[t]`` holds table t's ``a`` unit projection directions and
+    ``keys[i, t]`` row i's bucket key in table t.  Table t is seeded by
+    (seed, t) alone, so for a fixed seed the same table is rebuilt
+    identically regardless of how many tables an index has.  Growing b
+    therefore only ever adds candidates.
     """
 
     a: int
@@ -68,9 +69,9 @@ class LshIndex:
     seed: int
     scale: float
     planes: np.ndarray  # (b, a, dim+1)
-    tables: list[dict[int, np.ndarray]] = field(default_factory=list)
-    dim: int = 0
-    n: int = 0
+    keys: np.ndarray  # (n, b) int64
+    dim: int
+    n: int
 
 
 @dataclass(slots=True)
@@ -100,10 +101,10 @@ def _lift_query(q: np.ndarray) -> np.ndarray:
 
 
 def _keys(planes: np.ndarray, points: np.ndarray) -> np.ndarray:
-    # points (m, d+1) x planes (a, d+1) -> integer key per point from sign bits
-    bits = points @ planes.T > 0.0
-    weights = 1 << np.arange(planes.shape[0], dtype=np.int64)
-    return bits @ weights
+    """Bucket keys of points (m, d+1) in every table of planes (b, a, d+1): (m, b) int64."""
+    b, a, dim_l = planes.shape
+    bits = (points @ planes.reshape(b * a, dim_l).T > 0.0).reshape(-1, b, a)
+    return bits @ (1 << np.arange(a, dtype=np.int64))
 
 
 def lsh_build(vectors: VectorSet, a: int, b: int, seed: int = 0) -> LshIndex:
@@ -115,23 +116,12 @@ def lsh_build(vectors: VectorSet, a: int, b: int, seed: int = 0) -> LshIndex:
     lifted, scale = _lift_data(vectors.data)
     dim_l = lifted.shape[1]
     planes = np.empty((b, a, dim_l))
-    tables: list[dict[int, np.ndarray]] = []
     for t in range(b):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        directions = rng.standard_normal((a, dim_l))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        planes[t] = directions
-        keys = _keys(directions, lifted)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-        bounds = np.r_[starts, keys.size]
-        table = {
-            int(sorted_keys[s]): order[s:e] for s, e in zip(starts, bounds[1:])
-        }
-        tables.append(table)
+        planes[t] = rng.standard_normal((a, dim_l))
+    planes /= np.linalg.norm(planes, axis=2, keepdims=True)
     return LshIndex(
-        a=a, b=b, seed=seed, scale=scale, planes=planes, tables=tables,
+        a=a, b=b, seed=seed, scale=scale, planes=planes, keys=_keys(planes, lifted),
         dim=vectors.dim, n=vectors.n,
     )
 
@@ -157,17 +147,9 @@ def lsh_query(
     b = index.b if b_use is None else b_use
     if not 1 <= b <= index.b:
         raise ValueError("b_use must lie in [1, index.b]")
-    lifted_q = _lift_query(query.vector)
-    buckets = []
-    for t in range(b):
-        key = int(_keys(index.planes[t], lifted_q[None, :])[0])
-        hit = index.tables[t].get(key)
-        if hit is not None:
-            buckets.append(hit)
-    if buckets:
-        cands = np.unique(np.concatenate(buckets))
-    else:
-        cands = np.empty(0, dtype=np.int64)
+    qkeys = _keys(index.planes[:b], _lift_query(query.vector)[None, :])
+    hit = (index.keys[:, :b] == qkeys).any(axis=1)
+    cands = np.flatnonzero(hit)
     n_cands = int(cands.size)
     ops = n_cands * index.dim + b * index.a * (index.dim + 1)
 
@@ -180,8 +162,7 @@ def lsh_query(
     else:
         ids, kept_scores = [], np.empty(0)
     if padded:
-        have = set(ids)
-        filler = [i for i in range(index.n) if i not in have][: k - len(ids)]
-        ids.extend(filler)
+        filler = np.flatnonzero(~hit)[: k - n_cands]
+        ids.extend(int(i) for i in filler)
         kept_scores = np.concatenate([kept_scores, vectors.data[filler] @ query.vector])
     return LshResult(ids=ids, scores=kept_scores, candidates=n_cands, ops=ops, padded=padded)

@@ -155,7 +155,8 @@ def write_curve(path: str | Path, rows: Iterable[dict]) -> None:
 def read_curve(path: str | Path) -> list[dict]:
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
+    numeric = [key for key in CURVE_FIELDS if key not in ("method", "knob")]
     for row in rows:
-        for key in ("precision", "speedup_ops", "speedup_wall"):
+        for key in numeric:
             row[key] = float(row[key])
     return rows

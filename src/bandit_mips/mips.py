@@ -60,7 +60,7 @@ class VectorSet:
     """
 
     data: np.ndarray
-    coord_bound: float = 0.0
+    coord_bound: float = field(default=0.0, init=False)
     seed: int = 0
     _permuted: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -95,7 +95,7 @@ class VectorSet:
 @dataclass
 class Query:
     vector: np.ndarray
-    coord_bound: float = 0.0
+    coord_bound: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         self.vector = np.ascontiguousarray(np.asarray(self.vector, dtype=np.float64))

@@ -88,10 +88,9 @@ def test_naive_distance_objective_matches_sort():
 def test_lsh_single_vector_single_bucket():
     vs = VectorSet(np.array([[0.5, 0.5]]))
     index = lsh_build(vs, a=4, b=3, seed=0)
-    for table in index.tables:
-        assert len(table) == 1
-        (bucket,) = table.values()
-        assert bucket.tolist() == [0]
+    assert index.keys.shape == (1, 3)
+    for t in range(3):
+        assert np.flatnonzero(index.keys[:, t] == index.keys[0, t]).tolist() == [0]
 
 
 def test_lsh_lift_unit_norm_appends_zero():
@@ -194,7 +193,8 @@ def test_lsh_build_rejects_key_overflow():
     with pytest.raises(ValueError):
         lsh_build(vs, a=64, b=1, seed=0)
     index = lsh_build(vs, a=63, b=1, seed=0)  # largest key 2**63 - 1 still fits
-    assert all(key >= 0 for key in index.tables[0])
+    assert index.keys.dtype == np.int64
+    assert (index.keys >= 0).all()
 
 
 def test_lsh_lift_matches_divide_then_stack():
@@ -203,3 +203,49 @@ def test_lsh_lift_matches_divide_then_stack():
     norms = np.linalg.norm(data, axis=1)
     extra = np.sqrt(np.maximum(0.0, 1.0 - (norms / scale) ** 2))
     assert np.array_equal(lifted, np.hstack([data / scale, extra[:, None]]))
+
+
+def per_table_union(data, q, planes, b_use):
+    """Independent oracle: rows sharing the query's key in any of the first
+    b_use tables, one table at a time, keys as Python-int bit sums."""
+    lifted = _lift_data(data)[0]
+    lifted_q = np.append(q, 0.0)
+
+    def key(bits):
+        return sum(1 << j for j, bit in enumerate(bits) if bit > 0)
+
+    union = set()
+    for t in range(b_use):
+        q_key = key(np.sign(lifted_q @ planes[t].T))
+        row_signs = np.sign(lifted @ planes[t].T)
+        union |= {i for i in range(len(data)) if key(row_signs[i]) == q_key}
+    return union
+
+
+def test_lsh_candidates_equal_per_table_union():
+    rng = np.random.default_rng(48)
+    kinds = {"empty": 0, "short": 0, "reranked": 0}
+    for trial in range(40):
+        n = int(rng.integers(5, 80))
+        dim = int(rng.integers(1, 10))
+        a = int(rng.integers(1, 9))
+        b = int(rng.integers(1, 6))
+        b_use = int(rng.integers(1, b + 1))
+        k = int(rng.integers(1, n // 2 + 1))
+        data = rng.standard_normal((n, dim))
+        q = rng.standard_normal(dim)
+        vs = VectorSet(data)
+        index = lsh_build(vs, a=a, b=b, seed=trial)
+        res = lsh_query(index, vs, Query(q), k, b_use=b_use)
+        union = per_table_union(data, q, index.planes, b_use)
+        assert res.candidates == len(union), trial
+        members = sorted(union)
+        ranked, _ = reference_topk(data[members], q, k)
+        want = [members[i] for i in ranked]
+        # short unions pad with the smallest ids outside the union
+        want += [i for i in range(n) if i not in union][: k - len(want)]
+        assert res.ids == want, trial
+        assert res.padded == (len(union) < k), trial
+        kinds["empty" if not union else "short" if len(union) < k else "reranked"] += 1
+    # every branch is exercised, padding after a non-empty union included
+    assert min(kinds.values()) >= 3, kinds

@@ -1,8 +1,11 @@
 """Experiment drivers: the validation grid and the comparison sweep."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from bandit_mips import bench
 from bandit_mips.bench import (
     LSH,
     ME,
@@ -17,7 +20,7 @@ from bandit_mips.bench import (
 )
 from bandit_mips.datasets import DatasetSpec, gen_vectors
 from bandit_mips.fileio import read_curve, read_results, write_dataset, write_query
-from bandit_mips.mips import Query, VectorSet
+from bandit_mips.mips import ObjectiveKind, Query, VectorSet
 
 
 def test_derive_seed_deterministic_and_sensitive():
@@ -203,6 +206,34 @@ def test_compare_empty_sweep_list_rejected(small_instance, kwargs, name):
     others = tuple(m for m in (NAIVE, ME, LSH) if m not in kwargs["methods"])
     rep = run_compare(vs, queries, 2, **{**kwargs, "methods": others})
     assert {row["method"] for row in rep.curve} == set(others)
+
+
+def test_compare_lsh_rejected_with_distance_objective(small_instance):
+    vs, queries = small_instance
+    with pytest.raises(ValueError, match="lsh.*inner product.*neg_sq_distance"):
+        run_compare(vs, queries, 2, kind=ObjectiveKind.NEG_SQ_DISTANCE)
+    rep = run_compare(
+        vs, queries, 2, methods=(NAIVE, ME), me_eps_fracs=(0.5,),
+        kind=ObjectiveKind.NEG_SQ_DISTANCE,
+    )
+    assert {row["method"] for row in rep.curve} == {NAIVE, ME}
+
+
+def test_compare_reference_pass_is_warm(small_instance, monkeypatch):
+    # a slow first search must not inflate the exhaustive row's wall speedup;
+    # on a fake clock the first search takes 0.2 s and every later one 0.02 s
+    real, clock = bench.naive_topk, [0.0]
+
+    def slow_first(*args):
+        clock[0] += 0.02 if clock[0] else 0.2
+        return real(*args)
+
+    monkeypatch.setattr(bench, "naive_topk", slow_first)
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    vs, queries = small_instance
+    rep = run_compare(vs, queries[:2], 2, methods=(NAIVE,))
+    (row,) = rep.curve
+    assert 0.5 <= row["speedup_wall"] <= 2.0
 
 
 def test_compare_unknown_method_rejected(small_instance):

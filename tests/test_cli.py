@@ -147,6 +147,25 @@ def test_compare_empty_sweep_list_exit_two(flags, name, capsys):
     assert captured.err.startswith("error:") and name in captured.err
 
 
+def test_compare_lsh_with_distance_objective_exit_two(capsys):
+    code = main([
+        "compare", "--n", "12", "--dim", "50", "--queries", "2", "--k", "1",
+        "--objective", "neg_sq_distance",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "inner product" in captured.err
+    code = main([
+        "compare", "--n", "12", "--dim", "50", "--queries", "2", "--k", "1",
+        "--objective", "neg_sq_distance", "--methods", "naive,me", "--format", "json",
+    ])
+    assert code == 0
+    assert {r["method"] for r in json.loads(capsys.readouterr().out)} == {
+        "naive", "median_elimination"
+    }
+
+
 def test_missing_file_exit_two(tmp_path, capsys):
     code = main([
         "query", "--data", str(tmp_path / "nope.bin"),

@@ -145,3 +145,4 @@ def test_curve_round_trip(tmp_path):
     assert [r["method"] for r in back] == ["lsh", "naive"]
     assert back[0]["precision"] == pytest.approx(0.5)
     assert back[0]["speedup_ops"] == pytest.approx(10.0)
+    assert back[0]["speedup_wall"] == pytest.approx(2.0)

@@ -253,3 +253,12 @@ def test_vectorset_validation():
         VectorSet(np.ones(3))  # needs 2-D
     with pytest.raises(ValueError):
         Query(np.array([np.nan]))
+
+
+def test_coord_bound_is_not_an_init_argument():
+    # the bound is always derived from the entries, so it cannot be passed
+    with pytest.raises(TypeError):
+        VectorSet(np.ones((2, 2)), coord_bound=5.0)
+    with pytest.raises(TypeError):
+        Query(np.ones(2), coord_bound=5.0)
+    assert Query(np.array([0.5, -2.0])).coord_bound == 2.0
