@@ -8,7 +8,7 @@ trustworthy.  A round-based halving loop then finds the top-K vectors while
 reading far fewer than n*N coordinates when the accuracy budget allows it.
 """
 
-from .arms import LazySource, PositionSampler, StreamSource
+from .arms import LazySource, PositionSampler
 from .baselines import ExactResult, LshIndex, LshResult, lsh_build, lsh_query, naive_topk
 from .bench import (
     CompareReport,
@@ -44,7 +44,6 @@ from .fileio import (
 )
 from .metrics import percentile, precision, suboptimality
 from .mips import (
-    DegenerateRangeError,
     ObjectiveKind,
     Query,
     VectorSet,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PositionSampler",
     "LazySource",
-    "StreamSource",
     "shrinkage",
     "hoeffding_count",
     "sample_size",
@@ -76,7 +74,6 @@ __all__ = [
     "ObjectiveKind",
     "VectorSet",
     "Query",
-    "DegenerateRangeError",
     "build_arms",
     "reward_range",
     "true_means",

@@ -7,8 +7,9 @@ arrays, not n objects.
 
 ``LazySource`` reads the rows of a matrix, computing rewards on demand in
 one column order shared by all arms; ``PositionSampler`` draws the random
-order that makes those reads uniform without-replacement samples.
-``StreamSource`` reads ones-then-zeros lists front to back, in closed form.
+order that makes those reads uniform without-replacement samples.  The
+adversarial instance of ``datasets`` is an arm set of its own: it answers
+``sums`` in closed form from its ones-then-zeros lists.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import enum
 
 import numpy as np
 
-__all__ = ["ObjectiveKind", "WINDOW_BLOCK", "PositionSampler", "LazySource", "StreamSource"]
+__all__ = ["ObjectiveKind", "WINDOW_BLOCK", "PositionSampler", "LazySource"]
 
 # Widest column window evaluated at once; bounds the temporary of a round to
 # survivors x WINDOW_BLOCK floats.
@@ -109,19 +110,3 @@ class LazySource:
         diff = window - self._query[a:b]
         return -np.einsum("ij,ij->i", diff, diff)
 
-
-class StreamSource:
-    """Arms whose lists hold ``ones[i]`` ones then zeros, read front to back.
-
-    The lists are read in their stored order, not a random one; the sums
-    are closed-form, min(ones, t).
-    """
-
-    def __init__(self, ones: np.ndarray, list_len: int):
-        self.ones = ones
-        self.n, self.list_len = ones.size, list_len
-
-    def sums(self, rows: np.ndarray, t: int) -> np.ndarray:
-        if not 0 <= t <= self.list_len:
-            raise ValueError(f"pull count {t} outside [0, {self.list_len}]")
-        return np.minimum(self.ones[rows], t)

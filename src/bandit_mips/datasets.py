@@ -1,6 +1,6 @@
 """Synthetic instance generators: dense vector sets and adversarial reward lists.
 
-Everything here is a pure function of its spec, seed included.  Gaussian
+Everything here is a pure function of its arguments, seed included.  Gaussian
 entries are standard normal; uniform entries are Uniform[0, 1).
 
 The adversarial generator draws each arm's target mean r uniformly from
@@ -11,7 +11,8 @@ mutually indistinguishable until the pull count passes their ones count,
 which is the stress case for an elimination rule that trusts early means.
 Using a rounded count instead of per-position coin flips pins each list mean
 to within 1/(2N) of r, so measured suboptimality reflects the algorithm, not
-generator noise.
+generator noise.  The instance is itself the arm set of a search: its
+``sums`` reads every list front (ones) to back, in closed form.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arms import StreamSource
 from .mips import VectorSet
 
 __all__ = ["DatasetSpec", "AdversarialInstance", "gen_vectors", "gen_adversarial"]
@@ -28,7 +28,7 @@ __all__ = ["DatasetSpec", "AdversarialInstance", "gen_vectors", "gen_adversarial
 VECTOR_DISTS = ("gaussian", "uniform")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class DatasetSpec:
     dist: str
     n: int
@@ -36,7 +36,7 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dist not in VECTOR_DISTS + ("adversarial",):
+        if self.dist not in VECTOR_DISTS:
             raise ValueError(f"unknown dist: {self.dist!r}")
         if self.n < 1 or self.dim < 1:
             raise ValueError("n and dim must be positive")
@@ -44,7 +44,10 @@ class DatasetSpec:
 
 @dataclass(slots=True)
 class AdversarialInstance:
-    """Per-arm target means and their realized ones-then-zeros reward lists."""
+    """Per-arm target means and their realized ones-then-zeros reward lists.
+
+    The instance is an arm set in the ``Arms`` protocol of ``elimination``.
+    """
 
     target_means: np.ndarray  # r per arm, in [0, 1]
     ones: np.ndarray          # round(r * list_len) per arm
@@ -63,14 +66,18 @@ class AdversarialInstance:
         out[: int(self.ones[arm_id])] = 1.0
         return out
 
-    def sources(self) -> StreamSource:
-        """The arms of a search, each list read front (ones) to back."""
-        return StreamSource(self.ones, self.list_len)
+    def sums(self, rows: np.ndarray, t: int) -> np.ndarray:
+        """Reward sums of ``rows`` after ``t`` pulls each: min(ones, t)."""
+        if not 0 <= t <= self.list_len:
+            raise ValueError(f"pull count {t} outside [0, {self.list_len}]")
+        return np.minimum(self.ones[rows], t)
+
+    def sources(self) -> AdversarialInstance:
+        """The arms of a search: the instance itself."""
+        return self
 
 
 def gen_vectors(spec: DatasetSpec) -> VectorSet:
-    if spec.dist not in VECTOR_DISTS:
-        raise ValueError("gen_vectors requires dist gaussian or uniform")
     rng = np.random.default_rng(spec.seed)
     if spec.dist == "gaussian":
         data = rng.standard_normal((spec.n, spec.dim))
@@ -79,10 +86,10 @@ def gen_vectors(spec: DatasetSpec) -> VectorSet:
     return VectorSet(data)
 
 
-def gen_adversarial(spec: DatasetSpec) -> AdversarialInstance:
-    if spec.dist != "adversarial":
-        raise ValueError("gen_adversarial requires dist adversarial")
-    rng = np.random.default_rng(spec.seed)
-    targets = rng.random(spec.n)
-    ones = np.floor(targets * spec.dim + 0.5).astype(np.int64)
-    return AdversarialInstance(target_means=targets, ones=ones, list_len=spec.dim)
+def gen_adversarial(n: int, list_len: int, seed: int = 0) -> AdversarialInstance:
+    if n < 1 or list_len < 1:
+        raise ValueError("n and list_len must be positive")
+    rng = np.random.default_rng(seed)
+    targets = rng.random(n)
+    ones = np.floor(targets * list_len + 0.5).astype(np.int64)
+    return AdversarialInstance(target_means=targets, ones=ones, list_len=list_len)

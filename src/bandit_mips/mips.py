@@ -34,7 +34,6 @@ __all__ = [
     "ObjectiveKind",
     "VectorSet",
     "Query",
-    "DegenerateRangeError",
     "build_arms",
     "reward_range",
     "true_means",
@@ -43,10 +42,6 @@ __all__ = [
 
 # Rows per block of the exhaustive distance scan.
 _NN_ROW_BLOCK = 64
-
-
-class DegenerateRangeError(ValueError):
-    """All rewards provably identical; the bandit gains nothing over no-op."""
 
 
 @dataclass
@@ -135,11 +130,10 @@ def reward_range(vectors: VectorSet, query: Query, kind: ObjectiveKind) -> tuple
     """Interval provably containing every per-coordinate reward f(i, j).
 
     inner_product: (-Mv*Mq, +Mv*Mq); neg_sq_distance: (-(Mv+Mq)^2, 0), with
-    Mv and Mq the coordinate-magnitude bounds.  A zero-width interval (all
-    rewards identical, e.g. an all-zero query) raises DegenerateRangeError;
-    callers may fall back to returning any K ids, all of which are 0-optimal.
-    An interval whose width times N overflows float64, so that reward sums
-    could, raises a plain ValueError.
+    Mv and Mq the coordinate-magnitude bounds.  The interval has zero width
+    when all rewards are identical (e.g. an all-zero query); then any K ids
+    are 0-optimal.  An interval whose width times N overflows float64, so
+    that reward sums could, raises a ValueError.
     """
     _check_dims(vectors, query)
     if kind is ObjectiveKind.INNER_PRODUCT:
@@ -158,8 +152,6 @@ def reward_range(vectors: VectorSet, query: Query, kind: ObjectiveKind) -> tuple
             "reward range overflows float64 (coordinate bounds "
             f"{vectors.coord_bound:g} and {query.coord_bound:g}); rescale the data"
         )
-    if hi - lo <= 0.0:
-        raise DegenerateRangeError("reward range has zero width; all means are equal")
     return lo, hi
 
 
@@ -197,13 +189,13 @@ def mips_topk(
     query chosen independently of the set's column permutation.  ``seed``
     picks the cyclic offset into that permutation.  A degenerate reward
     range (all scores provably equal) short-circuits to the first K ids,
-    flagged in ``trace.warning``.
+    flagged in ``trace.warning``, after the same epsilon and delta checks.
     """
     if not 1 <= k <= vectors.n:
         raise ValueError("k must lie in [1, n]")
-    try:
-        lo, hi = reward_range(vectors, query, kind)
-    except DegenerateRangeError:
+    lo, hi = reward_range(vectors, query, kind)
+    if hi == lo:
+        EliminationConfig(k=k, epsilon=epsilon, delta=delta)  # validates epsilon and delta
         trace = EliminationTrace(returned=list(range(k)))
         trace.warning = "degenerate reward range: all means equal, returning first k ids"
         return list(range(k)), trace

@@ -2,8 +2,8 @@
 
 ``LazySource`` holds the arms of one query (``build_arms``), which read
 coordinates in the column permutation pi of their ``VectorSet``, drawn by
-a ``PositionSampler``, from a cyclic start; ``StreamSource`` holds the
-adversarial ones-first lists, read in stored order.
+a ``PositionSampler``, from a cyclic start; an ``AdversarialInstance`` is
+its own arm set, its ones-first lists read in stored order.
 
 Several tests use one-hot data: with ``data = diag(values)`` and an all-ones
 query, arm i's only nonzero reward sits at column i, so the arms whose sums
@@ -14,7 +14,7 @@ is exact.
 import numpy as np
 import pytest
 
-from bandit_mips.arms import WINDOW_BLOCK, LazySource, PositionSampler, StreamSource
+from bandit_mips.arms import WINDOW_BLOCK, LazySource, PositionSampler
 from bandit_mips.datasets import AdversarialInstance
 from bandit_mips.elimination import pull_batch
 from bandit_mips.mips import ObjectiveKind, Query, VectorSet, build_arms
@@ -62,7 +62,7 @@ def test_empirical_mean_requires_pulls():
 
 def test_stream_source_fixed_order():
     # ones stream out before zeros, so a 3-pull prefix sees only ones
-    arms = StreamSource(np.array([3]), 10)
+    arms = AdversarialInstance(np.array([0.3]), np.array([3]), 10)
     assert arms.sums(np.array([0]), 3)[0] / 3 == 1.0
     assert arms.sums(np.array([0]), 10)[0] / 10 == 0.3
 
@@ -112,7 +112,7 @@ def test_overdraw_is_a_hard_error():
     with pytest.raises(ValueError):
         arms.sums(np.arange(2), 3)
     with pytest.raises(ValueError):
-        StreamSource(np.array([1]), 2).sums(np.array([0]), 3)
+        AdversarialInstance(np.array([0.5]), np.array([1]), 2).sums(np.array([0]), 3)
 
 
 def test_pull_batch_overdraw_rejected_before_sampling():

@@ -82,6 +82,13 @@ def test_validate_zero_epsilon_degenerate_cell():
         assert rec.params["max_arm_pulls"] == 60
 
 
+@pytest.mark.parametrize("k", [0, 4])
+def test_validate_k_outside_one_to_n_rejected(k):
+    # rejected before any instance is drawn, with both values in the message
+    with pytest.raises(ValueError, match=rf"k = {k}\b.*n = 3\b"):
+        run_validate([0.3], [0.1], n=3, list_len=10, k=k, runs=1)
+
+
 def test_validate_deterministic_records():
     a = run_validate([0.3], [0.1], n=25, list_len=250, runs=4, seed=77)
     b = run_validate([0.3], [0.1], n=25, list_len=250, runs=4, seed=77)
@@ -234,6 +241,33 @@ def test_compare_reference_pass_is_warm(small_instance, monkeypatch):
     rep = run_compare(vs, queries[:2], 2, methods=(NAIVE,))
     (row,) = rep.curve
     assert 0.5 <= row["speedup_wall"] <= 2.0
+
+
+def test_compare_builds_permuted_copy_before_timing(small_instance, monkeypatch):
+    # the bandit's one-time column-permuted copy is set-up, not a query cost
+    vs, queries = VectorSet(small_instance[0].data), small_instance[1]
+    real, copy_ready = bench.mips_topk, []
+
+    def spy(vectors, *args, **kwargs):
+        copy_ready.append(vectors._permuted is not None)
+        return real(vectors, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "mips_topk", spy)
+    run_compare(vs, queries, 2, methods=(ME,), me_eps_fracs=(0.5,))
+    assert copy_ready == [True] * len(queries)
+
+
+def test_compare_zero_query_takes_the_first_k(small_instance):
+    # a zero query's reward range has zero width, so every fraction is epsilon 0
+    vs = small_instance[0]
+    rep = run_compare(vs, [Query(np.zeros(vs.dim))], 3, methods=(NAIVE, ME),
+                      me_eps_fracs=(0.5, 1.0))
+    bandit = [r for r in rep.records if r.method == ME]
+    assert len(bandit) == 2
+    for r in bandit:
+        assert r.epsilon == 0.0
+        assert r.returned == [0, 1, 2]
+        assert r.pulls_total == 0
 
 
 def test_compare_unknown_method_rejected(small_instance):

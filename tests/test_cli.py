@@ -67,6 +67,18 @@ def test_validate_passing_grid_exit_zero(tmp_path, capsys):
     assert len(read_results(out)) == 4
 
 
+def test_validate_k_exceeds_n_exit_two(capsys):
+    code = main([
+        "validate", "--n", "3", "--k", "5", "--dim", "10",
+        "--epsilons", "0.3", "--deltas", "0.1", "--runs", "1",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "k = 5" in captured.err and "n = 3" in captured.err
+
+
 def test_validate_failing_cell_exit_one(monkeypatch, capsys):
     # a genuinely failing cell is unreachable at sane parameters (tight
     # epsilon just forces exhaustion, which is exact), so the exit-code

@@ -1,5 +1,7 @@
 """Synthetic generators: adversarial reward streams and vector matrices."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,15 +21,13 @@ def test_adversarial_endpoints():
 
 
 def test_gen_adversarial_deterministic():
-    spec = DatasetSpec("adversarial", 20, 50, seed=99)
-    a, b = gen_adversarial(spec), gen_adversarial(spec)
+    a, b = gen_adversarial(20, 50, seed=99), gen_adversarial(20, 50, seed=99)
     assert a.target_means.tolist() == b.target_means.tolist()
     assert a.ones.tolist() == b.ones.tolist()
 
 
 def test_gen_adversarial_targets_uniform_and_counts_rounded():
-    spec = DatasetSpec("adversarial", 500, 200, seed=7)
-    inst = gen_adversarial(spec)
+    inst = gen_adversarial(500, 200, seed=7)
     assert inst.target_means.min() >= 0.0 and inst.target_means.max() < 1.0
     want = np.floor(inst.target_means * 200 + 0.5).astype(int)
     assert inst.ones.tolist() == want.tolist()
@@ -35,14 +35,13 @@ def test_gen_adversarial_targets_uniform_and_counts_rounded():
 
 def test_adversarial_list_mean_close_to_target():
     # rounding the ones count moves the realized mean by at most 1/(2N)
-    spec = DatasetSpec("adversarial", 300, 64, seed=3)
-    inst = gen_adversarial(spec)
+    inst = gen_adversarial(300, 64, seed=3)
     realized = inst.ones / 64
     assert np.max(np.abs(realized - inst.target_means)) <= 1 / (2 * 64) + 1e-12
 
 
 def test_adversarial_sources_stream_ones_first():
-    inst = gen_adversarial(DatasetSpec("adversarial", 5, 30, seed=1))
+    inst = gen_adversarial(5, 30, seed=1)
     arms, rows = inst.sources(), np.arange(5)
     for t in range(31):
         # every pull up to an arm's ones count reads a one, every later one a zero
@@ -75,7 +74,11 @@ def test_spec_validation():
         DatasetSpec("gaussian", 0, 2)
     with pytest.raises(ValueError):
         DatasetSpec("gaussian", 2, 0)
+    with pytest.raises(ValueError, match="unknown dist"):
+        DatasetSpec("adversarial", 2, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        DatasetSpec("gaussian", 2, 2).dist = "adversarial"  # validated once, so frozen
     with pytest.raises(ValueError):
-        gen_vectors(DatasetSpec("adversarial", 2, 2))
+        gen_adversarial(0, 2)
     with pytest.raises(ValueError):
-        gen_adversarial(DatasetSpec("uniform", 2, 2))
+        gen_adversarial(2, 0)

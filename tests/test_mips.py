@@ -8,7 +8,6 @@ import pytest
 
 from bandit_mips.baselines import naive_topk
 from bandit_mips.mips import (
-    DegenerateRangeError,
     ObjectiveKind,
     Query,
     VectorSet,
@@ -71,9 +70,11 @@ def test_reward_range_inner_product_width():
 
 
 def test_reward_range_degenerate_zero_query():
-    vs = VectorSet(np.array([[1.0, 2.0]]))
-    with pytest.raises(DegenerateRangeError):
-        reward_range(vs, Query(np.zeros(2)), IP)
+    # a zero query zeroes every product; zero data and query every distance
+    zero = Query(np.zeros(2))
+    for vs, kind in ((VectorSet(np.array([[1.0, 2.0]])), IP), (VectorSet(np.zeros((1, 2))), NSD)):
+        lo, hi = reward_range(vs, zero, kind)
+        assert hi - lo == 0.0
 
 
 def test_reward_range_contains_all_rewards():
@@ -178,9 +179,8 @@ def test_reward_range_overflow_rejected():
     vs = VectorSet(np.array([[1e200, 1.0], [2.0, -1e200]]))
     q = Query(np.array([1e200, 3.0]))
     for kind in (IP, NSD):
-        with pytest.raises(ValueError, match="overflows") as info:
+        with pytest.raises(ValueError, match="overflows"):
             reward_range(vs, q, kind)
-        assert not isinstance(info.value, DegenerateRangeError)
         with pytest.raises(ValueError, match="overflows"):
             mips_topk(vs, q, 1, epsilon=0.1, delta=0.1, kind=kind)
 
@@ -211,6 +211,16 @@ def test_mips_topk_degenerate_falls_back_with_warning():
     assert ids == [0, 1]
     assert trace.warning is not None
     assert trace.total_pulls == 0
+
+
+@pytest.mark.parametrize(
+    "epsilon, delta",
+    [(-5.0, 0.1), (float("nan"), 0.1), (float("inf"), 0.1), (0.1, 0.0), (0.1, 7.0)],
+)
+def test_mips_topk_degenerate_validates_epsilon_and_delta(epsilon, delta):
+    # the first-k fallback applies the search's own epsilon and delta checks
+    with pytest.raises(ValueError):
+        mips_topk(VectorSet(np.zeros((3, 4))), Query(np.ones(4)), 2, epsilon, delta)
 
 
 def test_mips_topk_dimension_mismatch():
