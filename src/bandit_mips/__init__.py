@@ -8,102 +8,28 @@ trustworthy.  A round-based halving loop then finds the top-K vectors while
 reading far fewer than n*N coordinates when the accuracy budget allows it.
 """
 
-from .arms import LazySource, PositionSampler
-from .baselines import ExactResult, LshIndex, LshResult, lsh_build, lsh_query, naive_topk
-from .bench import (
-    CompareReport,
-    RunRecord,
-    ValidateCell,
-    ValidateReport,
-    me_dominates,
-    run_compare,
-    run_query,
-    run_validate,
-)
-from .bounds import hoeffding_count, pull_target, sample_size, shrinkage
-from .datasets import AdversarialInstance, DatasetSpec, gen_adversarial, gen_vectors
-from .elimination import (
-    Arms,
-    EliminationConfig,
-    EliminationTrace,
-    RoundRecord,
-    elimination_schedule,
-    eliminate,
-    median_elimination_topk,
-    pull_batch,
-    round_pull_target,
-)
-from .fileio import (
-    DatasetFormatError,
-    read_dataset,
-    read_query,
-    read_results,
-    write_dataset,
-    write_query,
-    write_results,
-)
-from .metrics import percentile, precision, suboptimality
-from .mips import (
-    ObjectiveKind,
-    Query,
-    VectorSet,
-    build_arms,
-    mips_topk,
-    reward_range,
-    true_means,
-)
+from . import arms, baselines, bench, bounds, datasets, elimination, fileio, metrics, mips
+from .arms import *
+from .baselines import *
+from .bench import *
+from .bounds import *
+from .datasets import *
+from .elimination import *
+from .fileio import *
+from .metrics import *
+from .mips import *
 
 __version__ = "0.1.0"
 
+# Each module declares its own public names; the package exports them all.
 __all__ = [
-    "PositionSampler",
-    "LazySource",
-    "shrinkage",
-    "hoeffding_count",
-    "sample_size",
-    "pull_target",
-    "Arms",
-    "EliminationConfig",
-    "EliminationTrace",
-    "RoundRecord",
-    "elimination_schedule",
-    "round_pull_target",
-    "pull_batch",
-    "eliminate",
-    "median_elimination_topk",
-    "ObjectiveKind",
-    "VectorSet",
-    "Query",
-    "build_arms",
-    "reward_range",
-    "true_means",
-    "mips_topk",
-    "ExactResult",
-    "LshIndex",
-    "LshResult",
-    "naive_topk",
-    "lsh_build",
-    "lsh_query",
-    "DatasetSpec",
-    "AdversarialInstance",
-    "gen_vectors",
-    "gen_adversarial",
-    "DatasetFormatError",
-    "read_dataset",
-    "write_dataset",
-    "read_query",
-    "write_query",
-    "read_results",
-    "write_results",
-    "precision",
-    "suboptimality",
-    "percentile",
-    "RunRecord",
-    "ValidateCell",
-    "ValidateReport",
-    "CompareReport",
-    "run_validate",
-    "run_compare",
-    "run_query",
-    "me_dominates",
+    *arms.__all__,
+    *bounds.__all__,
+    *elimination.__all__,
+    *mips.__all__,
+    *baselines.__all__,
+    *datasets.__all__,
+    *fileio.__all__,
+    *metrics.__all__,
+    *bench.__all__,
 ]

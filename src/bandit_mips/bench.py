@@ -243,18 +243,24 @@ def run_compare(
             f"leave {LSH} out of the methods"
         )
     eps_label = "eps_frac" if me_epsilons is None else "epsilon"
+    eps_name = "me_" + eps_label + "s"
     eps_values = [float(e) for e in (me_eps_fracs if me_epsilons is None else me_epsilons)]
     me_deltas = list(me_deltas)
     lsh_a = sorted({int(a) for a in lsh_a})
     lsh_b = sorted({int(b) for b in lsh_b})
     sweep_lists = {
-        ME: {"me_" + eps_label + "s": eps_values, "me_deltas": me_deltas},
+        ME: {eps_name: eps_values, "me_deltas": me_deltas},
         LSH: {"lsh_a": lsh_a, "lsh_b": lsh_b},
     }
     for method in methods:
         for name, values in sweep_lists.get(method, {}).items():
             if not values:
                 raise ValueError(f"{name} is empty; {method} needs at least one value")
+    if ME in methods:
+        for value in eps_values:
+            # Checked up front: on a zero-width query any fraction scales to a valid 0.
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{eps_name} holds {value!r}; it must be finite and >= 0")
     ops_naive = vectors.n * vectors.dim
 
     truth_ids: list[list[int]] = []

@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict, fields
 
 from .bench import LSH, ME, NAIVE, ValidateCell, run_compare, run_query, run_validate
-from .datasets import DatasetSpec, gen_vectors
+from .datasets import VECTOR_DISTS, gen_vectors
 from .fileio import CURVE_FIELDS, DatasetFormatError, read_dataset, write_dataset
 from .mips import ObjectiveKind, Query
 
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True, help="output path (.csv for text, else binary)")
     p_gen.add_argument("--n", type=int, default=1000, help="number of vectors")
     p_gen.add_argument("--dim", type=int, default=10000, help="vector dimension")
-    p_gen.add_argument("--dist", choices=("gaussian", "uniform"), default="gaussian")
+    p_gen.add_argument("--dist", choices=VECTOR_DISTS, default="gaussian")
     p_gen.add_argument("--seed", type=int, default=0)
 
     p_query = sub.add_parser("query", help="answer one top-K query from dataset + query files")
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--data", help="dataset path; omit to generate with --n/--dim/--dist")
     p_cmp.add_argument("--n", type=int, default=1000)
     p_cmp.add_argument("--dim", type=int, default=10000)
-    p_cmp.add_argument("--dist", choices=("gaussian", "uniform"), default="gaussian")
+    p_cmp.add_argument("--dist", choices=VECTOR_DISTS, default="gaussian")
     p_cmp.add_argument("--queries", type=int, default=20, help="number of random queries")
     p_cmp.add_argument("--k", type=int, default=5)
     grid = p_cmp.add_mutually_exclusive_group()
@@ -125,10 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--eps-fracs", type=_floats, default=None,
         help="epsilon sweep as fractions of each query's reward-range width (default grid)",
     )
-    p_cmp.add_argument("--deltas", type=_floats, default=[0.1])
-    p_cmp.add_argument("--lsh-a", type=_ints, default=[4, 8, 16], help="AND widths")
-    p_cmp.add_argument("--lsh-b", type=_ints, default=[1, 5, 15, 50], help="OR widths")
-    p_cmp.add_argument("--methods", type=_methods, default=[NAIVE, ME, LSH])
+    p_cmp.add_argument("--deltas", type=_floats)
+    p_cmp.add_argument("--lsh-a", type=_ints, help="AND widths")
+    p_cmp.add_argument("--lsh-b", type=_ints, help="OR widths")
+    p_cmp.add_argument("--methods", type=_methods, help="me, lsh, naive (default: all)")
     p_cmp.add_argument(
         "--objective", choices=[k.value for k in ObjectiveKind], default="inner_product"
     )
@@ -150,8 +150,7 @@ def _print_rows(fmt: str, rows: list[dict], header, json_payload=None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    spec = DatasetSpec(args.dist, args.n, args.dim, args.seed)
-    write_dataset(args.out, gen_vectors(spec))
+    write_dataset(args.out, gen_vectors(args.dist, args.n, args.dim, args.seed))
     print(f"wrote {args.n}x{args.dim} {args.dist} dataset to {args.out}")
     return 0
 
@@ -205,29 +204,28 @@ def _cmd_compare(args) -> int:
     if args.data:
         vectors = read_dataset(args.data)
     else:
-        vectors = gen_vectors(DatasetSpec(args.dist, args.n, args.dim, args.seed))
-    kind = ObjectiveKind(args.objective)
-    query_specs = [
-        DatasetSpec(args.dist, 1, vectors.dim, args.seed + 1 + qi) for qi in range(args.queries)
+        vectors = gen_vectors(args.dist, args.n, args.dim, args.seed)
+    queries = [
+        Query(gen_vectors(args.dist, 1, vectors.dim, args.seed + 1 + qi).data[0])
+        for qi in range(args.queries)
     ]
-    queries = [Query(gen_vectors(spec).data[0]) for spec in query_specs]
-    kwargs = {}
-    if args.epsilons is not None:
-        kwargs["me_epsilons"] = args.epsilons
-    if args.eps_fracs is not None:
-        kwargs["me_eps_fracs"] = args.eps_fracs
+    # Unset sweep flags take run_compare's default grid.
+    sweep = {
+        "methods": args.methods,
+        "me_epsilons": args.epsilons,
+        "me_eps_fracs": args.eps_fracs,
+        "me_deltas": args.deltas,
+        "lsh_a": args.lsh_a,
+        "lsh_b": args.lsh_b,
+    }
     report = run_compare(
         vectors,
         queries,
         args.k,
-        methods=args.methods,
-        me_deltas=args.deltas,
-        lsh_a=args.lsh_a,
-        lsh_b=args.lsh_b,
         seed=args.seed,
-        kind=kind,
+        kind=ObjectiveKind(args.objective),
         out=args.out,
-        **kwargs,
+        **{name: value for name, value in sweep.items() if value is not None},
     )
     _print_rows(args.format, report.curve, CURVE_FIELDS)
     if args.out:

@@ -1,6 +1,8 @@
 """Synthetic instance generators: dense vector sets and adversarial reward lists.
 
-Everything here is a pure function of its arguments, seed included.  Gaussian
+Everything here is a pure function of its arguments, seed included, and each
+generator rejects arguments it cannot realize.  ``gen_vectors(dist, n, dim,
+seed)`` draws an n x dim matrix for a ``dist`` in ``VECTOR_DISTS``: Gaussian
 entries are standard normal; uniform entries are Uniform[0, 1).
 
 The adversarial generator draws each arm's target mean r uniformly from
@@ -23,23 +25,9 @@ import numpy as np
 
 from .mips import VectorSet
 
-__all__ = ["DatasetSpec", "AdversarialInstance", "gen_vectors", "gen_adversarial"]
+__all__ = ["AdversarialInstance", "gen_vectors", "gen_adversarial"]
 
 VECTOR_DISTS = ("gaussian", "uniform")
-
-
-@dataclass(slots=True, frozen=True)
-class DatasetSpec:
-    dist: str
-    n: int
-    dim: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.dist not in VECTOR_DISTS:
-            raise ValueError(f"unknown dist: {self.dist!r}")
-        if self.n < 1 or self.dim < 1:
-            raise ValueError("n and dim must be positive")
 
 
 @dataclass(slots=True)
@@ -77,12 +65,16 @@ class AdversarialInstance:
         return self
 
 
-def gen_vectors(spec: DatasetSpec) -> VectorSet:
-    rng = np.random.default_rng(spec.seed)
-    if spec.dist == "gaussian":
-        data = rng.standard_normal((spec.n, spec.dim))
+def gen_vectors(dist: str, n: int, dim: int, seed: int = 0) -> VectorSet:
+    if dist not in VECTOR_DISTS:
+        raise ValueError(f"unknown dist: {dist!r}")
+    if n < 1 or dim < 1:
+        raise ValueError("n and dim must be positive")
+    rng = np.random.default_rng(seed)
+    if dist == "gaussian":
+        data = rng.standard_normal((n, dim))
     else:
-        data = rng.random((spec.n, spec.dim))
+        data = rng.random((n, dim))
     return VectorSet(data)
 
 

@@ -5,6 +5,7 @@ count, u32 dimension, then rows of float32 values in row-major order.  A
 query file is the same format with one row.  CSV datasets (one row per
 line, comma-separated) are accepted as an interchange path; binary
 round-trips are bit-identical, CSV round-trips are good to 1e-6 per entry.
+CSV holds any finite float64; binary entries must fit in float32.
 
 Results are JSON Lines, one run per line; comparison curves are CSV with a
 fixed header.  Writers emit keys in a fixed order so identical runs produce
@@ -58,18 +59,19 @@ CURVE_FIELDS = ("method", "knob", "precision", "speedup_ops", "speedup_wall")
 
 
 class DatasetFormatError(ValueError):
-    """Malformed dataset/query file: bad magic, truncation, or bad shape."""
+    """Malformed dataset/query file: bad magic, truncation, bad shape, or non-finite entries."""
 
 
 def write_dataset(path: str | Path, vectors: VectorSet) -> None:
     """Write binary by default; a ``.csv`` suffix selects CSV text."""
     path = Path(path)
-    as_f32 = vectors.data.astype("<f4")
-    if not np.isfinite(as_f32).all():
-        raise ValueError("entries overflow float32; cannot serialize")
     if path.suffix.lower() == ".csv":
         np.savetxt(path, vectors.data, fmt="%.10g", delimiter=",")
         return
+    with np.errstate(over="ignore"):
+        as_f32 = vectors.data.astype("<f4")
+    if not np.isfinite(as_f32).all():
+        raise ValueError("entries overflow float32; cannot serialize")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, vectors.n, vectors.dim))
         fh.write(as_f32.tobytes(order="C"))
@@ -83,21 +85,23 @@ def read_dataset(path: str | Path) -> VectorSet:
     except OSError as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
     if raw[:4] == MAGIC:
-        return _parse_binary(raw, path)
-    if path.suffix.lower() != ".csv":
+        data = _parse_binary(raw, path)
+    elif path.suffix.lower() != ".csv":
         raise DatasetFormatError(
             f"{path}: bad magic {raw[:4]!r} (expected {MAGIC!r}; text data needs a .csv suffix)"
         )
+    else:
+        try:
+            data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        except (ValueError, OSError) as exc:
+            raise DatasetFormatError(f"{path}: malformed CSV: {exc}") from exc
     try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    except (ValueError, OSError) as exc:
-        raise DatasetFormatError(f"{path}: malformed CSV: {exc}") from exc
-    if data.size == 0:
-        raise DatasetFormatError(f"{path}: empty dataset")
-    return VectorSet(data)
+        return VectorSet(data)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from exc
 
 
-def _parse_binary(raw: bytes, path: Path) -> VectorSet:
+def _parse_binary(raw: bytes, path: Path) -> np.ndarray:
     if len(raw) < _HEADER.size:
         raise DatasetFormatError(f"{path}: truncated header")
     magic, n, dim = _HEADER.unpack_from(raw)
@@ -111,9 +115,7 @@ def _parse_binary(raw: bytes, path: Path) -> VectorSet:
             f"{path}: payload is {len(raw)} bytes, expected {expected} for {n}x{dim}"
         )
     data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(np.float64)
-    if not np.isfinite(data).all():
-        raise DatasetFormatError(f"{path}: non-finite entries")
-    return VectorSet(data.reshape(n, dim))
+    return data.reshape(n, dim)
 
 
 def write_query(path: str | Path, query: Query) -> None:

@@ -31,7 +31,6 @@ from .arms import LazySource, ObjectiveKind, PositionSampler
 from .elimination import EliminationConfig, EliminationTrace, median_elimination_topk
 
 __all__ = [
-    "ObjectiveKind",
     "VectorSet",
     "Query",
     "build_arms",

@@ -21,7 +21,7 @@ from bandit_mips.baselines import naive_topk
 from bandit_mips.bench import ME, me_dominates, run_compare, run_validate
 from bandit_mips.bounds import pull_target, shrinkage
 from bandit_mips.cli import main
-from bandit_mips.datasets import DatasetSpec, gen_vectors
+from bandit_mips.datasets import gen_vectors
 from bandit_mips.mips import ObjectiveKind, Query, VectorSet, build_arms, mips_topk
 
 EPSILONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
@@ -202,9 +202,9 @@ def test_criterion_7_bandit_beats_lsh_at_matched_speedups():
     with op-speedup >= 5x."""
     problems = []
     for dist in ("gaussian", "uniform"):
-        vectors = gen_vectors(DatasetSpec(dist, 1000, 10_000, seed=41))
+        vectors = gen_vectors(dist, 1000, 10_000, seed=41)
         queries = [
-            Query(gen_vectors(DatasetSpec(dist, 1, 10_000, seed=1000 + i)).data[0])
+            Query(gen_vectors(dist, 1, 10_000, seed=1000 + i).data[0])
             for i in range(20)
         ]
         for k in (5, 10):

@@ -1,5 +1,6 @@
 """Experiment drivers: the validation grid and the comparison sweep."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ from bandit_mips.bench import (
     run_validate,
     top_ids,
 )
-from bandit_mips.datasets import DatasetSpec, gen_vectors
+from bandit_mips.datasets import gen_vectors
 from bandit_mips.fileio import read_curve, read_results, write_dataset, write_query
 from bandit_mips.mips import ObjectiveKind, Query, VectorSet
 
@@ -100,8 +101,8 @@ def test_validate_deterministic_records():
 
 @pytest.fixture(scope="module")
 def small_instance():
-    vs = gen_vectors(DatasetSpec("gaussian", 30, 120, seed=8))
-    queries = [Query(gen_vectors(DatasetSpec("gaussian", 1, 120, seed=100 + i)).data[0])
+    vs = gen_vectors("gaussian", 30, 120, seed=8)
+    queries = [Query(gen_vectors("gaussian", 1, 120, seed=100 + i).data[0])
                for i in range(3)]
     return vs, queries
 
@@ -268,6 +269,26 @@ def test_compare_zero_query_takes_the_first_k(small_instance):
         assert r.epsilon == 0.0
         assert r.returned == [0, 1, 2]
         assert r.pulls_total == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"me_eps_fracs": (0.5, -1.0)}, "me_eps_fracs"),
+        ({"me_eps_fracs": (math.nan,)}, "me_eps_fracs"),
+        ({"me_epsilons": (-0.1,)}, "me_epsilons"),
+        ({"me_epsilons": (math.inf,)}, "me_epsilons"),
+    ],
+)
+def test_compare_bad_epsilon_rejected_before_any_query(small_instance, monkeypatch, kwargs, name):
+    # on a zero query every fraction scales to epsilon 0, so only an up-front
+    # check can see a bad one; no search may run before it
+    searched = []
+    monkeypatch.setattr(bench, "naive_topk", lambda *args: searched.append(args))
+    vs = small_instance[0]
+    with pytest.raises(ValueError, match=name):
+        run_compare(vs, [Query(np.zeros(vs.dim))], 3, methods=(NAIVE, ME), **kwargs)
+    assert searched == []
 
 
 def test_compare_unknown_method_rejected(small_instance):

@@ -159,6 +159,37 @@ def test_compare_empty_sweep_list_exit_two(flags, name, capsys):
     assert captured.err.startswith("error:") and name in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--eps-fracs=0.5,-1", "--epsilons=nan"])
+def test_compare_bad_epsilon_exit_two(flag, capsys):
+    code = main(["compare", "--n", "12", "--dim", "50", "--queries", "2", "--k", "1", flag])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "must be finite" in captured.err
+
+
+def test_compare_unset_sweep_flags_take_run_compare_defaults(monkeypatch):
+    import bandit_mips.cli as cli_mod
+    from bandit_mips.bench import CompareReport
+
+    seen = {}
+
+    def spy(*args, **kwargs):
+        seen.clear()
+        seen.update(kwargs)
+        return CompareReport(records=[], curve=[])
+
+    monkeypatch.setattr(cli_mod, "run_compare", spy)
+    base = ["compare", "--n", "12", "--dim", "50", "--queries", "2"]
+    assert main(base) == 0
+    sweep = {"methods", "me_epsilons", "me_eps_fracs", "me_deltas", "lsh_a", "lsh_b"}
+    assert not sweep & seen.keys()
+    assert main([*base, "--methods", "me", "--deltas", "0.2", "--lsh-a", "2", "--lsh-b", "3"]) == 0
+    assert (seen["methods"], seen["me_deltas"], seen["lsh_a"], seen["lsh_b"]) == (
+        ["median_elimination"], [0.2], [2], [3]
+    )
+
+
 def test_compare_lsh_with_distance_objective_exit_two(capsys):
     code = main([
         "compare", "--n", "12", "--dim", "50", "--queries", "2", "--k", "1",

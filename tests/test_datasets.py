@@ -1,11 +1,9 @@
 """Synthetic generators: adversarial reward streams and vector matrices."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from bandit_mips.datasets import AdversarialInstance, DatasetSpec, gen_adversarial, gen_vectors
+from bandit_mips.datasets import AdversarialInstance, gen_adversarial, gen_vectors
 
 
 def test_adversarial_rounding_rule():
@@ -50,34 +48,32 @@ def test_adversarial_sources_stream_ones_first():
 
 
 def test_gen_vectors_deterministic():
-    spec = DatasetSpec("gaussian", 2, 3, seed=5)
-    assert np.array_equal(gen_vectors(spec).data, gen_vectors(spec).data)
+    args = ("gaussian", 2, 3, 5)
+    assert np.array_equal(gen_vectors(*args).data, gen_vectors(*args).data)
 
 
 def test_gen_vectors_gaussian_clt():
-    vs = gen_vectors(DatasetSpec("gaussian", 1000, 1000, seed=2))
+    vs = gen_vectors("gaussian", 1000, 1000, seed=2)
     # sample mean of 10^6 standard normals: |mean| < 5/sqrt(10^6)
     assert abs(vs.data.mean()) < 5e-3
     assert vs.data.std() == pytest.approx(1.0, abs=0.01)
 
 
 def test_gen_vectors_uniform_support():
-    vs = gen_vectors(DatasetSpec("uniform", 50, 40, seed=4))
+    vs = gen_vectors("uniform", 50, 40, seed=4)
     assert vs.data.min() >= 0.0
     assert vs.data.max() < 1.0
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        DatasetSpec("poisson", 2, 2)
+        gen_vectors("poisson", 2, 2)
     with pytest.raises(ValueError):
-        DatasetSpec("gaussian", 0, 2)
+        gen_vectors("gaussian", 0, 2)
     with pytest.raises(ValueError):
-        DatasetSpec("gaussian", 2, 0)
+        gen_vectors("gaussian", 2, 0)
     with pytest.raises(ValueError, match="unknown dist"):
-        DatasetSpec("adversarial", 2, 2)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        DatasetSpec("gaussian", 2, 2).dist = "adversarial"  # validated once, so frozen
+        gen_vectors("adversarial", 2, 2)
     with pytest.raises(ValueError):
         gen_adversarial(0, 2)
     with pytest.raises(ValueError):

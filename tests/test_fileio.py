@@ -1,6 +1,7 @@
 """Binary and CSV dataset formats, results JSONL, curve CSV."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -92,9 +93,28 @@ def test_truncated_header_rejected(tmp_path):
 def test_nonfinite_payload_rejected(tmp_path):
     p = tmp_path / "d.bin"
     header = struct.pack("<4sII", MAGIC, 1, 2)
-    p.write_bytes(header + np.array([np.inf, 1.0], dtype="<f4").tobytes())
-    with pytest.raises(DatasetFormatError):
+    for bad in (np.inf, np.nan):
+        p.write_bytes(header + np.array([bad, 1.0], dtype="<f4").tobytes())
+        with pytest.raises(DatasetFormatError, match=re.escape(str(p))):
+            read_dataset(p)
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")  # numpy warns on the empty file
+@pytest.mark.parametrize("text", ["1,nan\n", ""])
+def test_csv_nonfinite_or_empty_rejected(tmp_path, text):
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    with pytest.raises(DatasetFormatError, match=re.escape(str(p))):
         read_dataset(p)
+
+
+def test_float32_overflow_limits_binary_writes_only(tmp_path):
+    vs = VectorSet(np.array([[1e300, 2.0]]))
+    p = tmp_path / "d.csv"
+    write_dataset(p, vs)
+    assert read_dataset(p).data.tolist() == [[1e300, 2.0]]
+    with pytest.raises(ValueError, match="overflow float32"):
+        write_dataset(tmp_path / "d.bin", vs)
 
 
 def test_query_round_trip(tmp_path):
