@@ -252,15 +252,22 @@ def run_compare(
         ME: {eps_name: eps_values, "me_deltas": me_deltas},
         LSH: {"lsh_a": lsh_a, "lsh_b": lsh_b},
     }
+    # Checked before any search runs; on a zero-width query an epsilon
+    # fraction scales to a valid 0, so only this check can see a bad one.
+    rules = {
+        eps_name: (lambda v: math.isfinite(v) and v >= 0.0, "be finite and >= 0"),
+        "me_deltas": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+        "lsh_a": (lambda v: v >= 1, "be at least 1"),
+        "lsh_b": (lambda v: v >= 1, "be at least 1"),
+    }
     for method in methods:
         for name, values in sweep_lists.get(method, {}).items():
             if not values:
                 raise ValueError(f"{name} is empty; {method} needs at least one value")
-    if ME in methods:
-        for value in eps_values:
-            # Checked up front: on a zero-width query any fraction scales to a valid 0.
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{eps_name} holds {value!r}; it must be finite and >= 0")
+            valid, rule = rules[name]
+            for value in values:
+                if not valid(value):
+                    raise ValueError(f"{name} holds {value!r}; it must {rule}")
     ops_naive = vectors.n * vectors.dim
 
     truth_ids: list[list[int]] = []

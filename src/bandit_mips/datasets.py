@@ -34,8 +34,11 @@ VECTOR_DISTS = ("gaussian", "uniform")
 class AdversarialInstance:
     """Per-arm target means and their realized ones-then-zeros reward lists.
 
-    The instance is an arm set in the ``Arms`` protocol of ``elimination``.
+    The instance is an arm set in the ``Arms`` protocol of ``elimination``;
+    its integer sums are exact.
     """
+
+    mean_error = 0.0
 
     target_means: np.ndarray  # r per arm, in [0, 1]
     ones: np.ndarray          # round(r * list_len) per arm

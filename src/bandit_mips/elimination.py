@@ -16,7 +16,10 @@ survivors are measured exactly and later rounds add no pulls.
 Arms are read through the ``Arms`` protocol: ``sums(rows, t)`` returns the
 cumulative reward sums of ``rows`` after ``t`` pulls each.  Every survivor
 has the same pull count, so the loop holds no per-arm state beyond an int
-array of survivors.
+array of survivors.  An arm set whose sums carry rounding error declares a
+bound ``mean_error`` on it, and each round asks the sampled means for
+eps_l/2 - mean_error per tail, so that the computed means still lie within
+eps_l/2 of the true ones.
 """
 
 from __future__ import annotations
@@ -49,11 +52,14 @@ class Arms(Protocol):
     of its first ``t`` rewards in a uniformly random without-replacement
     order (0 <= t <= list_len).  Across calls on one object ``rows`` only
     shrinks and ``t`` never decreases, so an implementation may add only
-    the new pulls of the current rows.
+    the new pulls of the current rows.  ``mean_error`` bounds
+    |sums(rows, t)/t - exact mean of those t rewards| for every row and
+    t < list_len; at t = list_len the sums are exact.
     """
 
     n: int
     list_len: int
+    mean_error: float
 
     def sums(self, rows: np.ndarray, t: int) -> np.ndarray: ...
 
@@ -125,28 +131,32 @@ def round_pull_target(
     delta_round: float,
     range_width: float,
     list_len: int,
+    mean_error: float = 0.0,
 ) -> int:
     """Cumulative per-arm pull count needed by one round.
 
     The round must, with confidence delta_round spread over the survivors,
-    estimate each mean to epsilon_round/2 per tail; both tails and the union
-    bound fold into a single Hoeffding count
+    estimate each mean to a = epsilon_round/2 - mean_error per tail, so that
+    means computed with up to ``mean_error`` of rounding stay within
+    epsilon_round/2; both tails and the union bound fold into a single
+    Hoeffding count
 
-        u = (2 range_width^2 / eps_l^2) * ln(2(s-K) / (delta_l (floor((s-K)/2)+1)))
+        u = (range_width^2 / (2 a^2)) * ln(2(s-K) / (delta_l (floor((s-K)/2)+1)))
 
-    which ``sample_size`` then shrinks for the finite list.  A zero accuracy
-    (eps_l = 0, or eps_l/2 underflowing to 0) and a one-entry list jump
-    straight to exhaustion (target N, exact means).  The target is at least
-    one pull, also where u underflows to 0 (an accuracy far wider than the
-    range).
+    which ``sample_size`` then shrinks for the finite list.  An accuracy
+    a <= 0 (eps_l = 0, eps_l/2 underflowing to 0, or no more than the
+    rounding bound) and a one-entry list jump straight to exhaustion
+    (target N, exact means).  The target is at least one pull, also where u
+    underflows to 0 (an accuracy far wider than the range).
     """
     if survivors <= k:
         raise ValueError("survivors must exceed k")
-    if epsilon_round / 2.0 == 0.0 or list_len == 1:
+    accuracy = epsilon_round / 2.0 - mean_error
+    if accuracy <= 0.0 or list_len == 1:
         return list_len
     excess = survivors - k
     per_tail_delta = delta_round * (excess // 2 + 1) / (2.0 * excess)
-    u = hoeffding_count(epsilon_round / 2.0, per_tail_delta, range_width)
+    u = hoeffding_count(accuracy, per_tail_delta, range_width)
     return max(pull_target(u, list_len), 1)
 
 
@@ -180,7 +190,8 @@ def median_elimination_topk(
 
     The guarantee holds with probability at least 1 - delta when each arm's
     rewards are read in uniform order without replacement and lie within
-    range_width.  Returned ids are ordered by decreasing empirical mean
+    range_width, and the arms' sums are off by at most ``arms.mean_error``
+    per pull.  Returned ids are ordered by decreasing empirical mean
     (ties by id).  The trace carries per-round budgets and targets, total
     pulls across all arms including eliminated ones, and the per-arm
     maximum.
@@ -205,7 +216,7 @@ def median_elimination_topk(
         eps_l, delta_l = elimination_schedule(config.epsilon, config.delta, round_index)
         target_prev = target
         target = round_pull_target(
-            alive.size, config.k, eps_l, delta_l, config.range_width, list_len
+            alive.size, config.k, eps_l, delta_l, config.range_width, list_len, arms.mean_error
         )
         target = max(target, target_prev)  # increments are never negative
         trace.total_pulls += alive.size * (target - target_prev)

@@ -90,6 +90,8 @@ def read_dataset(path: str | Path) -> VectorSet:
         raise DatasetFormatError(
             f"{path}: bad magic {raw[:4]!r} (expected {MAGIC!r}; text data needs a .csv suffix)"
         )
+    elif not raw.strip():
+        raise DatasetFormatError(f"{path}: empty CSV file")
     else:
         try:
             data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from bandit_mips.arms import WINDOW_BLOCK, LazySource, PositionSampler
+from bandit_mips.baselines import naive_topk
 from bandit_mips.datasets import AdversarialInstance
-from bandit_mips.elimination import pull_batch
-from bandit_mips.mips import ObjectiveKind, Query, VectorSet, build_arms
+from bandit_mips.elimination import elimination_schedule, pull_batch, round_pull_target
+from bandit_mips.mips import ObjectiveKind, Query, VectorSet, build_arms, mips_topk, reward_range
 
 IP = ObjectiveKind.INNER_PRODUCT
 NSD = ObjectiveKind.NEG_SQ_DISTANCE
@@ -80,18 +81,22 @@ def test_full_draw_recovers_multiset():
 
 def test_full_draw_multiset_across_window_blocks():
     # batches straddling the block width and the wrap of pi must still read
-    # every column once; integer data keeps every sum exact
+    # every column once; the integer data is float32-exact, but window sums
+    # of cols**2 pass 2^24, so partial sums hold to the rounding bound and
+    # only the exhausted ones are exact
     n_cols = 2 * WINDOW_BLOCK + 600
     cols = np.arange(n_cols, dtype=float)
     vs = VectorSet(np.stack([np.ones(n_cols), cols, cols**2]), seed=4)
     for start in (0, n_cols - 300):
         arms = build_arms(vs, Query(np.ones(n_cols)), IP, start)
+        assert arms.mean_error > 0.0
         order = prefix_order(arms, vs)
         t = 0
         for count in (250, WINDOW_BLOCK + 3, 1, n_cols - WINDOW_BLOCK - 254):
             t += count
             got = arms.sums(np.arange(3), t)
-            assert got.tolist() == vs.data[:, order[:t]].sum(axis=1).tolist()
+            want = vs.data[:, order[:t]].sum(axis=1)
+            assert np.all(np.abs(got - want) <= arms.mean_error * t)
         assert t == n_cols
         assert got.tolist() == [n_cols, cols.sum(), (cols**2).sum()]
 
@@ -238,3 +243,152 @@ def test_adversarial_sums_closed_form():
     for t in range(11):
         want = [inst.reward_list(i)[:t].sum() for i in range(3)]
         assert arms.sums(np.arange(3), t).tolist() == want
+
+
+# --- the float32 window engine -------------------------------------------------
+
+
+def dyadic_case(kind, rng, n, dim, data_shift, query_shift):
+    """Float32-exact data and a mixed-sign query whose float64 reward sums
+    are exact in any order, so a float64 brute force is the exact answer.
+
+    Inner product: 8-bit integer data and a 28-bit query, which float32
+    must round, leave every partial sum below 2^46 units.  Distance: 6-bit
+    data and a 20-bit query on one scale keep squared gaps below 2^40 units.
+    Scaling by powers of two keeps both properties.
+    """
+    if kind is IP:
+        data = rng.integers(-(2**7), 2**7, (n, dim)) * 2.0**data_shift
+        query = rng.integers(-(2**27), 2**27, dim) * 2.0 ** (query_shift - 20)
+    else:
+        data = rng.integers(-(2**5), 2**5, (n, dim)) * 2.0**data_shift
+        query = rng.integers(-(2**19), 2**19, dim) * 2.0 ** (data_shift - 14)
+    return VectorSet(data, seed=int(rng.integers(2**31))), Query(query)
+
+
+def brute_sums(vs, q, kind, rows, cols):
+    block = vs.data[np.ix_(rows, cols)]
+    if kind is IP:
+        return block @ q.vector[cols]
+    return -((block - q.vector[cols]) ** 2).sum(axis=1)
+
+
+@pytest.mark.parametrize("kind", [IP, NSD])
+@pytest.mark.parametrize("data_shift, query_shift", [(0, 0), (-60, -60), (60, -60), (-60, 60), (60, 60)])
+def test_float32_means_within_mean_error_and_exact_at_exhaustion(kind, data_shift, query_shift):
+    rng = np.random.default_rng([31, data_shift + 100, query_shift + 100, kind is IP])
+    n, dim = 40, 2500
+    vs, q = dyadic_case(kind, rng, n, dim, data_shift, query_shift)
+    assert vs.permuted()[1].dtype == np.float32
+    for trial in range(3):
+        arms = build_arms(vs, q, kind, start=int(rng.integers(dim)))
+        # float32 windows unless they could overflow: then float64, exact
+        overflows = data_shift == 60 and (kind is NSD or query_shift == 60)
+        assert (arms.mean_error == 0.0) == overflows
+        order = prefix_order(arms, vs)
+        rows, t = np.arange(n), 0
+        # survivor counts cross a quarter of n (10) from above
+        for size in (n, 31, 12, 10, 9, 4, 4, 4, 4, 4):
+            rows = np.sort(rng.choice(rows, size=size, replace=False))
+            t = min(dim - 1, t + int(rng.integers(1, 700)))
+            got = arms.sums(rows, t)
+            want = brute_sums(vs, q, kind, rows, order[:t])
+            assert np.all(np.abs(got / t - want / t) <= arms.mean_error)
+        got = arms.sums(rows, dim)
+        assert got.tolist() == brute_sums(vs, q, kind, rows, np.arange(dim)).tolist()
+
+
+@pytest.mark.parametrize("kind", [IP, NSD])
+def test_float32_means_within_mean_error_random_data(kind):
+    # Gaussian float32 data against a float64 query that float32 rounds
+    rng = np.random.default_rng(32)
+    n, dim = 30, 3000
+    vs = VectorSet(rng.standard_normal((n, dim)).astype(np.float32), seed=6)
+    q = Query(rng.standard_normal(dim) * 3.0)
+    arms = build_arms(vs, q, kind, start=int(rng.integers(dim)))
+    assert arms.mean_error > 0.0
+    order = prefix_order(arms, vs)
+    rows, t = np.arange(n), 0
+    while t < dim - 1:
+        t = min(dim - 1, t + int(rng.integers(1, 900)))
+        want = brute_sums(vs, q, kind, rows, order[:t])
+        assert np.all(np.abs(arms.sums(rows, t) - want) <= arms.mean_error * t)
+        rows = np.sort(rng.choice(rows, size=max(1, rows.size * 2 // 3), replace=False))
+    want = brute_sums(vs, q, kind, rows, order)
+    assert np.allclose(arms.sums(rows, dim), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", [IP, NSD])
+def test_float32_underflow_stays_within_mean_error(kind):
+    # float32 subnormal data: products and squared gaps fall below float32's
+    # least subnormal, where only the bound's underflow term covers them
+    rng = np.random.default_rng(36)
+    n, dim = 8, 1500
+    vs = VectorSet(rng.integers(-(2**6), 2**6, (n, dim)) * 2.0**-149)
+    scale = 1.0 if kind is IP else 2.0**-143
+    q = Query(rng.standard_normal(dim) * scale)
+    arms = build_arms(vs, q, kind, start=int(rng.integers(dim)))
+    assert arms.mean_error > 0.0
+    order = prefix_order(arms, vs)
+    rows = np.arange(n)
+    for t in (100, 1200, dim - 1):
+        want = brute_sums(vs, q, kind, rows, order[:t])
+        assert np.all(np.abs(arms.sums(rows, t) - want) <= arms.mean_error * t)
+
+
+def test_inexact_data_gets_a_float64_copy_and_no_rounding_bound():
+    rng = np.random.default_rng(33)
+    exact = rng.standard_normal((150, 40)).astype(np.float32).astype(np.float64)
+    assert VectorSet(exact).permuted()[1].dtype == np.float32
+    # one entry float32 cannot hold, in the last row block or beyond its range
+    for i, value in ((149, 1.0 + 2.0**-30), (0, 1e39), (80, 1e-46)):
+        data = exact.copy()
+        data[i, 7] = value
+        vs = VectorSet(data, seed=2)
+        perm, copy = vs.permuted()
+        assert copy.dtype == np.float64 and np.array_equal(copy, data[:, perm])
+        for kind in (IP, NSD):
+            assert build_arms(vs, Query(rng.standard_normal(40)), kind).mean_error == 0.0
+
+
+def round_targets(trace, k, epsilon, delta, width, dim, mean_error):
+    targets, target = [], 0
+    for rec in trace.rounds:
+        eps_l, delta_l = elimination_schedule(epsilon, delta, rec.round_index)
+        target = max(target, round_pull_target(
+            rec.survivors, k, eps_l, delta_l, width, dim, mean_error
+        ))
+        targets.append(target)
+    return targets
+
+
+def test_round_targets_absorb_mean_error_only_on_float32_copies():
+    rng = np.random.default_rng(34)
+    data64 = rng.standard_normal((200, 3000))
+    q = Query(rng.standard_normal(3000))
+    for data in (data64, data64.astype(np.float32)):
+        vs = VectorSet(data)
+        lo, hi = reward_range(vs, q, IP)
+        eta = build_arms(vs, q, IP).mean_error
+        assert (eta > 0.0) == (data.dtype == np.float32)
+        for frac in (0.05, 0.4):
+            eps = frac * (hi - lo)
+            ids, trace = mips_topk(vs, q, 5, eps, 0.1, seed=3)
+            got = [rec.pull_target for rec in trace.rounds]
+            # float64 data: exactly the targets of the unwidened radius
+            assert got == round_targets(trace, 5, eps, 0.1, hi - lo, 3000, eta)
+            unwidened = round_targets(trace, 5, eps, 0.1, hi - lo, 3000, 0.0)
+            assert all(a >= b for a, b in zip(got, unwidened))
+
+
+def test_float32_radius_too_small_for_the_bound_exhausts_exactly():
+    rng = np.random.default_rng(35)
+    vs = VectorSet(rng.standard_normal((60, 2000)).astype(np.float32))
+    q = Query(rng.standard_normal(2000))
+    truth = naive_topk(vs, q, 4).topk_ids
+    eta = build_arms(vs, q, IP).mean_error
+    # epsilon 0, and a first round whose eps_1/2 = epsilon/8 does not exceed eta
+    for eps in (0.0, 8.0 * eta):
+        ids, trace = mips_topk(vs, q, 4, eps, 0.1, seed=5)
+        assert trace.rounds[0].pull_target == 2000
+        assert ids == truth

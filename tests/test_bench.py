@@ -291,6 +291,27 @@ def test_compare_bad_epsilon_rejected_before_any_query(small_instance, monkeypat
     assert searched == []
 
 
+@pytest.mark.parametrize(
+    "kwargs, name, value",
+    [
+        ({"me_deltas": (0.1, 7.0)}, "me_deltas", "7.0"),
+        ({"me_deltas": (0.0,)}, "me_deltas", "0.0"),
+        ({"me_deltas": (math.nan,)}, "me_deltas", "nan"),
+        ({"methods": (NAIVE, LSH), "lsh_a": (0, 4)}, "lsh_a", "0"),
+        ({"methods": (NAIVE, LSH), "lsh_b": (-2,)}, "lsh_b", "-2"),
+    ],
+)
+def test_compare_bad_delta_or_lsh_width_rejected_before_any_query(
+    small_instance, monkeypatch, kwargs, name, value
+):
+    searched = []
+    monkeypatch.setattr(bench, "naive_topk", lambda *args: searched.append(args))
+    vs, queries = small_instance
+    with pytest.raises(ValueError, match=rf"{name} holds {value}\b"):
+        run_compare(vs, queries, 2, **{"methods": (NAIVE, ME), **kwargs})
+    assert searched == []
+
+
 def test_compare_unknown_method_rejected(small_instance):
     vs, queries = small_instance
     with pytest.raises(ValueError):

@@ -168,6 +168,18 @@ def test_compare_bad_epsilon_exit_two(flag, capsys):
     assert captured.err.startswith("error:") and "must be finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [(["--deltas=0.1,7"], "me_deltas holds 7.0"), (["--lsh-b=0"], "lsh_b holds 0")],
+)
+def test_compare_bad_delta_or_lsh_width_exit_two(flags, name, capsys):
+    code = main(["compare", "--n", "12", "--dim", "50", "--queries", "2", "--k", "1", *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and name in captured.err
+
+
 def test_compare_unset_sweep_flags_take_run_compare_defaults(monkeypatch):
     import bandit_mips.cli as cli_mod
     from bandit_mips.bench import CompareReport

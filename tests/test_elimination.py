@@ -145,7 +145,10 @@ class MatrixArms:
 
     Shuffle the rows first for a uniformly random order.  Every call is
     checked against the protocol: rows only shrink and t never decreases.
+    The sums are exact.
     """
+
+    mean_error = 0.0
 
     def __init__(self, rewards):
         rewards = np.asarray(rewards, dtype=float)

@@ -99,7 +99,7 @@ def test_nonfinite_payload_rejected(tmp_path):
             read_dataset(p)
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt")  # numpy warns on the empty file
+@pytest.mark.filterwarnings("error")  # no numpy warning on the way to the error
 @pytest.mark.parametrize("text", ["1,nan\n", ""])
 def test_csv_nonfinite_or_empty_rejected(tmp_path, text):
     p = tmp_path / "d.csv"
