@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mips import ObjectiveKind, Query, VectorSet, true_means
+from .mips import ObjectiveKind, Query, VectorSet, _block_rows, true_means
 
 __all__ = ["ExactResult", "naive_topk", "LshIndex", "LshResult", "lsh_build", "lsh_query"]
 
@@ -83,15 +83,11 @@ class LshResult:
     padded: bool
 
 
-def _lift_data(data: np.ndarray) -> tuple[np.ndarray, float]:
-    norms = np.linalg.norm(data, axis=1)
-    scale = float(norms.max())
-    if scale == 0.0:
-        raise ValueError("cannot index all-zero data")
-    lifted = np.empty((data.shape[0], data.shape[1] + 1))
-    np.divide(data, scale, out=lifted[:, :-1])
-    lifted[:, -1] = np.sqrt(np.maximum(0.0, 1.0 - (norms / scale) ** 2))
-    return lifted, scale
+def _lift_rows(rows: np.ndarray, norms: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """``rows`` / scale with sqrt(1 - (norm / scale)^2) appended, written into ``out``."""
+    np.divide(rows, scale, out=out[:, :-1])
+    out[:, -1] = np.sqrt(np.maximum(0.0, 1.0 - (norms / scale) ** 2))
+    return out
 
 
 def _lift_query(q: np.ndarray) -> np.ndarray:
@@ -108,21 +104,37 @@ def _keys(planes: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def lsh_build(vectors: VectorSet, a: int, b: int, seed: int = 0) -> LshIndex:
-    """Hash all rows into b tables of a sign bits each."""
+    """Hash all rows into b tables of a sign bits each.
+
+    The row norms are taken, and the rows lifted and hashed, a row block
+    at a time, the lifted rows through one reused buffer, so no lifted copy
+    of the data and no temporary of its size is ever held.
+    """
     if a < 1 or b < 1:
         raise ValueError("a and b must be at least 1")
     if a > 63:
         raise ValueError("a must be at most 63: a bucket key of a sign bits must fit in int64")
-    lifted, scale = _lift_data(vectors.data)
-    dim_l = lifted.shape[1]
+    data, n, dim_l = vectors.data, vectors.n, vectors.dim + 1
+    step = _block_rows(dim_l)
+    norms = np.empty(n)
+    for r in range(0, n, step):
+        norms[r : r + step] = np.linalg.norm(data[r : r + step], axis=1)
+    scale = float(norms.max())
+    if scale == 0.0:
+        raise ValueError("cannot index all-zero data")
     planes = np.empty((b, a, dim_l))
     for t in range(b):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
         planes[t] = rng.standard_normal((a, dim_l))
     planes /= np.linalg.norm(planes, axis=2, keepdims=True)
+    keys = np.empty((n, b), dtype=np.int64)
+    lifted = np.empty((min(step, n), dim_l))
+    for r in range(0, n, step):
+        rows = data[r : r + step]
+        out = _lift_rows(rows, norms[r : r + step], scale, lifted[: len(rows)])
+        keys[r : r + step] = _keys(planes, out)
     return LshIndex(
-        a=a, b=b, seed=seed, scale=scale, planes=planes, keys=_keys(planes, lifted),
-        dim=vectors.dim, n=vectors.n,
+        a=a, b=b, seed=seed, scale=scale, planes=planes, keys=keys, dim=vectors.dim, n=n,
     )
 
 

@@ -7,6 +7,13 @@ line, comma-separated) are accepted as an interchange path; binary
 round-trips are bit-identical, CSV round-trips are good to 1e-6 per entry.
 CSV holds any finite float64; binary entries must fit in float32.
 
+A binary file is read in one pass: the header and the file size are
+checked before anything of the data's size is allocated, then the rows go
+through one reused float32 buffer of about 2 MB into the float64 matrix,
+a block at a time, each block bounded and checked for non-finite entries
+as it lands.  The read holds the float64 matrix and one block, never the
+file's bytes.
+
 Results are JSON Lines, one run per line; comparison curves are CSV with a
 fixed header.  Writers emit keys in a fixed order so identical runs produce
 identical bytes.
@@ -16,13 +23,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from pathlib import Path
-from typing import Iterable
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
-from .mips import Query, VectorSet
+from .mips import Query, VectorSet, _block_rows
 
 __all__ = [
     "DatasetFormatError",
@@ -74,50 +82,62 @@ def write_dataset(path: str | Path, vectors: VectorSet) -> None:
         raise ValueError("entries overflow float32; cannot serialize")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, vectors.n, vectors.dim))
-        fh.write(as_f32.tobytes(order="C"))
+        as_f32.tofile(fh)
 
 
 def read_dataset(path: str | Path) -> VectorSet:
     """Load a dataset: binary when the magic matches, CSV for ``.csv`` files."""
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            head = fh.read(_HEADER.size)
+            if head[:4] == MAGIC:
+                return _read_binary(fh, head, path)
+            if path.suffix.lower() != ".csv":
+                raise DatasetFormatError(
+                    f"{path}: bad magic {head[:4]!r} (expected {MAGIC!r}; "
+                    "text data needs a .csv suffix)"
+                )
+            blank = not head.strip() and not any(line.strip() for line in fh)
     except OSError as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
-    if raw[:4] == MAGIC:
-        data = _parse_binary(raw, path)
-    elif path.suffix.lower() != ".csv":
-        raise DatasetFormatError(
-            f"{path}: bad magic {raw[:4]!r} (expected {MAGIC!r}; text data needs a .csv suffix)"
-        )
-    elif not raw.strip():
+    if blank:
         raise DatasetFormatError(f"{path}: empty CSV file")
-    else:
-        try:
-            data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-        except (ValueError, OSError) as exc:
-            raise DatasetFormatError(f"{path}: malformed CSV: {exc}") from exc
+    try:
+        data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+    except (ValueError, OSError) as exc:
+        raise DatasetFormatError(f"{path}: malformed CSV: {exc}") from exc
     try:
         return VectorSet(data)
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc
 
 
-def _parse_binary(raw: bytes, path: Path) -> np.ndarray:
-    if len(raw) < _HEADER.size:
+def _read_binary(fh: BinaryIO, head: bytes, path: Path) -> VectorSet:
+    """The set of the open MEB1 file ``fh``, read past its header ``head``."""
+    if len(head) < _HEADER.size:
         raise DatasetFormatError(f"{path}: truncated header")
-    magic, n, dim = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise DatasetFormatError(f"{path}: bad magic {magic!r}")
+    _, n, dim = _HEADER.unpack(head)
     if n < 1 or dim < 1:
         raise DatasetFormatError(f"{path}: invalid shape {n}x{dim}")
-    expected = _HEADER.size + 4 * n * dim
-    if len(raw) != expected:
+    size, expected = os.fstat(fh.fileno()).st_size, _HEADER.size + 4 * n * dim
+    if size != expected:
         raise DatasetFormatError(
-            f"{path}: payload is {len(raw)} bytes, expected {expected} for {n}x{dim}"
+            f"{path}: payload is {size} bytes, expected {expected} for {n}x{dim}"
         )
-    data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(np.float64)
-    return data.reshape(n, dim)
+    block = np.empty((min(_block_rows(dim), n), dim), dtype="<f4")
+
+    def fill(rows: np.ndarray, a: int) -> np.ndarray:
+        chunk = block[: len(rows)]
+        if fh.readinto(chunk) != chunk.nbytes:
+            raise ValueError(f"file ended before row {a + len(rows)} of {n}")
+        rows[...] = chunk
+        return chunk  # float64 holds float32 exactly: the same bound, half the bytes
+
+    try:
+        return VectorSet._from_rows((n, dim), fill)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from exc
 
 
 def write_query(path: str | Path, query: Query) -> None:

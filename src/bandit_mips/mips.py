@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -59,6 +60,17 @@ __all__ = [
     "mips_topk",
 ]
 
+# Entries per block of a one-pass load (building a ``VectorSet``, reading a
+# dataset file, hashing rows for LSH): 2 MB as float32, 4 MB as float64, so a
+# block is still in cache when it is bounded or hashed.  Narrow rows go in
+# tall blocks, which keeps the per-block overhead small beside the work.
+_LOAD_BLOCK = 1 << 19
+
+
+def _block_rows(dim: int) -> int:
+    """Rows per block of a one-pass load of rows of ``dim`` entries."""
+    return max(1, _LOAD_BLOCK // dim)
+
 
 @dataclass
 class VectorSet:
@@ -69,6 +81,10 @@ class VectorSet:
     on the first bandit query and cached; ``data`` itself keeps the caller's
     order.  The copy is float32 when that holds ``data`` exactly, float64
     otherwise.
+
+    A float64 C-contiguous ``data`` is kept as given; any other input is
+    converted into a new float64 matrix.  Either way the bound is taken a
+    row block at a time, as each block lands, in one pass.
     """
 
     data: np.ndarray
@@ -79,14 +95,34 @@ class VectorSet:
     )
 
     def __post_init__(self) -> None:
-        self.data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        if self.data.ndim != 2 or self.data.shape[0] < 1 or self.data.shape[1] < 1:
+        x = np.asarray(self.data)
+        if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise ValueError("data must be a non-empty 2-D matrix")
-        # NaN propagates through both reductions and +-inf shows in one.
-        lo, hi = float(self.data.min()), float(self.data.max())
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("data entries must be finite")
-        self.coord_bound = max(abs(lo), abs(hi))
+        if x.dtype == np.float64 and x.flags.c_contiguous:
+            self.data, fill = x, None
+        else:
+            self.data = np.empty(x.shape)
+
+            def fill(rows: np.ndarray, a: int) -> np.ndarray:
+                rows[...] = x[a : a + len(rows)]
+                return rows
+
+        self.coord_bound = _load_rows(self.data, fill)
+
+    @classmethod
+    def _from_rows(
+        cls, shape: tuple[int, int], fill: Callable[[np.ndarray, int], np.ndarray]
+    ) -> VectorSet:
+        """The set of the n x N matrix that ``fill`` lands a row block at a time.
+
+        ``fill`` is as for ``_load_rows``.  Checks and result are those of
+        ``VectorSet`` of the full matrix, which is neither built in another
+        dtype nor scanned again.
+        """
+        vs = cls.__new__(cls)
+        vs.data, vs.seed, vs._permuted = np.empty(shape), 0, None
+        vs.coord_bound = _load_rows(vs.data, fill)
+        return vs
 
     @property
     def n(self) -> int:
@@ -107,6 +143,31 @@ class VectorSet:
             perm = PositionSampler(self.dim, self.seed).draw(self.dim)
             self._permuted = (perm, _permuted_copy(self.data, perm))
         return self._permuted
+
+
+def _load_rows(
+    out: np.ndarray, fill: Callable[[np.ndarray, int], np.ndarray] | None
+) -> float:
+    """Land ``out`` a row block at a time; returns its largest |entry|.
+
+    ``fill(rows, a)`` writes rows a, a + 1, ... into the slice ``rows`` of
+    ``out`` and returns an array of the same values to bound: ``rows``, or
+    the block it was converted from exactly, which may be narrower and so
+    faster to scan (None: the rows are in place already).  Each block is
+    bounded as it lands, while it is in cache, so the bound takes no second
+    pass over ``out``.  Raises ValueError at the first block with a NaN or
+    an infinite entry.
+    """
+    bound, step = 0.0, _block_rows(out.shape[1])
+    for a in range(0, out.shape[0], step):
+        rows = out[a : a + step]
+        block = rows if fill is None else fill(rows, a)
+        # NaN propagates through both reductions and +-inf shows in one.
+        lo, hi = float(block.min()), float(block.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("data entries must be finite")
+        bound = max(bound, abs(lo), abs(hi))
+    return bound
 
 
 def _permuted_copy(data: np.ndarray, perm: np.ndarray) -> np.ndarray:

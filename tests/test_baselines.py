@@ -8,8 +8,8 @@ different loop order must agree exactly on random instances.
 import numpy as np
 import pytest
 
-from bandit_mips.baselines import _lift_data, lsh_build, lsh_query, naive_topk
-from bandit_mips.mips import ObjectiveKind, Query, VectorSet
+from bandit_mips.baselines import _lift_rows, lsh_build, lsh_query, naive_topk
+from bandit_mips.mips import ObjectiveKind, Query, VectorSet, _block_rows
 
 IP = ObjectiveKind.INNER_PRODUCT
 NSD = ObjectiveKind.NEG_SQ_DISTANCE
@@ -197,18 +197,51 @@ def test_lsh_build_rejects_key_overflow():
     assert (index.keys >= 0).all()
 
 
+def divide_then_stack(data):
+    """The whole matrix lifted at once: (data / scale, sqrt(1 - (norm/scale)^2))."""
+    norms = np.linalg.norm(data, axis=1)
+    scale = float(norms.max())
+    extra = np.sqrt(np.maximum(0.0, 1.0 - (norms / scale) ** 2))
+    return np.hstack([data / scale, extra[:, None]]), scale
+
+
 def test_lsh_lift_matches_divide_then_stack():
     data = np.random.default_rng(7).standard_normal((50, 17))
-    lifted, scale = _lift_data(data)
+    want, scale = divide_then_stack(data)
     norms = np.linalg.norm(data, axis=1)
-    extra = np.sqrt(np.maximum(0.0, 1.0 - (norms / scale) ** 2))
-    assert np.array_equal(lifted, np.hstack([data / scale, extra[:, None]]))
+    out = np.full((50, 18), np.nan)
+    assert _lift_rows(data, norms, scale, out) is out
+    assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_lsh_block_lift_matches_full_matrix_lift(n):
+    # lsh_build lifts and hashes a row block at a time; the index must be the
+    # one the whole lifted matrix gives, key for key
+    dim = 8191
+    assert _block_rows(dim + 1) == 64  # n straddles the block boundaries
+    rng = np.random.default_rng(100 + n)
+    data = rng.standard_normal((n, dim)) * rng.uniform(0.1, 3.0, size=(n, 1))
+    a, b, seed = 7, 5, 11
+    index = lsh_build(VectorSet(data), a=a, b=b, seed=seed)
+    lifted, scale = divide_then_stack(data)
+    planes = np.stack([
+        np.random.default_rng(np.random.SeedSequence([seed, t])).standard_normal((a, dim + 1))
+        for t in range(b)
+    ])
+    planes /= np.linalg.norm(planes, axis=2, keepdims=True)
+    bits = (lifted @ planes.reshape(b * a, dim + 1).T > 0.0).reshape(n, b, a)
+    keys = bits @ (1 << np.arange(a, dtype=np.int64))
+    assert index.scale == scale
+    assert np.array_equal(index.planes, planes)
+    assert index.keys.dtype == np.int64
+    assert np.array_equal(index.keys, keys)
 
 
 def per_table_union(data, q, planes, b_use):
     """Independent oracle: rows sharing the query's key in any of the first
     b_use tables, one table at a time, keys as Python-int bit sums."""
-    lifted = _lift_data(data)[0]
+    lifted = divide_then_stack(data)[0]
     lifted_q = np.append(q, 0.0)
 
     def key(bits):

@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from bandit_mips.fileio import (
     write_query,
     write_results,
 )
-from bandit_mips.mips import Query, VectorSet
+from bandit_mips.mips import Query, VectorSet, _block_rows
 
 
 def test_binary_round_trip_bit_identical(tmp_path):
@@ -99,6 +100,68 @@ def test_nonfinite_payload_rejected(tmp_path):
             read_dataset(p)
 
 
+def _traced_peak(fn):
+    """Peak bytes traced (numpy buffers included) while ``fn()`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_binary_read_holds_only_the_float64_matrix(tmp_path):
+    # the rows go through one float32 block buffer into the float64 matrix;
+    # holding the file's bytes beside the matrix would take 12 n N bytes
+    n, dim = 300, 8192
+    rng = np.random.default_rng(53)
+    vs = VectorSet(rng.standard_normal((n, dim)).astype(np.float32))
+    p = tmp_path / "d.bin"
+    write_dataset(p, vs)
+    peak, back = _traced_peak(lambda: read_dataset(p))
+    assert np.array_equal(back.data, vs.data)
+    assert back.coord_bound == vs.coord_bound
+    assert peak <= 8 * n * dim + 2 * (_block_rows(dim) * dim * 4) + 256 * 1024
+
+
+def _payload_cases():
+    full = struct.pack("<4sII", MAGIC, 300, 4000) + bytes(4 * 300 * 4000)
+    return {
+        # a hostile header may not make the reader allocate what it claims
+        "huge-header": (struct.pack("<4sII", MAGIC, 2**31 - 1, 2**31 - 1) + bytes(16),
+                        2**31 - 1, 2**31 - 1),
+        "4-bytes-short": (full[:-4], 300, 4000),
+        "4-bytes-long": (full + bytes(4), 300, 4000),
+    }
+
+
+@pytest.mark.parametrize("case", ["huge-header", "4-bytes-short", "4-bytes-long"])
+def test_payload_size_checked_before_allocation(tmp_path, case):
+    raw, n, dim = _payload_cases()[case]
+    p = tmp_path / "d.bin"
+    p.write_bytes(raw)
+    want = f"{p}: payload is {len(raw)} bytes, expected {12 + 4 * n * dim} for {n}x{dim}"
+
+    def read():
+        with pytest.raises(DatasetFormatError, match=re.escape(want) + "$"):
+            read_dataset(p)
+
+    peak, _ = _traced_peak(read)
+    assert peak < 256 * 1024
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_in_last_partial_row_block_rejected(tmp_path, bad):
+    dim = 8192
+    n = 2 * _block_rows(dim) + 3
+    data = np.ones((n, dim), dtype="<f4")
+    data[-1, 2] = bad
+    p = tmp_path / "d.bin"
+    p.write_bytes(struct.pack("<4sII", MAGIC, n, dim) + data.tobytes())
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{p}: data entries must be finite")):
+        read_dataset(p)
+
+
 @pytest.mark.filterwarnings("error")  # no numpy warning on the way to the error
 @pytest.mark.parametrize("text", ["1,nan\n", ""])
 def test_csv_nonfinite_or_empty_rejected(tmp_path, text):
@@ -106,6 +169,27 @@ def test_csv_nonfinite_or_empty_rejected(tmp_path, text):
     p.write_text(text)
     with pytest.raises(DatasetFormatError, match=re.escape(str(p))):
         read_dataset(p)
+
+
+@pytest.mark.parametrize("text", ["\n \n\t\n" * 5, "\n" * 20 + "1,2\n"])
+def test_csv_blank_check_reads_past_the_header(tmp_path, text):
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    if text.strip():
+        assert read_dataset(p).data.tolist() == [[1.0, 2.0]]
+    else:
+        with pytest.raises(DatasetFormatError, match=re.escape(f"{p}: empty CSV file")):
+            read_dataset(p)
+
+
+def test_csv_read_holds_no_copy_of_the_file(tmp_path):
+    # the blank check reads line by line; the parse is numpy's alone
+    x = np.random.default_rng(3).standard_normal((400, 500))
+    p = tmp_path / "d.csv"
+    np.savetxt(p, x, delimiter=",")
+    peak, back = _traced_peak(lambda: read_dataset(p))
+    assert np.allclose(back.data, x, rtol=1e-6)
+    assert peak < p.stat().st_size
 
 
 def test_float32_overflow_limits_binary_writes_only(tmp_path):

@@ -11,6 +11,7 @@ from bandit_mips.mips import (
     ObjectiveKind,
     Query,
     VectorSet,
+    _block_rows,
     build_arms,
     mips_topk,
     reward_range,
@@ -263,6 +264,49 @@ def test_vectorset_validation():
         VectorSet(np.ones(3))  # needs 2-D
     with pytest.raises(ValueError):
         Query(np.array([np.nan]))
+
+
+def _vectorset_inputs(n, dim):
+    rng = np.random.default_rng(n)
+    wide = rng.standard_normal((n, 2 * dim)) * 3.0
+    ints = rng.integers(-(10**6), 10**6, size=(n, dim))
+    ints[-1, -1] = 2**62 + 1  # rounds on the way to float64
+    return {
+        "float32": wide[:, :dim].astype(np.float32),
+        "int64": ints,
+        "fortran": np.asfortranarray(wide[:, :dim]),
+        "strided": wide[:, ::2],
+    }
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("kind", ["float32", "int64", "fortran", "strided"])
+def test_vectorset_converts_blockwise_like_whole_matrix(n, kind):
+    # the matrix and bound are built a row block at a time; both must be
+    # bit for bit those of converting the whole input at once
+    dim = 8192
+    assert _block_rows(dim) == 64  # n straddles the block boundaries
+    x = _vectorset_inputs(n, dim)[kind]
+    want = np.ascontiguousarray(np.asarray(x, np.float64))
+    vs = VectorSet(x)
+    assert vs.data.dtype == np.float64 and vs.data.flags.c_contiguous
+    assert vs.data.shape == want.shape
+    assert vs.data.tobytes() == want.tobytes()
+    assert vs.coord_bound == float(np.abs(want).max())
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_vectorset_keeps_float64_c_contiguous_input(n):
+    x = np.random.default_rng(n).standard_normal((n, 8192))
+    x[-1, 0] = -7.5
+    vs = VectorSet(x)
+    assert vs.data is x
+    assert vs.coord_bound == 7.5
+    x[-1, -1] = np.inf  # a non-finite entry in the last block is still seen
+    with pytest.raises(ValueError, match="finite"):
+        VectorSet(x)
+    with pytest.raises(ValueError, match="finite"):
+        VectorSet(x.astype(np.float32))
 
 
 def test_coord_bound_is_not_an_init_argument():
