@@ -105,14 +105,20 @@ class LazySource:
 
     ``data`` is float64 or float32.  On float32 data the windows are
     evaluated in float32 against the query rounded to float32, and
-    ``mean_error`` is ``_float32_mean_error`` of ``coord_bound`` (the largest
-    |entry|, computed when not given); where that bound is infinite the
-    windows are evaluated in float64 instead, and ``mean_error`` is 0.
-    Rows that reach t = N with a nonzero ``mean_error`` are re-summed in
-    float64, so exhausted means carry no float32 rounding.  While at least a
-    quarter of the rows survive, a window is evaluated for every row on the
-    strided view of ``data``, which BLAS reads faster than it gathers the
-    survivors' rows.
+    ``mean_error`` is ``_float32_mean_error`` of ``coord_bound`` and
+    ``query_bound`` (the largest |entry| of ``data`` and of ``query``,
+    computed when not given); where that bound is infinite the windows are
+    evaluated in float64 instead, and ``mean_error`` is 0.  Rows that reach
+    t = N with a nonzero ``mean_error`` are re-summed in float64, so
+    exhausted means carry no float32 rounding.
+
+    Read rule: a window is evaluated either for every row on the strided
+    view of ``data`` or for the survivors' gathered rows.  Inner-product
+    windows use the view while at least a quarter of the rows survive, as
+    BLAS reads it with its threads faster than it gathers the survivors'
+    rows.  Distance windows are single-threaded elementwise work, so they
+    use the view only while every row survives, and gather from the first
+    elimination on.
     """
 
     def __init__(
@@ -122,6 +128,7 @@ class LazySource:
         kind: ObjectiveKind,
         start: int = 0,
         coord_bound: float | None = None,
+        query_bound: float | None = None,
     ):
         data = np.asarray(data)
         if data.dtype != np.float32:
@@ -137,7 +144,9 @@ class LazySource:
         if data.dtype == np.float32:
             if coord_bound is None:
                 coord_bound = float(np.abs(data).max())
-            eta = _float32_mean_error(kind, coord_bound, float(np.abs(query).max()))
+            if query_bound is None:
+                query_bound = float(np.abs(query).max())
+            eta = _float32_mean_error(kind, coord_bound, query_bound)
             if math.isfinite(eta):
                 self.mean_error, self._window_query = eta, query.astype(np.float32)
         self.n, self.list_len = data.shape
@@ -162,9 +171,12 @@ class LazySource:
                 block = rows[i : i + ROW_BLOCK]
                 self._sums[block] = self.draw(block, 0, self.list_len, exact=True)
             done = t
-        # On the view every row's sum advances, dead rows' too; those are never
-        # asked about again.
-        on_view = 4 * rows.size >= self.n
+        # The read rule of the class docstring.  On the view every row's sum
+        # advances, dead rows' too; those are never asked about again.
+        if self._kind is ObjectiveKind.INNER_PRODUCT:
+            on_view = 4 * rows.size >= self.n
+        else:
+            on_view = rows.size == self.n
         while done < t:
             a = (self.start + done) % self.list_len
             b = min(a + t - done, self.list_len, a + WINDOW_BLOCK)

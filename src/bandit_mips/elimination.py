@@ -11,7 +11,9 @@ whose sums over all rounds stay within eps and delta.  Every round removes
 ceil((s - K)/2) of the s survivors, so the excess over K at least halves and
 the loop ends after at most ceil(log2 n) + 1 rounds with exactly K arms.
 Per-arm pulls never exceed the list length N: once the target reaches N the
-survivors are measured exactly and later rounds add no pulls.
+survivors are measured exactly and later rounds add no pulls.  Survivor
+counts, budgets and targets never depend on the sampled means, so the
+search plans every round before its first pull.
 
 Arms are read through the ``Arms`` protocol: ``sums(rows, t)`` returns the
 cumulative reward sums of ``rows`` after ``t`` pulls each.  Every survivor
@@ -160,6 +162,31 @@ def round_pull_target(
     return max(pull_target(u, list_len), 1)
 
 
+def _round_plan(
+    n: int, config: EliminationConfig, list_len: int, mean_error: float
+) -> list[RoundRecord]:
+    """Every round of a search over n > K arms, before any pull.
+
+    Survivor counts, budgets and targets depend only on (n, K, epsilon,
+    delta, range_width, N, mean_error), never on the sampled means, so the
+    whole schedule is known in advance.  Targets never decrease.
+    """
+    plan: list[RoundRecord] = []
+    survivors, target = n, 0
+    while survivors > config.k:
+        round_index = len(plan) + 1
+        eps_l, delta_l = elimination_schedule(config.epsilon, config.delta, round_index)
+        target = max(
+            target,
+            round_pull_target(
+                survivors, config.k, eps_l, delta_l, config.range_width, list_len, mean_error
+            ),
+        )
+        plan.append(RoundRecord(round_index, survivors, eps_l, delta_l, target))
+        survivors -= (survivors - config.k + 1) // 2
+    return plan
+
+
 def pull_batch(arms: Arms, rows: np.ndarray, t: int) -> np.ndarray:
     """Empirical means of ``rows`` after ``t`` pulls each (t >= 1)."""
     if t < 1:
@@ -209,22 +236,15 @@ def median_elimination_topk(
         trace.returned = list(range(n))
         return list(trace.returned), trace
 
+    trace.rounds = _round_plan(n, config, list_len, arms.mean_error)
     alive = np.arange(n)
     target = 0
-    round_index = 1
-    while alive.size > config.k:
-        eps_l, delta_l = elimination_schedule(config.epsilon, config.delta, round_index)
-        target_prev = target
-        target = round_pull_target(
-            alive.size, config.k, eps_l, delta_l, config.range_width, list_len, arms.mean_error
-        )
-        target = max(target, target_prev)  # increments are never negative
-        trace.total_pulls += alive.size * (target - target_prev)
+    for record in trace.rounds:
+        trace.total_pulls += record.survivors * (record.pull_target - target)
+        target = record.pull_target
         means = pull_batch(arms, alive, target)
-        trace.rounds.append(RoundRecord(round_index, alive.size, eps_l, delta_l, target))
         keep = eliminate(alive, means, config.k)
         alive, means = alive[keep], means[keep]
-        round_index += 1
 
     trace.max_arm_pulls = target
     order = np.lexsort((alive, -means))

@@ -14,10 +14,15 @@ gap.
 
 Every arm reads its coordinates in one shared order: a column permutation
 pi of the ``VectorSet``, entered at a cyclic offset that the query's seed
-picks.  Each arm's first t positions are then a uniform without-replacement
-sample, as the bound requires, and a round's new pulls for all survivors
-are one contiguous column window of the permuted copy (two where it wraps
-around), evaluated with BLAS.  No n x N reward matrix is ever materialized.
+picks, splitmix64(seed) mod N.  Each arm's first t positions are then a
+uniform without-replacement sample, as the bound requires, and a round's
+new pulls for all survivors are one contiguous column window of the
+permuted copy (two where it wraps around).  No n x N reward matrix is ever
+materialized.  A window is read either for every row, on the strided view
+of the copy, or for the survivors' gathered rows.  Inner-product windows,
+a BLAS product on its threads, take the view while at least a quarter of
+the rows survive; distance windows, single-threaded elementwise work, take
+it only in the first round, while every row survives.
 
 The permuted copy is float32 whenever float32 holds every entry of
 ``data`` exactly (as it does for data read from the binary format), and
@@ -43,6 +48,7 @@ On 1000 x 10^4 float32-exact data the copy takes 40 MB instead of 80 MB.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -220,7 +226,9 @@ def build_arms(
     """
     _check_dims(vectors, query)
     perm, permuted = vectors.permuted()
-    return LazySource(permuted, query.vector[perm], kind, start, vectors.coord_bound)
+    return LazySource(
+        permuted, query.vector[perm], kind, start, vectors.coord_bound, query.coord_bound
+    )
 
 
 def reward_range(vectors: VectorSet, query: Query, kind: ObjectiveKind) -> tuple[float, float]:
@@ -270,6 +278,26 @@ def true_means(vectors: VectorSet, query: Query, kind: ObjectiveKind) -> np.ndar
     raise ValueError(f"unknown objective kind: {kind!r}")
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _start_offset(seed: int, list_len: int) -> int:
+    """The cyclic start offset that ``seed`` picks: splitmix64(seed) mod N.
+
+    splitmix64 (Steele, Lea and Flood, 2014) mixes the seed, taken mod
+    2^64, into 64 well-spread bits in a few integer operations, so nearby
+    seeds give unrelated offsets without building a random generator per
+    query.  The modulo bias is below N / 2^64.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    z = (seed + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) % list_len
+
+
 def mips_topk(
     vectors: VectorSet,
     query: Query,
@@ -284,9 +312,11 @@ def mips_topk(
     With probability at least 1 - delta the returned set's K-th best true
     mean is within ``epsilon`` (mean scale) of the K-th best overall, for a
     query chosen independently of the set's column permutation.  ``seed``
-    picks the cyclic offset into that permutation.  A degenerate reward
-    range (all scores provably equal) short-circuits to the first K ids,
-    flagged in ``trace.warning``, after the same epsilon and delta checks.
+    (a non-negative integer) picks the cyclic offset into that permutation,
+    ``_start_offset(seed, N)``.  A degenerate reward range (all scores
+    provably equal) short-circuits to the first K ids, flagged in
+    ``trace.warning``, and K = n to all ids with no pulls, neither building
+    the arms; both after the same epsilon and delta checks.
     """
     if not 1 <= k <= vectors.n:
         raise ValueError("k must lie in [1, n]")
@@ -297,5 +327,7 @@ def mips_topk(
         trace.warning = "degenerate reward range: all means equal, returning first k ids"
         return list(range(k)), trace
     config = EliminationConfig(k=k, epsilon=epsilon, delta=delta, range_width=hi - lo)
-    start = int(np.random.default_rng(seed).integers(vectors.dim))
+    if k == vectors.n:
+        return list(range(k)), EliminationTrace(returned=list(range(k)))
+    start = _start_offset(seed, vectors.dim)
     return median_elimination_topk(build_arms(vectors, query, kind, start), config)

@@ -266,6 +266,20 @@ def dyadic_case(kind, rng, n, dim, data_shift, query_shift):
     return VectorSet(data, seed=int(rng.integers(2**31))), Query(query)
 
 
+def spy_on_views(arms):
+    """Record, per window ``arms`` evaluates, whether it read the strided view."""
+    views = []
+    draw = arms.draw
+
+    def spy(rows, a, b, exact=False):
+        if not exact:
+            views.append(rows is None)
+        return draw(rows, a, b, exact)
+
+    arms.draw = spy
+    return views
+
+
 def brute_sums(vs, q, kind, rows, cols):
     block = vs.data[np.ix_(rows, cols)]
     if kind is IP:
@@ -286,14 +300,20 @@ def test_float32_means_within_mean_error_and_exact_at_exhaustion(kind, data_shif
         overflows = data_shift == 60 and (kind is NSD or query_shift == 60)
         assert (arms.mean_error == 0.0) == overflows
         order = prefix_order(arms, vs)
+        views = spy_on_views(arms)
         rows, t = np.arange(n), 0
-        # survivor counts cross a quarter of n (10) from above
+        # survivor counts fall from all n rows, where distance windows leave
+        # the view, and cross a quarter of n (10) from above, where
+        # inner-product windows leave it
         for size in (n, 31, 12, 10, 9, 4, 4, 4, 4, 4):
             rows = np.sort(rng.choice(rows, size=size, replace=False))
             t = min(dim - 1, t + int(rng.integers(1, 700)))
+            views.clear()
             got = arms.sums(rows, t)
             want = brute_sums(vs, q, kind, rows, order[:t])
             assert np.all(np.abs(got / t - want / t) <= arms.mean_error)
+            on_view = size == n if kind is NSD else 4 * size >= n
+            assert set(views) <= {on_view}
         got = arms.sums(rows, dim)
         assert got.tolist() == brute_sums(vs, q, kind, rows, np.arange(dim)).tolist()
 
@@ -307,6 +327,9 @@ def test_float32_means_within_mean_error_random_data(kind):
     q = Query(rng.standard_normal(dim) * 3.0)
     arms = build_arms(vs, q, kind, start=int(rng.integers(dim)))
     assert arms.mean_error > 0.0
+    # the bounds build_arms hands over are the ones LazySource would compute
+    perm, copy = vs.permuted()
+    assert arms.mean_error == LazySource(copy, q.vector[perm], kind).mean_error
     order = prefix_order(arms, vs)
     rows, t = np.arange(n), 0
     while t < dim - 1:

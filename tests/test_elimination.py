@@ -9,9 +9,12 @@ import pytest
 from bandit_mips.bounds import shrinkage
 from bandit_mips.elimination import (
     EliminationConfig,
+    EliminationTrace,
+    RoundRecord,
     elimination_schedule,
     eliminate,
     median_elimination_topk,
+    pull_batch,
     round_pull_target,
 )
 
@@ -285,3 +288,102 @@ def test_round_target_at_least_one_pull():
     assert trace.max_arm_pulls == 1
     assert all(math.isfinite(m) for m in trace.returned_means)
     assert ids == [7, 6]
+
+
+# --- oracle: the loop as it was before the round plan ------------------------
+
+
+def oracle_eliminate(rows, means, k):
+    s = rows.size
+    if s <= k:
+        raise ValueError("survivors must exceed k")
+    drop_count = (s - k + 1) // 2
+    order = np.lexsort((-rows, means))  # ascending mean, then descending id
+    keep = np.ones(s, dtype=bool)
+    keep[order[:drop_count]] = False
+    return keep
+
+
+def oracle_topk(arms, config):
+    """The search loop that planned each round after the previous one's pulls."""
+    n, list_len = arms.n, arms.list_len
+    trace = EliminationTrace()
+    if n <= config.k:
+        trace.returned = list(range(n))
+        return list(trace.returned), trace
+
+    alive = np.arange(n)
+    target = 0
+    round_index = 1
+    while alive.size > config.k:
+        eps_l, delta_l = elimination_schedule(config.epsilon, config.delta, round_index)
+        target_prev = target
+        target = round_pull_target(
+            alive.size, config.k, eps_l, delta_l, config.range_width, list_len, arms.mean_error
+        )
+        target = max(target, target_prev)  # increments are never negative
+        trace.total_pulls += alive.size * (target - target_prev)
+        means = pull_batch(arms, alive, target)
+        trace.rounds.append(RoundRecord(round_index, alive.size, eps_l, delta_l, target))
+        keep = oracle_eliminate(alive, means, config.k)
+        alive, means = alive[keep], means[keep]
+        round_index += 1
+
+    trace.max_arm_pulls = target
+    order = np.lexsort((alive, -means))
+    trace.returned = alive[order].tolist()
+    trace.returned_means = means[order].tolist()
+    return list(trace.returned), trace
+
+
+def oracle_cases():
+    """(rewards, config) pairs: continuous means, means tied at the cut,
+    +0.0 beside -0.0 means, and k = n - 1."""
+    rng = np.random.default_rng(41)
+    for trial in range(60):
+        n = int(rng.integers(2, 90))
+        list_len = int(rng.integers(1, 400))
+        k = n - 1 if trial % 4 == 0 else int(rng.integers(1, n))
+        style = trial % 3
+        if style == 0:
+            rewards = rng.random((n, list_len))
+        elif style == 1:
+            # a few distinct rows, so whole groups of means tie at every cut
+            distinct = rng.integers(0, 2, (int(rng.integers(1, 4)), list_len)).astype(float)
+            rewards = distinct[rng.integers(0, len(distinct), n)]
+        else:
+            # all-zero lists, half of them -0.0: means +0.0 and -0.0 tie
+            rewards = np.zeros((n, list_len))
+            rewards[rng.random(n) < 0.5] = -0.0
+            rewards[rng.random(n) < 0.2, 0] = 1.0
+        eps = float(rng.choice([0.0, 0.05, 0.3, 1.5]))
+        config = EliminationConfig(k=k, epsilon=eps, delta=float(rng.uniform(0.01, 0.5)))
+        yield rewards, config
+
+
+def test_topk_matches_the_oracle_loop():
+    cases = 0
+    for rewards, config in oracle_cases():
+        ids, trace = median_elimination_topk(MatrixArms(rewards), config)
+        want_ids, want = oracle_topk(MatrixArms(rewards), config)
+        assert ids == want_ids
+        # repr tells -0.0 from 0.0
+        assert [repr(m) for m in trace.returned_means] == [repr(m) for m in want.returned_means]
+        assert trace.rounds == want.rounds
+        assert trace.total_pulls == want.total_pulls
+        assert trace.max_arm_pulls == want.max_arm_pulls
+        cases += 1
+    assert cases == 60
+
+
+def test_eliminate_matches_the_oracle_for_ids_in_any_order():
+    rng = np.random.default_rng(42)
+    for _ in range(300):
+        s = int(rng.integers(2, 60))
+        k = int(rng.integers(1, s))
+        rows = rng.permutation(200)[:s]
+        if rng.random() < 0.5:
+            rows = np.sort(rows)
+        means = rng.integers(-2, 3, s) * 0.5
+        means[means == 0.0] *= rng.choice([1.0, -1.0], np.count_nonzero(means == 0.0))
+        assert eliminate(rows, means, k).tolist() == oracle_eliminate(rows, means, k).tolist()

@@ -12,6 +12,7 @@ from bandit_mips.mips import (
     Query,
     VectorSet,
     _block_rows,
+    _start_offset,
     build_arms,
     mips_topk,
     reward_range,
@@ -203,6 +204,8 @@ def test_mips_topk_n_equals_k():
     ids, trace = mips_topk(vs, q, 4, epsilon=0.5, delta=0.1)
     assert ids == [0, 1, 2, 3]
     assert trace.total_pulls == 0
+    # no pulls, so no permuted copy either
+    assert vs._permuted is None
 
 
 def test_mips_topk_degenerate_falls_back_with_warning():
@@ -219,9 +222,40 @@ def test_mips_topk_degenerate_falls_back_with_warning():
     [(-5.0, 0.1), (float("nan"), 0.1), (float("inf"), 0.1), (0.1, 0.0), (0.1, 7.0)],
 )
 def test_mips_topk_degenerate_validates_epsilon_and_delta(epsilon, delta):
-    # the first-k fallback applies the search's own epsilon and delta checks
+    # the first-k fallback and the k = n answer apply the search's own
+    # epsilon and delta checks
     with pytest.raises(ValueError):
         mips_topk(VectorSet(np.zeros((3, 4))), Query(np.ones(4)), 2, epsilon, delta)
+    with pytest.raises(ValueError):
+        mips_topk(VectorSet(np.eye(3, 4)), Query(np.ones(4)), 3, epsilon, delta)
+
+
+def test_start_offset_is_a_spread_function_of_the_seed():
+    dim = 10_000
+    offsets = [_start_offset(seed, dim) for seed in range(4000)]
+    assert offsets == [_start_offset(seed, dim) for seed in range(4000)]
+    assert all(0 <= o < dim for o in offsets)
+    assert len(set(offsets[:10])) == 10
+    # expected 1000 per quarter; 800 is over 7 standard deviations below
+    assert np.bincount(np.array(offsets) * 4 // dim, minlength=4).min() >= 800
+    assert _start_offset(np.int64(7), dim) == _start_offset(7, dim)
+    assert _start_offset(2**64 + 7, dim) == _start_offset(7, dim)
+    assert all(_start_offset(seed, 1) == 0 for seed in range(5))
+    with pytest.raises(ValueError):
+        _start_offset(-1, dim)
+
+
+def test_mips_topk_same_seed_same_answer():
+    rng = np.random.default_rng(44)
+    data = rng.standard_normal((300, 2000))
+    q = Query(rng.standard_normal(2000))
+    lo, hi = reward_range(VectorSet(data), q, IP)
+    for seed in (0, 1, 2**63 + 5):
+        runs = [mips_topk(VectorSet(data), q, 3, 0.3 * (hi - lo), 0.1, seed=seed) for _ in range(2)]
+        (ids_a, trace_a), (ids_b, trace_b) = runs
+        assert ids_a == ids_b
+        assert trace_a.returned_means == trace_b.returned_means
+        assert trace_a.total_pulls == trace_b.total_pulls
 
 
 def test_mips_topk_dimension_mismatch():
