@@ -1,11 +1,14 @@
 """Arm sets in the ``Arms`` protocol of ``elimination``.
 
 An arm set holds n arms with reward lists of a common length N and answers
-``sums(rows, t)``: the reward sums of ``rows`` after ``t`` pulls each.  Every
-survivor of the search has the same pull count, so an arm set is a few
-arrays, not n objects.  ``mean_error`` bounds how far a mean ``sums/t``
-may lie from the exact one through floating-point rounding; the search
-widens its radius by it.
+``sums(t, keep)``: the reward sums of the arms in play after ``t`` pulls
+each.  ``keep=None`` starts a search with every arm in play; each later
+call passes the previous round's boolean keep mask over the arms it
+returned, and the arm set compacts its own survivor ids and running sums.
+Every arm in play has the same pull count, so an arm set is a few arrays,
+not n objects.  ``mean_error`` bounds how far a mean ``sums/t`` may lie
+from the exact one through floating-point rounding; the search widens its
+radius by it.  ``checked_keep`` validates a call for every arm set.
 
 ``LazySource`` reads the rows of a matrix, computing rewards on demand in
 one column order shared by all arms; ``PositionSampler`` draws the random
@@ -29,6 +32,7 @@ WINDOW_BLOCK = 1024
 # Rows per block of an exhaustive float64 re-sum and of building a permuted
 # copy; bounds their temporaries to that many rows x N floats.
 ROW_BLOCK = 64
+_BOOL = np.dtype(bool)
 
 
 class ObjectiveKind(enum.Enum):
@@ -69,6 +73,35 @@ def _float32_mean_error(kind: ObjectiveKind, data_bound: float, query_bound: flo
     return eta
 
 
+def checked_keep(
+    keep, in_play: int | None, pulls: int, t: int, list_len: int
+) -> np.ndarray | None:
+    """``keep`` as a boolean mask, once one ``sums(t, keep)`` call is valid.
+
+    ``in_play`` is the number of arms the previous call returned (None
+    before any call) and ``pulls`` its pull count.  ``keep=None`` starts
+    over from no pulls; a mask must be boolean and hold one entry per arm in
+    play.  Either way t must lie in [pulls, list_len].  Raises ValueError
+    naming the fault before the arm set changes.
+    """
+    if keep is None:
+        pulls = 0
+    elif in_play is None:
+        raise ValueError("a keep mask needs a previous round: call sums(t) with keep=None first")
+    else:
+        keep = np.asarray(keep)
+        if keep.dtype != _BOOL:
+            raise ValueError(f"keep must be a boolean mask, not {keep.dtype}")
+        if keep.shape != (in_play,):
+            raise ValueError(f"keep has shape {keep.shape}, but {in_play} arms are in play")
+    if not pulls <= t <= list_len:
+        raise ValueError(
+            f"pull count {t} outside [{pulls}, {list_len}]: "
+            "t never decreases and never exceeds the list length"
+        )
+    return keep
+
+
 class PositionSampler:
     """The positions 0..N-1 in one uniformly random order drawn from ``seed``.
 
@@ -97,11 +130,12 @@ class LazySource:
     Arm i's reward at column j is ``data[i, j] * query[j]``, or with
     ``NEG_SQ_DISTANCE`` ``-(data[i, j] - query[j])^2``.  Every arm reads the
     columns in the cyclic order start, start + 1, ..., so a round's new
-    pulls for all survivors are one contiguous column window (two where it
-    wraps), evaluated in blocks of at most ``WINDOW_BLOCK`` columns.  The
+    pulls for all arms in play are one contiguous column window (two where
+    it wraps), evaluated in blocks of at most ``WINDOW_BLOCK`` columns.  The
     reads are uniform without-replacement samples when the columns are in
-    uniformly random order (``mips.build_arms`` permutes them).  Cumulative
-    sums are kept for the rows asked about last.
+    uniformly random order (``mips.build_arms`` permutes them).  The object
+    keeps the ids of the arms in play and their cumulative sums, and
+    compacts both by each call's keep mask; ``sums`` returns a fresh array.
 
     ``data`` is float64 or float32.  On float32 data the windows are
     evaluated in float32 against the query rounded to float32, and
@@ -113,12 +147,18 @@ class LazySource:
     exhausted means carry no float32 rounding.
 
     Read rule: a window is evaluated either for every row on the strided
-    view of ``data`` or for the survivors' gathered rows.  Inner-product
-    windows use the view while at least a quarter of the rows survive, as
-    BLAS reads it with its threads faster than it gathers the survivors'
-    rows.  Distance windows are single-threaded elementwise work, so they
-    use the view only while every row survives, and gather from the first
-    elimination on.
+    view of ``data`` or for the gathered rows of the arms in play.
+    Inner-product windows use the view while at least a quarter of the rows
+    are in play, as BLAS reads it with its threads faster than it gathers
+    the rows; their sums stay n long, every row's advancing, until the
+    switch compacts them once.  Distance windows are single-threaded
+    elementwise work, so they use the view only while every row is in play,
+    and gather from the first elimination on.
+
+    ``data`` is never written.  A gathered distance window is a fresh copy,
+    so ``draw`` subtracts the query into it in place where both have one
+    dtype; on the view, and in the float64 re-sum of float32 rows, it
+    subtracts into a new array, which a float32 buffer would round.
     """
 
     def __init__(
@@ -151,44 +191,52 @@ class LazySource:
                 self.mean_error, self._window_query = eta, query.astype(np.float32)
         self.n, self.list_len = data.shape
         self.start = start % self.list_len
-        self._sums = np.zeros(self.n)
-        self._live = np.ones(self.n, dtype=bool)
+        # Ids in play (None before the first call), their sums (n long while
+        # ``_full``, else one per id) and their pull count.
+        self._ids: np.ndarray | None = None
+        self._sums: np.ndarray | None = None
+        self._full = True
         self._pulls = 0
 
-    def sums(self, rows: np.ndarray, t: int) -> np.ndarray:
-        """Cumulative reward sums of ``rows`` over the first ``t`` positions."""
-        rows = np.asarray(rows, dtype=np.intp)
-        if not self._pulls <= t <= self.list_len:
-            raise ValueError(
-                f"pull count {t} outside [{self._pulls}, {self.list_len}]: "
-                "t never decreases and never exceeds the list length"
-            )
-        if not self._live[rows].all():
-            raise ValueError("rows must be a subset of the rows of the previous call")
-        done = self._pulls
-        if self.mean_error and done < t == self.list_len:
-            for i in range(0, rows.size, ROW_BLOCK):
-                block = rows[i : i + ROW_BLOCK]
-                self._sums[block] = self.draw(block, 0, self.list_len, exact=True)
-            done = t
-        # The read rule of the class docstring.  On the view every row's sum
-        # advances, dead rows' too; those are never asked about again.
-        if self._kind is ObjectiveKind.INNER_PRODUCT:
-            on_view = 4 * rows.size >= self.n
+    def sums(self, t: int, keep: np.ndarray | None = None) -> np.ndarray:
+        """Cumulative reward sums of the arms in play over the first ``t`` positions.
+
+        ``keep=None`` puts every arm in play with no pulls yet; a boolean
+        ``keep`` over the arms of the previous call drops the False ones.
+        """
+        in_play = None if self._ids is None else self._ids.size
+        keep = checked_keep(keep, in_play, self._pulls, t, self.list_len)
+        if keep is None:
+            self._ids, self._sums, self._full = np.arange(self.n), np.zeros(self.n), True
+            done = 0
         else:
-            on_view = rows.size == self.n
+            self._ids = self._ids[keep]
+            if not self._full:
+                self._sums = self._sums[keep]
+            done = self._pulls
+        ids = self._ids
+        # The read rule of the class docstring; n-long sums are compacted
+        # once, when the view is left.
+        if self._full:
+            if self._kind is ObjectiveKind.INNER_PRODUCT:
+                self._full = 4 * ids.size >= self.n
+            else:
+                self._full = ids.size == self.n
+            if not self._full:
+                self._sums = self._sums[ids]
+        if self.mean_error and done < t == self.list_len:
+            exact = np.empty(ids.size)
+            for i in range(0, ids.size, ROW_BLOCK):
+                exact[i : i + ROW_BLOCK] = self.draw(ids[i : i + ROW_BLOCK], 0, t, exact=True)
+            self._sums, self._full, done = exact, False, t
+        rows = None if self._full else ids
         while done < t:
             a = (self.start + done) % self.list_len
             b = min(a + t - done, self.list_len, a + WINDOW_BLOCK)
-            if on_view:
-                self._sums += self.draw(None, a, b)
-            else:
-                self._sums[rows] += self.draw(rows, a, b)
+            self._sums += self.draw(rows, a, b)
             done += b - a
         self._pulls = t
-        self._live[:] = False
-        self._live[rows] = True
-        return self._sums[rows]
+        return self._sums[ids] if self._full else self._sums.copy()
 
     def draw(self, rows: np.ndarray | None, a: int, b: int, exact: bool = False) -> np.ndarray:
         """Reward sums of ``rows`` (None: every row) over columns [a, b).
@@ -201,5 +249,10 @@ class LazySource:
         query = (self._query if exact else self._window_query)[a:b]
         if self._kind is ObjectiveKind.INNER_PRODUCT:
             return window @ query
-        diff = window - query
-        return -np.einsum("ij,ij->i", diff, diff)
+        # The gathered window is a copy of its own; the view is ``data``.
+        if rows is not None and window.dtype == query.dtype:
+            diff = np.subtract(window, query, out=window)
+        else:
+            diff = window - query
+        out = np.einsum("ij,ij->i", diff, diff)
+        return np.negative(out, out=out)

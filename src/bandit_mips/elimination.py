@@ -15,13 +15,15 @@ survivors are measured exactly and later rounds add no pulls.  Survivor
 counts, budgets and targets never depend on the sampled means, so the
 search plans every round before its first pull.
 
-Arms are read through the ``Arms`` protocol: ``sums(rows, t)`` returns the
-cumulative reward sums of ``rows`` after ``t`` pulls each.  Every survivor
-has the same pull count, so the loop holds no per-arm state beyond an int
-array of survivors.  An arm set whose sums carry rounding error declares a
-bound ``mean_error`` on it, and each round asks the sampled means for
-eps_l/2 - mean_error per tail, so that the computed means still lie within
-eps_l/2 of the true ones.
+Arms are read through the ``Arms`` protocol: ``sums(t, keep)`` returns the
+cumulative reward sums of the arms in play after ``t`` pulls each, where
+the first round passes ``keep=None`` (every arm) and each later one the
+keep mask ``eliminate`` returned.  The arm set compacts its own survivors,
+so the loop holds no per-arm state beyond the int array of survivor ids
+that breaks ties and names the answer.  An arm set whose sums carry
+rounding error declares a bound ``mean_error`` on it, and each round asks
+the sampled means for eps_l/2 - mean_error per tail, so that the computed
+means still lie within eps_l/2 of the true ones.
 """
 
 from __future__ import annotations
@@ -50,12 +52,16 @@ __all__ = [
 class Arms(Protocol):
     """n arms with reward lists of length ``list_len``, ids 0..n-1.
 
-    ``sums(rows, t)`` returns, for each id in the int array ``rows``, the sum
-    of its first ``t`` rewards in a uniformly random without-replacement
-    order (0 <= t <= list_len).  Across calls on one object ``rows`` only
-    shrinks and ``t`` never decreases, so an implementation may add only
-    the new pulls of the current rows.  ``mean_error`` bounds
-    |sums(rows, t)/t - exact mean of those t rewards| for every row and
+    ``sums(t, keep)`` returns, for each arm in play in increasing id order,
+    the sum of its first ``t`` rewards in a uniformly random
+    without-replacement order (0 <= t <= list_len).  ``keep=None`` puts
+    every arm in play with no pulls yet; a later call passes a boolean mask
+    over the arms the previous call returned, True for those that stay, and
+    a ``t`` no smaller than the previous one, so an implementation adds only
+    the new pulls of the arms in play.  A mask with no previous call, of the
+    wrong dtype or length, or a ``t`` out of range raises ValueError, and
+    the returned array is the caller's own.  ``mean_error`` bounds
+    |sums(t, keep)/t - exact mean of those t rewards| for every arm and
     t < list_len; at t = list_len the sums are exact.
     """
 
@@ -63,7 +69,7 @@ class Arms(Protocol):
     list_len: int
     mean_error: float
 
-    def sums(self, rows: np.ndarray, t: int) -> np.ndarray: ...
+    def sums(self, t: int, keep: np.ndarray | None = None) -> np.ndarray: ...
 
 
 @dataclass(slots=True)
@@ -187,11 +193,20 @@ def _round_plan(
     return plan
 
 
-def pull_batch(arms: Arms, rows: np.ndarray, t: int) -> np.ndarray:
-    """Empirical means of ``rows`` after ``t`` pulls each (t >= 1)."""
+def pull_batch(arms: Arms, keep: np.ndarray | None, t: int) -> np.ndarray:
+    """Empirical means of the arms in play after ``t`` pulls each (t >= 1).
+
+    ``keep`` is passed on to ``arms.sums``: None in the first round, then
+    the previous round's keep mask.
+    """
     if t < 1:
         raise ValueError("an empirical mean needs at least one pull")
-    return arms.sums(rows, t) / t
+    return arms.sums(t, keep) / t
+
+
+# From this many survivors on, one argpartition over a complex key finds the
+# drop set faster than lexsort; below it lexsort is faster.
+PARTITION_MIN = 512
 
 
 def eliminate(rows: np.ndarray, means: np.ndarray, k: int) -> np.ndarray:
@@ -199,14 +214,21 @@ def eliminate(rows: np.ndarray, means: np.ndarray, k: int) -> np.ndarray:
 
     Ties on the mean drop the larger row id first, making the outcome a pure
     function of (means, ids).  Applying the mask keeps the input order.
+    With at least ``PARTITION_MIN`` rows the drop set is the first part of
+    an argpartition of ``means - 1j*rows``: complex values order by real
+    part, then imaginary part, which is lexsort's (mean ascending, id
+    descending) order, and the ids are distinct, so the set is the same.
     """
     s = rows.size
     if s <= k:
         raise ValueError("survivors must exceed k")
     drop_count = (s - k + 1) // 2
-    order = np.lexsort((-rows, means))  # ascending mean, then descending id
+    if s >= PARTITION_MIN:
+        drop = np.argpartition(means - 1j * rows, drop_count - 1)[:drop_count]
+    else:
+        drop = np.lexsort((-rows, means))[:drop_count]  # ascending mean, then descending id
     keep = np.ones(s, dtype=bool)
-    keep[order[:drop_count]] = False
+    keep[drop] = False
     return keep
 
 
@@ -238,14 +260,15 @@ def median_elimination_topk(
 
     trace.rounds = _round_plan(n, config, list_len, arms.mean_error)
     alive = np.arange(n)
-    target = 0
+    keep, target = None, 0
     for record in trace.rounds:
         trace.total_pulls += record.survivors * (record.pull_target - target)
         target = record.pull_target
-        means = pull_batch(arms, alive, target)
+        means = pull_batch(arms, keep, target)
         keep = eliminate(alive, means, config.k)
-        alive, means = alive[keep], means[keep]
+        alive = alive[keep]
 
+    means = means[keep]
     trace.max_arm_pulls = target
     order = np.lexsort((alive, -means))
     trace.returned = alive[order].tolist()

@@ -1,0 +1,128 @@
+"""Earlier versions of the search, kept verbatim as oracles for the tests.
+
+``oracle_topk`` is the halving loop as it was before the round plan, with
+its ``lexsort`` ``oracle_eliminate`` and ``oracle_pull_batch``, in the
+former ``Arms`` protocol ``sums(rows, t)``: the reward sums of an int array
+``rows`` that only shrinks across calls.  ``RowsLazySource`` is
+``LazySource`` in that protocol, with its n-long live mask and sums.  The
+current code must give bit-identical answers.
+"""
+
+import numpy as np
+
+from bandit_mips.arms import ROW_BLOCK, WINDOW_BLOCK, LazySource, ObjectiveKind
+from bandit_mips.elimination import (
+    EliminationTrace,
+    RoundRecord,
+    elimination_schedule,
+    round_pull_target,
+)
+
+
+def oracle_pull_batch(arms, rows, t):
+    """Empirical means of ``rows`` after ``t`` pulls each (t >= 1)."""
+    if t < 1:
+        raise ValueError("an empirical mean needs at least one pull")
+    return arms.sums(rows, t) / t
+
+
+def oracle_eliminate(rows, means, k):
+    s = rows.size
+    if s <= k:
+        raise ValueError("survivors must exceed k")
+    drop_count = (s - k + 1) // 2
+    order = np.lexsort((-rows, means))  # ascending mean, then descending id
+    keep = np.ones(s, dtype=bool)
+    keep[order[:drop_count]] = False
+    return keep
+
+
+def oracle_topk(arms, config):
+    """The search loop that planned each round after the previous one's pulls."""
+    n, list_len = arms.n, arms.list_len
+    trace = EliminationTrace()
+    if n <= config.k:
+        trace.returned = list(range(n))
+        return list(trace.returned), trace
+
+    alive = np.arange(n)
+    target = 0
+    round_index = 1
+    while alive.size > config.k:
+        eps_l, delta_l = elimination_schedule(config.epsilon, config.delta, round_index)
+        target_prev = target
+        target = round_pull_target(
+            alive.size, config.k, eps_l, delta_l, config.range_width, list_len, arms.mean_error
+        )
+        target = max(target, target_prev)  # increments are never negative
+        trace.total_pulls += alive.size * (target - target_prev)
+        means = oracle_pull_batch(arms, alive, target)
+        trace.rounds.append(RoundRecord(round_index, alive.size, eps_l, delta_l, target))
+        keep = oracle_eliminate(alive, means, config.k)
+        alive, means = alive[keep], means[keep]
+        round_index += 1
+
+    trace.max_arm_pulls = target
+    order = np.lexsort((alive, -means))
+    trace.returned = alive[order].tolist()
+    trace.returned_means = means[order].tolist()
+    return list(trace.returned), trace
+
+
+class RowsLazySource(LazySource):
+    """``LazySource.sums`` and ``draw`` in the ``sums(rows, t)`` protocol."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._sums = np.zeros(self.n)
+        self._live = np.ones(self.n, dtype=bool)
+        self._pulls = 0
+
+    def sums(self, rows: np.ndarray, t: int) -> np.ndarray:
+        """Cumulative reward sums of ``rows`` over the first ``t`` positions."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if not self._pulls <= t <= self.list_len:
+            raise ValueError(
+                f"pull count {t} outside [{self._pulls}, {self.list_len}]: "
+                "t never decreases and never exceeds the list length"
+            )
+        if not self._live[rows].all():
+            raise ValueError("rows must be a subset of the rows of the previous call")
+        done = self._pulls
+        if self.mean_error and done < t == self.list_len:
+            for i in range(0, rows.size, ROW_BLOCK):
+                block = rows[i : i + ROW_BLOCK]
+                self._sums[block] = self.draw(block, 0, self.list_len, exact=True)
+            done = t
+        # The read rule of the class docstring.  On the view every row's sum
+        # advances, dead rows' too; those are never asked about again.
+        if self._kind is ObjectiveKind.INNER_PRODUCT:
+            on_view = 4 * rows.size >= self.n
+        else:
+            on_view = rows.size == self.n
+        while done < t:
+            a = (self.start + done) % self.list_len
+            b = min(a + t - done, self.list_len, a + WINDOW_BLOCK)
+            if on_view:
+                self._sums += self.draw(None, a, b)
+            else:
+                self._sums[rows] += self.draw(rows, a, b)
+            done += b - a
+        self._pulls = t
+        self._live[:] = False
+        self._live[rows] = True
+        return self._sums[rows]
+
+    def draw(self, rows: np.ndarray | None, a: int, b: int, exact: bool = False) -> np.ndarray:
+        """Reward sums of ``rows`` (None: every row) over columns [a, b).
+
+        The sums are in the window dtype, or with ``exact`` in float64 (the
+        float64 query promotes a float32 window, which holds its entries
+        exactly).
+        """
+        window = self._data[:, a:b] if rows is None else self._data[rows, a:b]
+        query = (self._query if exact else self._window_query)[a:b]
+        if self._kind is ObjectiveKind.INNER_PRODUCT:
+            return window @ query
+        diff = window - query
+        return -np.einsum("ij,ij->i", diff, diff)

@@ -18,11 +18,12 @@ import pytest
 
 from bandit_mips import elimination
 from bandit_mips.baselines import naive_topk
-from bandit_mips.bench import ME, me_dominates, run_compare, run_validate
+from bandit_mips.bench import ME, run_compare, run_validate
 from bandit_mips.bounds import pull_target, shrinkage
 from bandit_mips.cli import main
 from bandit_mips.datasets import gen_vectors
 from bandit_mips.mips import ObjectiveKind, Query, VectorSet, build_arms, mips_topk
+from dominance import me_dominates
 
 EPSILONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 DELTAS = (0.05, 0.1, 0.2, 0.3)
@@ -134,7 +135,7 @@ def test_criterion_4_oracle_equivalence():
         if trial % 10 == 0:  # exhaustive arm-mean audit on a tenth of them
             brute_means = data @ q / dim
             arms = build_arms(vs, query, ObjectiveKind.INNER_PRODUCT, start=trial)
-            means = arms.sums(np.arange(n), dim) / dim
+            means = arms.sums(dim) / dim
             for arm_id in range(n):
                 assert means[arm_id] == pytest.approx(
                     brute_means[arm_id], rel=1e-9, abs=1e-12
@@ -161,12 +162,13 @@ def test_criterion_5_exhaustion_exactness():
         one_hot = VectorSet(np.diag(values), seed=seed)
         order = np.roll(one_hot.permuted()[0], -start)
         arms = build_arms(one_hot, ones, ObjectiveKind.INNER_PRODUCT, start)
-        rows = np.arange(length)
+        keep = None
         before = np.zeros(length)
         t = 0
         while t < length:
             batch = int(rng.integers(1, length - t + 1))
-            now = arms.sums(rows, t + batch)
+            now = arms.sums(t + batch, keep)
+            keep = np.ones(length, dtype=bool)
             # this batch read exactly the next positions of the pi prefix
             assert sorted(np.flatnonzero(now != before).tolist()) == sorted(
                 order[t : t + batch].tolist()
@@ -176,7 +178,7 @@ def test_criterion_5_exhaustion_exactness():
 
         twin = build_arms(VectorSet(values[None, :], seed=seed), ones,
                           ObjectiveKind.INNER_PRODUCT, start)
-        assert twin.sums(np.array([0]), length)[0] / length == pytest.approx(
+        assert twin.sums(length)[0] / length == pytest.approx(
             values.mean(), rel=1e-9, abs=1e-15
         )
 

@@ -9,6 +9,10 @@ Several tests use one-hot data: with ``data = diag(values)`` and an all-ones
 query, arm i's only nonzero reward sits at column i, so the arms whose sums
 change during a call are exactly the columns that call read, and every sum
 is exact.
+
+Arm sets answer ``sums(t, keep)``: ``keep=None`` puts every arm in play,
+and each later call passes a boolean mask over the arms of the previous
+call.  ``narrow`` turns a sorted subset of the rows in play into that mask.
 """
 
 import numpy as np
@@ -17,8 +21,15 @@ import pytest
 from bandit_mips.arms import WINDOW_BLOCK, LazySource, PositionSampler
 from bandit_mips.baselines import naive_topk
 from bandit_mips.datasets import AdversarialInstance
-from bandit_mips.elimination import elimination_schedule, pull_batch, round_pull_target
+from bandit_mips.elimination import (
+    EliminationConfig,
+    elimination_schedule,
+    median_elimination_topk,
+    pull_batch,
+    round_pull_target,
+)
 from bandit_mips.mips import ObjectiveKind, Query, VectorSet, build_arms, mips_topk, reward_range
+from oracles import RowsLazySource, oracle_topk
 
 IP = ObjectiveKind.INNER_PRODUCT
 NSD = ObjectiveKind.NEG_SQ_DISTANCE
@@ -30,15 +41,23 @@ def one_hot_arms(values, seed=0, start=0):
     return build_arms(vs, Query(np.ones(values.size)), IP, start)
 
 
+def narrow(in_play, rows):
+    """Keep mask over the ids ``in_play`` that leaves the sorted ids ``rows``."""
+    keep = np.isin(in_play, rows)
+    assert in_play[keep].tolist() == list(rows)
+    return keep
+
+
 def columns_read(arms, splits):
     """Pull all rows through the batch sizes ``splits``; the columns each batch read."""
-    rows = np.arange(arms.n)
     before = np.zeros(arms.n)
     t = 0
     batches = []
+    keep = None
     for count in splits:
         t += count
-        now = arms.sums(rows, t)
+        now = arms.sums(t, keep)
+        keep = np.ones(arms.n, dtype=bool)
         batches.append(np.flatnonzero(now != before).tolist())
         before = now
     return batches, before
@@ -51,21 +70,21 @@ def prefix_order(arms, vectors):
 def test_materialized_full_draw_exact_mean():
     vs = VectorSet(np.array([[1.0, 0.0, 0.0, 0.0]]))
     arms = build_arms(vs, Query(np.ones(4)), IP, start=3)
-    assert arms.sums(np.array([0]), 4)[0] / 4 == 0.25
+    assert arms.sums(4)[0] / 4 == 0.25
 
 
 def test_empirical_mean_requires_pulls():
     arms = one_hot_arms([1.0, 2.0])
     with pytest.raises(ValueError):
-        pull_batch(arms, np.arange(2), 0)
-    assert pull_batch(arms, np.arange(2), 2).tolist() == [0.5, 1.0]
+        pull_batch(arms, None, 0)
+    assert pull_batch(arms, None, 2).tolist() == [0.5, 1.0]
 
 
 def test_stream_source_fixed_order():
     # ones stream out before zeros, so a 3-pull prefix sees only ones
     arms = AdversarialInstance(np.array([0.3]), np.array([3]), 10)
-    assert arms.sums(np.array([0]), 3)[0] / 3 == 1.0
-    assert arms.sums(np.array([0]), 10)[0] / 10 == 0.3
+    assert arms.sums(3)[0] / 3 == 1.0
+    assert arms.sums(10, np.array([True]))[0] / 10 == 0.3
 
 
 def test_full_draw_recovers_multiset():
@@ -91,10 +110,11 @@ def test_full_draw_multiset_across_window_blocks():
         arms = build_arms(vs, Query(np.ones(n_cols)), IP, start)
         assert arms.mean_error > 0.0
         order = prefix_order(arms, vs)
-        t = 0
+        t, keep = 0, None
         for count in (250, WINDOW_BLOCK + 3, 1, n_cols - WINDOW_BLOCK - 254):
             t += count
-            got = arms.sums(np.arange(3), t)
+            got = arms.sums(t, keep)
+            keep = np.ones(3, dtype=bool)
             want = vs.data[:, order[:t]].sum(axis=1)
             assert np.all(np.abs(got - want) <= arms.mean_error * t)
         assert t == n_cols
@@ -107,34 +127,74 @@ def test_exhaustion_mean_matches_list_mean():
     q = Query(rng.standard_normal(128))
     for kind, lists in ((IP, vs.data * q.vector), (NSD, -((vs.data - q.vector) ** 2))):
         arms = build_arms(vs, q, kind, start=5)
-        means = arms.sums(np.arange(6), 128) / 128
+        means = arms.sums(128) / 128
         assert means == pytest.approx(lists.mean(axis=1), rel=1e-9)
 
 
 def test_overdraw_is_a_hard_error():
     arms = one_hot_arms([1.0, 2.0])
-    arms.sums(np.arange(2), 2)
+    arms.sums(2)
     with pytest.raises(ValueError):
-        arms.sums(np.arange(2), 3)
+        arms.sums(3, np.ones(2, dtype=bool))
     with pytest.raises(ValueError):
-        AdversarialInstance(np.array([0.5]), np.array([1]), 2).sums(np.array([0]), 3)
+        AdversarialInstance(np.array([0.5]), np.array([1]), 2).sums(3)
 
 
 def test_pull_batch_overdraw_rejected_before_sampling():
     arms = one_hot_arms([1.0, 2.0, 3.0], start=1)
-    first = arms.sums(np.arange(3), 2).tolist()
+    first = arms.sums(2).tolist()
     with pytest.raises(ValueError):
-        arms.sums(np.arange(3), 4)
+        arms.sums(4, np.ones(3, dtype=bool))
     # the rejected call read nothing: the same pull count gives the same sums
-    assert arms.sums(np.arange(3), 2).tolist() == first
+    assert arms.sums(2, np.ones(3, dtype=bool)).tolist() == first
 
 
-def test_pull_batch_arm_id_mismatch():
-    # only rows of the previous call may be asked about again
-    arms = one_hot_arms([1.0, 2.0, 3.0])
-    arms.sums(np.array([0, 2]), 1)
-    with pytest.raises(ValueError):
-        arms.sums(np.array([1, 2]), 2)
+def keep_mask_arm_sets(n):
+    """Both arm sets over n arms whose lists have length n."""
+    ones = np.arange(1, n + 1)
+    inst = AdversarialInstance(ones / n, ones, n)
+    return [one_hot_arms(ones.astype(float)), inst.sources()]
+
+
+@pytest.mark.parametrize("arms", keep_mask_arm_sets(3), ids=["lazy", "adversarial"])
+def test_sums_rejects_a_bad_keep_mask(arms):
+    # a mask refers to the arms of a previous call, so it cannot come first
+    with pytest.raises(ValueError, match="previous round"):
+        arms.sums(1, np.ones(3, dtype=bool))
+    first = arms.sums(1).tolist()
+    with pytest.raises(ValueError, match="boolean"):
+        arms.sums(2, np.array([0, 2]))
+    with pytest.raises(ValueError, match="boolean"):
+        arms.sums(2, np.ones(3))
+    with pytest.raises(ValueError, match="3 arms are in play"):
+        arms.sums(2, np.ones(2, dtype=bool))
+    with pytest.raises(ValueError, match="never decreases"):
+        arms.sums(0, np.ones(3, dtype=bool))
+    with pytest.raises(ValueError, match="never exceeds"):
+        arms.sums(4, np.ones(3, dtype=bool))
+    # no rejected call changed the arm set: the mask narrows the first call
+    keep = np.array([True, False, True])
+    assert arms.sums(1, keep).tolist() == [first[0], first[2]]
+    with pytest.raises(ValueError, match="2 arms are in play"):
+        arms.sums(2, keep)
+    # keep=None starts a new search over every arm
+    assert arms.sums(1).tolist() == first
+    with pytest.raises(ValueError, match="outside"):
+        arms.sums(4)
+
+
+@pytest.mark.parametrize("arms", keep_mask_arm_sets(5), ids=["lazy", "adversarial"])
+def test_sums_returns_no_alias_of_the_running_sums(arms):
+    # for LazySource: the n-long sums of the strided view with 5 and 2 arms
+    # in play, compacted ones after the switch at 1, and the float64 re-sum
+    # at t = N
+    steps = ((1, None), (2, np.array([True, False, True, False, False])),
+             (3, np.array([True, False])), (5, np.array([True])))
+    for t, keep in steps:
+        got = arms.sums(t, keep)
+        want = got.tolist()
+        got[:] = -7.0
+        assert arms.sums(t, np.ones(got.size, dtype=bool)).tolist() == want
 
 
 def test_position_sampler_overdraw():
@@ -145,16 +205,16 @@ def test_position_sampler_overdraw():
         sampler.draw(1)
     # the arms' pull count never decreases either
     arms = one_hot_arms([1.0, 2.0, 3.0, 4.0, 5.0])
-    arms.sums(np.arange(5), 5)
+    arms.sums(5)
     with pytest.raises(ValueError):
-        arms.sums(np.arange(5), 4)
+        arms.sums(4, np.ones(5, dtype=bool))
 
 
 def test_per_arm_determinism_is_schedule_independent():
     """An arm's sums depend only on (pi, start, t).
 
-    Splitting the pulls into other rounds, or asking about other rows on
-    the way, must not change what any single arm sees beyond rounding; the
+    Splitting the pulls into other rounds, or dropping other rows on the
+    way, must not change what any single arm sees beyond rounding; the
     elimination loop relies on this to stay reproducible however rounds
     are sized.
     """
@@ -163,11 +223,11 @@ def test_per_arm_determinism_is_schedule_independent():
     q = Query(rng.standard_normal(3000))
     for kind in (IP, NSD):
         a = build_arms(vs, q, kind, start=2500)
-        a.sums(np.arange(3), 10)
-        a.sums(np.array([0, 2]), 1100)
-        got_a = a.sums(np.array([2]), 2900)
+        a.sums(10)
+        a.sums(1100, np.array([True, False, True]))
+        got_a = a.sums(2900, np.array([False, True]))
         b = build_arms(vs, q, kind, start=2500)
-        got_b = b.sums(np.array([2]), 2900)
+        got_b = b.sums(2900)[2:]
         assert got_a == pytest.approx(got_b, rel=1e-9)
 
 
@@ -222,11 +282,11 @@ def test_sums_match_brute_force_however_rounds_split():
         for trial in range(4):
             arms = build_arms(vs, q, kind, start=int(rng.integers(dim)))
             order = prefix_order(arms, vs)
-            rows = np.arange(n)
+            rows, keep = np.arange(n), None
             t = 0
             while t < dim:
                 t = min(dim, t + int(rng.integers(1, 1500)))
-                got = arms.sums(rows, t)
+                got = arms.sums(t, keep)
                 cols = order[:t]
                 block = vs.data[np.ix_(rows, cols)]
                 if kind is IP:
@@ -234,7 +294,8 @@ def test_sums_match_brute_force_however_rounds_split():
                 else:
                     want = -((block - q.vector[cols]) ** 2).sum(axis=1)
                 assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * dim)
-                rows = np.sort(rng.choice(rows, size=max(1, rows.size // 2), replace=False))
+                kept = np.sort(rng.choice(rows, size=max(1, rows.size // 2), replace=False))
+                rows, keep = kept, narrow(rows, kept)
 
 
 def test_adversarial_sums_closed_form():
@@ -242,7 +303,7 @@ def test_adversarial_sums_closed_form():
     arms = inst.sources()
     for t in range(11):
         want = [inst.reward_list(i)[:t].sum() for i in range(3)]
-        assert arms.sums(np.arange(3), t).tolist() == want
+        assert arms.sums(t, None if t == 0 else np.ones(3, dtype=bool)).tolist() == want
 
 
 # --- the float32 window engine -------------------------------------------------
@@ -301,20 +362,23 @@ def test_float32_means_within_mean_error_and_exact_at_exhaustion(kind, data_shif
         assert (arms.mean_error == 0.0) == overflows
         order = prefix_order(arms, vs)
         views = spy_on_views(arms)
-        rows, t = np.arange(n), 0
+        rows, t, keep = np.arange(n), 0, None
         # survivor counts fall from all n rows, where distance windows leave
         # the view, and cross a quarter of n (10) from above, where
         # inner-product windows leave it
         for size in (n, 31, 12, 10, 9, 4, 4, 4, 4, 4):
-            rows = np.sort(rng.choice(rows, size=size, replace=False))
+            kept = np.sort(rng.choice(rows, size=size, replace=False))
+            if keep is not None or size < n:
+                keep = narrow(rows, kept)
+            rows = kept
             t = min(dim - 1, t + int(rng.integers(1, 700)))
             views.clear()
-            got = arms.sums(rows, t)
+            got = arms.sums(t, keep)
             want = brute_sums(vs, q, kind, rows, order[:t])
             assert np.all(np.abs(got / t - want / t) <= arms.mean_error)
             on_view = size == n if kind is NSD else 4 * size >= n
             assert set(views) <= {on_view}
-        got = arms.sums(rows, dim)
+        got = arms.sums(dim, np.ones(rows.size, dtype=bool))
         assert got.tolist() == brute_sums(vs, q, kind, rows, np.arange(dim)).tolist()
 
 
@@ -331,14 +395,15 @@ def test_float32_means_within_mean_error_random_data(kind):
     perm, copy = vs.permuted()
     assert arms.mean_error == LazySource(copy, q.vector[perm], kind).mean_error
     order = prefix_order(arms, vs)
-    rows, t = np.arange(n), 0
+    rows, t, keep = np.arange(n), 0, None
     while t < dim - 1:
         t = min(dim - 1, t + int(rng.integers(1, 900)))
         want = brute_sums(vs, q, kind, rows, order[:t])
-        assert np.all(np.abs(arms.sums(rows, t) - want) <= arms.mean_error * t)
-        rows = np.sort(rng.choice(rows, size=max(1, rows.size * 2 // 3), replace=False))
+        assert np.all(np.abs(arms.sums(t, keep) - want) <= arms.mean_error * t)
+        kept = np.sort(rng.choice(rows, size=max(1, rows.size * 2 // 3), replace=False))
+        rows, keep = kept, narrow(rows, kept)
     want = brute_sums(vs, q, kind, rows, order)
-    assert np.allclose(arms.sums(rows, dim), want, rtol=1e-12, atol=0.0)
+    assert np.allclose(arms.sums(dim, keep), want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", [IP, NSD])
@@ -353,10 +418,11 @@ def test_float32_underflow_stays_within_mean_error(kind):
     arms = build_arms(vs, q, kind, start=int(rng.integers(dim)))
     assert arms.mean_error > 0.0
     order = prefix_order(arms, vs)
-    rows = np.arange(n)
+    rows, keep = np.arange(n), None
     for t in (100, 1200, dim - 1):
         want = brute_sums(vs, q, kind, rows, order[:t])
-        assert np.all(np.abs(arms.sums(rows, t) - want) <= arms.mean_error * t)
+        assert np.all(np.abs(arms.sums(t, keep) - want) <= arms.mean_error * t)
+        keep = np.ones(n, dtype=bool)
 
 
 def test_inexact_data_gets_a_float64_copy_and_no_rounding_bound():
@@ -415,3 +481,82 @@ def test_float32_radius_too_small_for_the_bound_exhausts_exactly():
         ids, trace = mips_topk(vs, q, 4, eps, 0.1, seed=5)
         assert trace.rounds[0].pull_target == 2000
         assert ids == truth
+
+
+# --- oracle: the engine in the sums(rows, t) protocol --------------------------
+
+
+def engine_cases():
+    """(vectors, queries, k) on float32-exact and float64 data, n above and
+    below ``PARTITION_MIN``; every search halves through a quarter of n."""
+    rng = np.random.default_rng(37)
+    for n, dim, queries in ((120, 2500, 10), (600, 1300, 3)):
+        for exact32 in (True, False):
+            data = rng.standard_normal((n, dim))
+            if exact32:
+                data = data.astype(np.float32).astype(np.float64)
+            vs = VectorSet(data, seed=int(rng.integers(2**31)))
+            assert (vs.permuted()[1].dtype == np.float32) == exact32
+            yield vs, [Query(rng.standard_normal(dim)) for _ in range(queries)], 5
+
+
+def test_engine_matches_the_rows_protocol_oracle():
+    # eps/w = 1e-7 puts eps_1/2 = eps/8 below eta on float32 copies, so
+    # round 1 exhausts there
+    searches = 0
+    for vs, queries, k in engine_cases():
+        perm, permuted = vs.permuted()
+        for q in queries:
+            for kind in (IP, NSD):
+                lo, hi = reward_range(vs, q, kind)
+                for frac in (1.6, 0.4, 0.2, 0.0, 1e-7):
+                    config = EliminationConfig(k=k, epsilon=frac * (hi - lo), delta=0.1,
+                                               range_width=hi - lo)
+                    start = (searches * 7919) % vs.dim
+                    args = (permuted, q.vector[perm], kind, start, vs.coord_bound, q.coord_bound)
+                    ids, trace = median_elimination_topk(LazySource(*args), config)
+                    want_ids, want = oracle_topk(RowsLazySource(*args), config)
+                    assert ids == want_ids
+                    assert trace.total_pulls == want.total_pulls
+                    assert trace.max_arm_pulls == want.max_arm_pulls
+                    assert trace.rounds == want.rounds
+                    assert [m.hex() for m in trace.returned_means] == [
+                        m.hex() for m in want.returned_means
+                    ]
+                    searches += 1
+    assert searches == 2 * 5 * 2 * (10 + 3)  # kinds x epsilons x dtypes x queries
+
+
+def test_searches_leave_the_permuted_copy_unchanged():
+    # a spy on draw sees every window the searches evaluate; with the copy
+    # read-only, a write into it would raise, and no window result may
+    # share memory with it
+    rng = np.random.default_rng(38)
+    for dtype in (np.float32, np.float64):
+        data = rng.random((80, 1500))
+        vs = VectorSet(data.astype(dtype).astype(np.float64) if dtype is np.float32 else data)
+        perm, permuted = vs.permuted()
+        assert permuted.dtype == dtype
+        before = permuted.copy()
+        permuted.flags.writeable = False
+        draws = []
+        draw = LazySource.draw
+
+        def spy(self, rows, a, b, exact=False):
+            out = draw(self, rows, a, b, exact)
+            draws.append(rows is None)
+            assert not np.shares_memory(out, self._data)
+            return out
+
+        LazySource.draw = spy
+        try:
+            for kind in (IP, NSD):
+                q = Query(rng.random(1500))
+                lo, hi = reward_range(vs, q, kind)
+                for frac in (1.6, 0.2, 0.0):
+                    mips_topk(vs, q, 4, frac * (hi - lo), 0.1, seed=int(rng.integers(99)), kind=kind)
+        finally:
+            LazySource.draw = draw
+        assert True in draws and False in draws  # both the view and gathered rows
+        assert np.array_equal(permuted, before)
+        assert vs.permuted()[1] is permuted

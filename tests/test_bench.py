@@ -13,7 +13,6 @@ from bandit_mips.bench import (
     NAIVE,
     RunRecord,
     derive_seed,
-    me_dominates,
     run_compare,
     run_query,
     run_validate,
@@ -21,7 +20,8 @@ from bandit_mips.bench import (
 )
 from bandit_mips.datasets import gen_vectors
 from bandit_mips.fileio import read_curve, read_results, write_dataset, write_query
-from bandit_mips.mips import ObjectiveKind, Query, VectorSet
+from bandit_mips.mips import ObjectiveKind, Query, VectorSet, mips_topk
+from dominance import me_dominates
 
 
 def test_derive_seed_deterministic_and_sensitive():
@@ -404,3 +404,33 @@ def test_run_query_degenerate_zero_query(tmp_path):
     out = run_query(dpath, qpath, 2, epsilon=0.1, delta=0.1)
     assert out["ids"] == [0, 1]
     assert out["warning"] is not None
+
+
+def test_run_query_times_the_permuted_copy_apart_from_the_search(tmp_path, monkeypatch):
+    # the spy sees whether the copy exists when the search starts and ends
+    seen = []
+
+    def spy(vectors, *args, **kwargs):
+        before = vectors._permuted is not None
+        result = mips_topk(vectors, *args, **kwargs)
+        seen.append((before, vectors._permuted is not None))
+        return result
+
+    monkeypatch.setattr(bench, "mips_topk", spy)
+    rng = np.random.default_rng(72)
+    dpath, qpath, zero = tmp_path / "d.bin", tmp_path / "q.bin", tmp_path / "z.bin"
+    write_dataset(dpath, VectorSet(rng.standard_normal((12, 30))))
+    write_query(qpath, Query(rng.standard_normal(30)))
+    write_query(zero, Query(np.zeros(30)))
+    out = run_query(dpath, qpath, 3, epsilon=0.1, delta=0.1, seed=2)
+    # built before the search, so wall_ms is the search alone
+    assert seen == [(True, True)]
+    assert out["setup_ms"] > 0.0 and out["wall_ms"] > 0.0
+    # K = n and a zero-width range answer without arms: no copy, no set-up
+    for path, k in ((qpath, 12), (zero, 3)):
+        seen.clear()
+        out = run_query(dpath, path, k, epsilon=0.1, delta=0.1)
+        assert seen == [(False, False)]
+        assert out["ids"] == list(range(k))
+    with pytest.raises(ValueError):
+        run_query(dpath, qpath, 13, epsilon=0.1, delta=0.1)

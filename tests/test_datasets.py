@@ -40,11 +40,12 @@ def test_adversarial_list_mean_close_to_target():
 
 def test_adversarial_sources_stream_ones_first():
     inst = gen_adversarial(5, 30, seed=1)
-    arms, rows = inst.sources(), np.arange(5)
+    arms, keep = inst.sources(), np.ones(5, dtype=bool)
     for t in range(31):
         # every pull up to an arm's ones count reads a one, every later one a zero
-        assert arms.sums(rows, t).tolist() == np.minimum(inst.ones, t).tolist()
-    assert (arms.sums(rows, 30) / 30).tolist() == inst.list_means.tolist()
+        got = arms.sums(t, None if t == 0 else keep)
+        assert got.tolist() == np.minimum(inst.ones, t).tolist()
+    assert (arms.sums(30, keep) / 30).tolist() == inst.list_means.tolist()
 
 
 def test_gen_vectors_deterministic():

@@ -8,15 +8,14 @@ import pytest
 
 from bandit_mips.bounds import shrinkage
 from bandit_mips.elimination import (
+    PARTITION_MIN,
     EliminationConfig,
-    EliminationTrace,
-    RoundRecord,
     elimination_schedule,
     eliminate,
     median_elimination_topk,
-    pull_batch,
     round_pull_target,
 )
+from oracles import oracle_eliminate, oracle_topk
 
 
 # --- schedule ---------------------------------------------------------------
@@ -147,8 +146,9 @@ class MatrixArms:
     """Test-local arms: row i of ``rewards`` is arm i's list, read in stored order.
 
     Shuffle the rows first for a uniformly random order.  Every call is
-    checked against the protocol: rows only shrink and t never decreases.
-    The sums are exact.
+    checked against the protocol: the first passes keep=None, each later
+    one a boolean mask over the arms in play, and t never decreases.  The
+    sums are exact.
     """
 
     mean_error = 0.0
@@ -157,8 +157,27 @@ class MatrixArms:
         rewards = np.asarray(rewards, dtype=float)
         self.n, self.list_len = rewards.shape
         self.prefix = np.concatenate([np.zeros((self.n, 1)), np.cumsum(rewards, axis=1)], axis=1)
-        self.rows = set(range(self.n))
+        self.rows = None
         self.t = 0
+
+    def sums(self, t, keep=None):
+        if keep is None:
+            assert self.rows is None
+            self.rows = np.arange(self.n)
+        else:
+            assert keep.dtype == bool and keep.shape == self.rows.shape
+            self.rows = self.rows[keep]
+        assert self.t <= t <= self.list_len
+        self.t = t
+        return self.prefix[self.rows, t]
+
+
+class RowsMatrixArms(MatrixArms):
+    """``MatrixArms`` in the former protocol, ``sums(rows, t)``: the oracle's arms."""
+
+    def __init__(self, rewards):
+        super().__init__(rewards)
+        self.rows = set(range(self.n))
 
     def sums(self, rows, t):
         assert set(rows.tolist()) <= self.rows and self.t <= t <= self.list_len
@@ -290,50 +309,7 @@ def test_round_target_at_least_one_pull():
     assert ids == [7, 6]
 
 
-# --- oracle: the loop as it was before the round plan ------------------------
-
-
-def oracle_eliminate(rows, means, k):
-    s = rows.size
-    if s <= k:
-        raise ValueError("survivors must exceed k")
-    drop_count = (s - k + 1) // 2
-    order = np.lexsort((-rows, means))  # ascending mean, then descending id
-    keep = np.ones(s, dtype=bool)
-    keep[order[:drop_count]] = False
-    return keep
-
-
-def oracle_topk(arms, config):
-    """The search loop that planned each round after the previous one's pulls."""
-    n, list_len = arms.n, arms.list_len
-    trace = EliminationTrace()
-    if n <= config.k:
-        trace.returned = list(range(n))
-        return list(trace.returned), trace
-
-    alive = np.arange(n)
-    target = 0
-    round_index = 1
-    while alive.size > config.k:
-        eps_l, delta_l = elimination_schedule(config.epsilon, config.delta, round_index)
-        target_prev = target
-        target = round_pull_target(
-            alive.size, config.k, eps_l, delta_l, config.range_width, list_len, arms.mean_error
-        )
-        target = max(target, target_prev)  # increments are never negative
-        trace.total_pulls += alive.size * (target - target_prev)
-        means = pull_batch(arms, alive, target)
-        trace.rounds.append(RoundRecord(round_index, alive.size, eps_l, delta_l, target))
-        keep = oracle_eliminate(alive, means, config.k)
-        alive, means = alive[keep], means[keep]
-        round_index += 1
-
-    trace.max_arm_pulls = target
-    order = np.lexsort((alive, -means))
-    trace.returned = alive[order].tolist()
-    trace.returned_means = means[order].tolist()
-    return list(trace.returned), trace
+# --- oracle: the loop as it was before the round plan and the keep masks ----
 
 
 def oracle_cases():
@@ -365,7 +341,7 @@ def test_topk_matches_the_oracle_loop():
     cases = 0
     for rewards, config in oracle_cases():
         ids, trace = median_elimination_topk(MatrixArms(rewards), config)
-        want_ids, want = oracle_topk(MatrixArms(rewards), config)
+        want_ids, want = oracle_topk(RowsMatrixArms(rewards), config)
         assert ids == want_ids
         # repr tells -0.0 from 0.0
         assert [repr(m) for m in trace.returned_means] == [repr(m) for m in want.returned_means]
@@ -377,13 +353,28 @@ def test_topk_matches_the_oracle_loop():
 
 
 def test_eliminate_matches_the_oracle_for_ids_in_any_order():
+    # small sets, and sizes on both sides of the partition switch; means tied
+    # in groups (+0.0 beside -0.0) or all distinct
     rng = np.random.default_rng(42)
-    for _ in range(300):
-        s = int(rng.integers(2, 60))
+    sizes = set()
+    for trial in range(420):
+        if trial < 300:
+            s = int(rng.integers(2, 60))
+        else:
+            s = (PARTITION_MIN - 1, PARTITION_MIN, PARTITION_MIN + 1, 1000)[trial % 4]
         k = int(rng.integers(1, s))
-        rows = rng.permutation(200)[:s]
+        rows = rng.permutation(max(200, 2 * s))[:s]
         if rng.random() < 0.5:
             rows = np.sort(rows)
-        means = rng.integers(-2, 3, s) * 0.5
-        means[means == 0.0] *= rng.choice([1.0, -1.0], np.count_nonzero(means == 0.0))
+        if trial < 300 or trial % 8 < 4:
+            means = rng.integers(-2, 3, s) * 0.5
+            means[means == 0.0] *= rng.choice([1.0, -1.0], np.count_nonzero(means == 0.0))
+        else:
+            means = rng.standard_normal(s)
+        given = rows.copy(), means.copy()
         assert eliminate(rows, means, k).tolist() == oracle_eliminate(rows, means, k).tolist()
+        # the inputs are left as they were, -0.0 included
+        assert rows.tolist() == given[0].tolist()
+        assert [repr(m) for m in means] == [repr(m) for m in given[1]]
+        sizes.add(s)
+    assert {PARTITION_MIN - 1, PARTITION_MIN, PARTITION_MIN + 1} <= sizes
