@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elimination import top_ids
 from .mips import ObjectiveKind, Query, VectorSet, _block_rows, true_means
 
 __all__ = ["ExactResult", "naive_topk", "LshIndex", "LshResult", "lsh_build", "lsh_query"]
@@ -45,9 +46,9 @@ def naive_topk(
     if not 1 <= k <= vectors.n:
         raise ValueError("k must lie in [1, n]")
     scores = true_means(vectors, query, kind) * vectors.dim
-    order = np.lexsort((np.arange(vectors.n), -scores))[:k]
+    order = top_ids(scores, k)
     return ExactResult(
-        topk_ids=[int(i) for i in order],
+        topk_ids=order.tolist(),
         topk_scores=scores[order].copy(),
         ops=vectors.n * vectors.dim,
     )
@@ -168,8 +169,8 @@ def lsh_query(
     padded = n_cands < k
     if n_cands:
         scores = vectors.data[cands] @ query.vector
-        order = np.lexsort((cands, -scores))[:k]
-        ids = [int(cands[i]) for i in order]
+        order = top_ids(scores, k)  # cands is increasing, so ties keep the smaller id
+        ids = cands[order].tolist()
         kept_scores = scores[order]
     else:
         ids, kept_scores = [], np.empty(0)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import lsh_build, lsh_query, naive_topk
 from .datasets import gen_adversarial
-from .elimination import EliminationConfig, median_elimination_topk
+from .elimination import EliminationConfig, median_elimination_topk, top_ids
 from .fileio import (
     CURVE_FIELDS,
     RESULT_FIELDS,
@@ -38,7 +38,6 @@ __all__ = [
     "ValidateReport",
     "CompareReport",
     "derive_seed",
-    "top_ids",
     "run_validate",
     "run_compare",
     "run_query",
@@ -53,13 +52,6 @@ def derive_seed(*parts: int) -> int:
     """Deterministic 64-bit seed from integer parts (order matters)."""
     mixed = np.random.SeedSequence([int(p) & 0xFFFFFFFFFFFFFFFF for p in parts])
     return int(mixed.generate_state(1, np.uint64)[0])
-
-
-def top_ids(means, k: int) -> list[int]:
-    """Ids of the k largest means; ties keep the smaller id."""
-    means = np.asarray(means, dtype=np.float64)
-    order = np.lexsort((np.arange(means.size), -means))[:k]
-    return [int(i) for i in order]
 
 
 @dataclass(slots=True)
@@ -78,12 +70,6 @@ class RunRecord:
     pulls_total: int
     ops_naive: int
     wall_ms: float
-
-    @property
-    def speedup_ops(self) -> float:
-        if self.pulls_total == 0:
-            return math.inf
-        return self.ops_naive / self.pulls_total
 
     def row(self) -> dict:
         return {key: getattr(self, key) for key in RESULT_FIELDS}

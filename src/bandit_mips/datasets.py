@@ -58,11 +58,6 @@ class AdversarialInstance:
     def n(self) -> int:
         return self.target_means.size
 
-    def reward_list(self, arm_id: int) -> np.ndarray:
-        out = np.zeros(self.list_len)
-        out[: int(self.ones[arm_id])] = 1.0
-        return out
-
     def sums(self, t: int, keep: np.ndarray | None = None) -> np.ndarray:
         """Reward sums of the arms in play after ``t`` pulls each: min(ones, t)."""
         in_play = None if self._in_play is None else self._in_play.size

@@ -45,6 +45,7 @@ __all__ = [
     "round_pull_target",
     "pull_batch",
     "eliminate",
+    "top_ids",
     "median_elimination_topk",
 ]
 
@@ -212,8 +213,9 @@ PARTITION_MIN = 512
 def eliminate(rows: np.ndarray, means: np.ndarray, k: int) -> np.ndarray:
     """Keep mask over ``rows``: drop the ceil((s - k)/2) least ``means``.
 
-    Ties on the mean drop the larger row id first, making the outcome a pure
-    function of (means, ids).  Applying the mask keeps the input order.
+    Ties on the mean drop the larger row id first, the ``top_ids`` order
+    reversed, making the outcome a pure function of (means, ids).  Applying
+    the mask keeps the input order.
     With at least ``PARTITION_MIN`` rows the drop set is the first part of
     an argpartition of ``means - 1j*rows``: complex values order by real
     part, then imaginary part, which is lexsort's (mean ascending, id
@@ -230,6 +232,16 @@ def eliminate(rows: np.ndarray, means: np.ndarray, k: int) -> np.ndarray:
     keep = np.ones(s, dtype=bool)
     keep[drop] = False
     return keep
+
+
+def top_ids(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k best ``scores``, best first; ties keep the smaller position.
+
+    The ranking rule of every answer: the search's returned order, the
+    exhaustive and LSH baselines' ids and the validation grid's truth.
+    Scores listed in increasing id order thus rank tied ids smaller first.
+    """
+    return np.lexsort((np.arange(len(scores)), -scores))[:k]
 
 
 def median_elimination_topk(
@@ -270,7 +282,7 @@ def median_elimination_topk(
 
     means = means[keep]
     trace.max_arm_pulls = target
-    order = np.lexsort((alive, -means))
+    order = top_ids(means, config.k)  # alive is increasing, so ties keep the smaller id
     trace.returned = alive[order].tolist()
     trace.returned_means = means[order].tolist()
     return list(trace.returned), trace

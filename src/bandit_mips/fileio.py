@@ -42,9 +42,7 @@ __all__ = [
     "read_query",
     "write_query",
     "write_results",
-    "read_results",
     "write_curve",
-    "read_curve",
 ]
 
 MAGIC = b"MEB1"
@@ -162,11 +160,6 @@ def write_results(path: str | Path, rows: Iterable[dict]) -> None:
             fh.write(json.dumps(ordered, separators=(",", ":")) + "\n")
 
 
-def read_results(path: str | Path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
 def write_curve(path: str | Path, rows: Iterable[dict]) -> None:
     """Comparison-curve CSV with the fixed header."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -174,13 +167,3 @@ def write_curve(path: str | Path, rows: Iterable[dict]) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow({key: row[key] for key in CURVE_FIELDS})
-
-
-def read_curve(path: str | Path) -> list[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    numeric = [key for key in CURVE_FIELDS if key not in ("method", "knob")]
-    for row in rows:
-        for key in numeric:
-            row[key] = float(row[key])
-    return rows

@@ -82,11 +82,11 @@ def _block_rows(dim: int) -> int:
 class VectorSet:
     """n dense vectors of a common dimension, float64, plus |entry| bound.
 
-    ``seed`` draws the column permutation pi that bandit queries sample
-    coordinates in.  pi and the column-permuted copy of ``data`` are built
-    on the first bandit query and cached; ``data`` itself keeps the caller's
-    order.  The copy is float32 when that holds ``data`` exactly, float64
-    otherwise.
+    ``seed``, a non-negative integer, draws the column permutation pi that
+    bandit queries sample coordinates in.  pi and the column-permuted copy
+    of ``data`` are built on the first bandit query and cached; ``data``
+    itself keeps the caller's order.  The copy is float32 when that holds
+    ``data`` exactly, float64 otherwise.
 
     A float64 C-contiguous ``data`` is kept as given; any other input is
     converted into a new float64 matrix.  Either way the bound is taken a
@@ -101,6 +101,12 @@ class VectorSet:
     )
 
     def __post_init__(self) -> None:
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise TypeError(f"seed must be an integer, not {type(self.seed).__name__}") from None
+        if seed < 0:
+            raise ValueError("seed must be non-negative")
         x = np.asarray(self.data)
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise ValueError("data must be a non-empty 2-D matrix")

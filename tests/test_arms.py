@@ -301,8 +301,9 @@ def test_sums_match_brute_force_however_rounds_split():
 def test_adversarial_sums_closed_form():
     inst = AdversarialInstance(np.array([0.2, 0.9, 0.0]), np.array([2, 9, 0]), 10)
     arms = inst.sources()
+    lists = [[1.0] * 2 + [0.0] * 8, [1.0] * 9 + [0.0], [0.0] * 10]  # ones first
     for t in range(11):
-        want = [inst.reward_list(i)[:t].sum() for i in range(3)]
+        want = [sum(rewards[:t]) for rewards in lists]
         assert arms.sums(t, None if t == 0 else np.ones(3, dtype=bool)).tolist() == want
 
 

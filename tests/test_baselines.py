@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bandit_mips.baselines import _lift_rows, lsh_build, lsh_query, naive_topk
-from bandit_mips.mips import ObjectiveKind, Query, VectorSet, _block_rows
+from bandit_mips.mips import ObjectiveKind, Query, VectorSet, _block_rows, mips_topk
 
 IP = ObjectiveKind.INNER_PRODUCT
 NSD = ObjectiveKind.NEG_SQ_DISTANCE
@@ -42,10 +42,48 @@ def test_naive_k_equals_n_sorted():
     assert res.topk_scores.tolist() == [3.0, 2.0, 1.0]
 
 
-def test_naive_tie_break_smaller_id():
-    vs = VectorSet(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    res = naive_topk(vs, Query(np.array([1.0, 0.0])), 2)
-    assert res.topk_ids == [0, 1]
+# Small integers: every score is exact in float32 and float64 alike, so
+# duplicated rows tie exactly under every method and objective.
+TIED_BASE = np.array([
+    [2, -1, 0, 3, 1, -2],
+    [1, 2, -3, 0, 2, 1],
+    [-2, 0, 1, 1, -1, 3],
+    [3, 1, 2, -1, 0, 0],
+    [0, -3, 1, 2, 2, -1],
+])
+TIED_ROWS = [3, 0, 1, 0, 2, 1, 4, 0, 3, 1, 2, 3]  # base row of each data row
+TIED_QUERY = np.array([1, 2, -1, 1, 0, -2])
+
+
+def _ties_answer(method, kind, k):
+    vs = VectorSet(TIED_BASE[TIED_ROWS].astype(float))
+    query = Query(TIED_QUERY.astype(float))
+    if method == "naive":
+        return naive_topk(vs, query, k, kind).topk_ids
+    if method == "lsh":
+        res = lsh_query(lsh_build(vs, 1, 64, seed=0), vs, query, k)
+        assert res.candidates == vs.n  # every tied row is reranked
+        return res.ids
+    return mips_topk(vs, query, k, 0.0, 0.1, seed=3, kind=kind)[0]
+
+
+@pytest.mark.parametrize(
+    "method, kind",
+    [("naive", IP), ("naive", NSD), ("lsh", IP), ("mips", IP), ("mips", NSD)],
+)
+def test_naive_tie_break_smaller_id(method, kind):
+    """Exactly tied scores rank the smaller id first, under every method."""
+    scores = []
+    for row in TIED_ROWS:
+        v = TIED_BASE[row].tolist()
+        if kind is IP:
+            scores.append(sum(a * b for a, b in zip(v, TIED_QUERY.tolist())))
+        else:
+            scores.append(-sum((a - b) ** 2 for a, b in zip(v, TIED_QUERY.tolist())))
+    ranked = sorted(range(len(TIED_ROWS)), key=lambda i: (-scores[i], i))
+    assert len(set(scores)) < len(scores)  # the data do tie
+    for k in (1, 2, 4, 7, 11):
+        assert _ties_answer(method, kind, k) == ranked[:k], k
 
 
 def test_naive_ops_exact():

@@ -1,5 +1,7 @@
 """Experiment drivers: the validation grid and the comparison sweep."""
 
+import csv
+import json
 import math
 from types import SimpleNamespace
 
@@ -16,10 +18,10 @@ from bandit_mips.bench import (
     run_compare,
     run_query,
     run_validate,
-    top_ids,
 )
 from bandit_mips.datasets import gen_vectors
-from bandit_mips.fileio import read_curve, read_results, write_dataset, write_query
+from bandit_mips.elimination import top_ids
+from bandit_mips.fileio import write_dataset, write_query
 from bandit_mips.mips import ObjectiveKind, Query, VectorSet, mips_topk
 from dominance import me_dominates
 
@@ -31,7 +33,11 @@ def test_derive_seed_deterministic_and_sensitive():
 
 
 def test_top_ids_tie_break():
-    assert top_ids(np.array([0.5, 0.9, 0.5, 0.9]), 3) == [1, 3, 0]
+    assert top_ids(np.array([0.5, 0.9, 0.5, 0.9]), 3).tolist() == [1, 3, 0]
+    # +0.0 and -0.0 tie; k may equal the length
+    signed_zeros = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0])
+    assert top_ids(signed_zeros, 6).tolist() == [2, 0, 1, 3, 4, 5]
+    assert top_ids(-signed_zeros, 6).tolist() == [5, 0, 1, 3, 4, 2]
 
 
 def test_run_record_speedup():
@@ -40,7 +46,7 @@ def test_run_record_speedup():
         returned=[0], precision=1.0, suboptimality=0.0,
         pulls_total=250, ops_naive=1000, wall_ms=0.0,
     )
-    assert rec.speedup_ops == pytest.approx(4.0)
+    assert rec.ops_naive / rec.pulls_total == pytest.approx(4.0)
     assert rec.row()["pulls_total"] == 250
 
 
@@ -58,7 +64,7 @@ def test_validate_small_grid_mechanics(tmp_path):
         assert cell.passed == (cell.percentile_suboptimality <= cell.epsilon)
         assert 0.0 <= cell.failure_fraction <= 1.0
     # the results file mirrors the in-memory records
-    rows = read_results(out)
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(rows) == 20
     assert rows[0]["method"] == ME
     assert all(row["wall_ms"] == 0.0 for row in rows)
@@ -119,13 +125,14 @@ def test_compare_naive_reference_rows(small_instance, tmp_path):
     for r in naive_rows:
         assert r.precision == 1.0
         assert r.suboptimality == 0.0
-        assert r.speedup_ops == pytest.approx(1.0)
+        assert r.ops_naive / r.pulls_total == pytest.approx(1.0)
     (naive_curve,) = [r for r in rep.curve if r["method"] == NAIVE]
     assert naive_curve["knob"] == "exhaustive"
     assert naive_curve["precision"] == pytest.approx(1.0)
     assert naive_curve["speedup_ops"] == pytest.approx(1.0)
     # out= persists the curve, not the per-run records
-    saved = read_curve(out)
+    with open(out, newline="") as fh:
+        saved = list(csv.DictReader(fh))
     assert [(r["method"], r["knob"]) for r in saved] == [
         (r["method"], r["knob"]) for r in rep.curve
     ]
@@ -137,7 +144,7 @@ def test_compare_me_pull_bound_and_speedup(small_instance):
     for r in rep.records:
         if r.method == ME:
             assert r.pulls_total <= vs.n * vs.dim
-            assert r.speedup_ops >= 1.0
+            assert r.ops_naive / r.pulls_total >= 1.0
             assert 0.0 <= r.precision <= 1.0
 
 

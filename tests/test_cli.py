@@ -1,12 +1,13 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from bandit_mips.cli import main
-from bandit_mips.fileio import read_curve, read_dataset, read_results, write_dataset, write_query
+from bandit_mips.fileio import read_dataset, write_dataset, write_query
 from bandit_mips.mips import Query, VectorSet
 
 
@@ -64,7 +65,7 @@ def test_validate_passing_grid_exit_zero(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["all_passed"] is True
     assert len(payload["cells"]) == 1
-    assert len(read_results(out)) == 4
+    assert len(out.read_text().splitlines()) == 4
 
 
 def test_validate_k_exceeds_n_exit_two(capsys):
@@ -123,7 +124,8 @@ def test_compare_small_sweep(tmp_path, capsys):
         "--seed", "6", "--out", str(curve_path),
     ])
     assert code == 0
-    rows = read_curve(curve_path)
+    with open(curve_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     methods = {r["method"] for r in rows}
     assert methods == {"naive", "median_elimination", "lsh"}
     stdout_lines = capsys.readouterr().out.strip().splitlines()

@@ -6,16 +6,21 @@ import pytest
 from bandit_mips.datasets import AdversarialInstance, gen_adversarial, gen_vectors
 
 
+def read_list(inst, arm):
+    """Arm ``arm``'s rewards in the order a search reads them: its sums' increments."""
+    return np.diff([inst.sums(t)[arm] for t in range(inst.list_len + 1)]).tolist()
+
+
 def test_adversarial_rounding_rule():
     # target 0.3, N=10: floor(0.3*10 + 0.5) = 3 ones, then zeros
     inst = AdversarialInstance(np.array([0.3]), np.array([3]), 10)
-    assert inst.reward_list(0).tolist() == [1.0] * 3 + [0.0] * 7
+    assert read_list(inst, 0) == [1.0] * 3 + [0.0] * 7
 
 
 def test_adversarial_endpoints():
     inst = AdversarialInstance(np.array([0.0, 1.0]), np.array([0, 8]), 8)
-    assert inst.reward_list(0).tolist() == [0.0] * 8
-    assert inst.reward_list(1).tolist() == [1.0] * 8
+    assert read_list(inst, 0) == [0.0] * 8
+    assert read_list(inst, 1) == [1.0] * 8
 
 
 def test_gen_adversarial_deterministic():

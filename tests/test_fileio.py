@@ -1,5 +1,6 @@
 """Binary and CSV dataset formats, results JSONL, curve CSV."""
 
+import csv
 import json
 import re
 import struct
@@ -13,10 +14,8 @@ from bandit_mips.fileio import (
     DatasetFormatError,
     MAGIC,
     RESULT_FIELDS,
-    read_curve,
     read_dataset,
     read_query,
-    read_results,
     write_curve,
     write_dataset,
     write_query,
@@ -226,7 +225,7 @@ def test_results_jsonl_field_order(tmp_path):
     write_results(p, [row])
     line = p.read_text().strip()
     assert list(json.loads(line).keys()) == list(RESULT_FIELDS)
-    assert read_results(p) == [row]
+    assert [json.loads(line) for line in p.read_text().splitlines()] == [row]
 
 
 def test_results_reject_missing_field(tmp_path):
@@ -245,8 +244,9 @@ def test_curve_round_trip(tmp_path):
     write_curve(p, rows)
     header = p.read_text().splitlines()[0]
     assert header == ",".join(CURVE_FIELDS)
-    back = read_curve(p)
+    with open(p, newline="") as fh:
+        back = list(csv.DictReader(fh))
     assert [r["method"] for r in back] == ["lsh", "naive"]
-    assert back[0]["precision"] == pytest.approx(0.5)
-    assert back[0]["speedup_ops"] == pytest.approx(10.0)
-    assert back[0]["speedup_wall"] == pytest.approx(2.0)
+    assert float(back[0]["precision"]) == pytest.approx(0.5)
+    assert float(back[0]["speedup_ops"]) == pytest.approx(10.0)
+    assert float(back[0]["speedup_wall"]) == pytest.approx(2.0)

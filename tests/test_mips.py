@@ -297,6 +297,12 @@ def test_vectorset_validation():
     assert VectorSet(np.array([[-3.0, 1.0]])).coord_bound == 3.0
     with pytest.raises(ValueError):
         VectorSet(np.ones(3))  # needs 2-D
+    # a bad seed is caught here, not at the first bandit query
+    with pytest.raises(ValueError, match="seed"):
+        VectorSet(np.ones((2, 2)), seed=-1)
+    with pytest.raises(TypeError, match="seed"):
+        VectorSet(np.ones((2, 2)), seed=1.5)
+    assert VectorSet(np.ones((2, 2)), seed=np.uint64(3)).permuted()[0].size == 2
     with pytest.raises(ValueError):
         Query(np.array([np.nan]))
 
