@@ -134,26 +134,27 @@ class LazySource:
     it wraps), evaluated in blocks of at most ``WINDOW_BLOCK`` columns.  The
     reads are uniform without-replacement samples when the columns are in
     uniformly random order (``mips.build_arms`` permutes them).  The object
-    keeps the ids of the arms in play and their cumulative sums, and
+    keeps the ids of the arms in play and one cumulative sum per id, and
     compacts both by each call's keep mask; ``sums`` returns a fresh array.
 
-    ``data`` is float64 or float32.  On float32 data the windows are
+    ``data`` is a float64 or float32 matrix and ``query`` a float64 vector,
+    as ``mips.build_arms`` passes them.  On float32 data the windows are
     evaluated in float32 against the query rounded to float32, and
     ``mean_error`` is ``_float32_mean_error`` of ``coord_bound`` and
-    ``query_bound`` (the largest |entry| of ``data`` and of ``query``,
-    computed when not given); where that bound is infinite the windows are
-    evaluated in float64 instead, and ``mean_error`` is 0.  Rows that reach
-    t = N with a nonzero ``mean_error`` are re-summed in float64, so
-    exhausted means carry no float32 rounding.
+    ``query_bound`` (the largest |entry| of ``data`` and of ``query``);
+    where that bound is infinite the windows are evaluated in float64
+    instead, and ``mean_error`` is 0.  Rows that reach t = N with a nonzero
+    ``mean_error`` are re-summed in float64, so exhausted means carry no
+    float32 rounding.
 
     Read rule: a window is evaluated either for every row on the strided
-    view of ``data`` or for the gathered rows of the arms in play.
-    Inner-product windows use the view while at least a quarter of the rows
-    are in play, as BLAS reads it with its threads faster than it gathers
-    the rows; their sums stay n long, every row's advancing, until the
-    switch compacts them once.  Distance windows are single-threaded
-    elementwise work, so they use the view only while every row is in play,
-    and gather from the first elimination on.
+    view of ``data``, then gathered by the ids in play, or for the gathered
+    rows of the arms in play.  Inner-product windows use the view while at
+    least a quarter of the rows are in play, as BLAS reads it with its
+    threads faster than it gathers the rows.  Distance windows are
+    single-threaded elementwise work, so they use the view only while every
+    row is in play, and gather from the first elimination on.  Either way a
+    row's window sum, and so its running sum, is the same.
 
     ``data`` is never written.  A gathered distance window is a fresh copy,
     so ``draw`` subtracts the query into it in place where both have one
@@ -166,14 +167,10 @@ class LazySource:
         data: np.ndarray,
         query: np.ndarray,
         kind: ObjectiveKind,
-        start: int = 0,
-        coord_bound: float | None = None,
-        query_bound: float | None = None,
+        start: int,
+        coord_bound: float,
+        query_bound: float,
     ):
-        data = np.asarray(data)
-        if data.dtype != np.float32:
-            data = data.astype(np.float64, copy=False)
-        query = np.asarray(query, dtype=np.float64)
         if data.ndim != 2 or query.shape != data.shape[1:]:
             raise ValueError(f"query shape {query.shape} does not fit data {data.shape}")
         if kind not in (ObjectiveKind.INNER_PRODUCT, ObjectiveKind.NEG_SQ_DISTANCE):
@@ -182,20 +179,14 @@ class LazySource:
         self._window_query = query
         self.mean_error = 0.0
         if data.dtype == np.float32:
-            if coord_bound is None:
-                coord_bound = float(np.abs(data).max())
-            if query_bound is None:
-                query_bound = float(np.abs(query).max())
             eta = _float32_mean_error(kind, coord_bound, query_bound)
             if math.isfinite(eta):
                 self.mean_error, self._window_query = eta, query.astype(np.float32)
         self.n, self.list_len = data.shape
         self.start = start % self.list_len
-        # Ids in play (None before the first call), their sums (n long while
-        # ``_full``, else one per id) and their pull count.
+        # Ids in play (None before the first call), their sums and pull count.
         self._ids: np.ndarray | None = None
         self._sums: np.ndarray | None = None
-        self._full = True
         self._pulls = 0
 
     def sums(self, t: int, keep: np.ndarray | None = None) -> np.ndarray:
@@ -203,40 +194,30 @@ class LazySource:
 
         ``keep=None`` puts every arm in play with no pulls yet; a boolean
         ``keep`` over the arms of the previous call drops the False ones.
+        The arm set changes only once every window is read, so a call that
+        raises leaves it as it was.
         """
         in_play = None if self._ids is None else self._ids.size
         keep = checked_keep(keep, in_play, self._pulls, t, self.list_len)
         if keep is None:
-            self._ids, self._sums, self._full = np.arange(self.n), np.zeros(self.n), True
-            done = 0
+            ids, sums, done = np.arange(self.n), np.zeros(self.n), 0
         else:
-            self._ids = self._ids[keep]
-            if not self._full:
-                self._sums = self._sums[keep]
-            done = self._pulls
-        ids = self._ids
-        # The read rule of the class docstring; n-long sums are compacted
-        # once, when the view is left.
-        if self._full:
-            if self._kind is ObjectiveKind.INNER_PRODUCT:
-                self._full = 4 * ids.size >= self.n
-            else:
-                self._full = ids.size == self.n
-            if not self._full:
-                self._sums = self._sums[ids]
+            ids, sums, done = self._ids[keep], self._sums[keep], self._pulls
+        if self._kind is ObjectiveKind.INNER_PRODUCT:  # the read rule of the class docstring
+            on_view = 4 * ids.size >= self.n
+        else:
+            on_view = ids.size == self.n
         if self.mean_error and done < t == self.list_len:
-            exact = np.empty(ids.size)
             for i in range(0, ids.size, ROW_BLOCK):
-                exact[i : i + ROW_BLOCK] = self.draw(ids[i : i + ROW_BLOCK], 0, t, exact=True)
-            self._sums, self._full, done = exact, False, t
-        rows = None if self._full else ids
+                sums[i : i + ROW_BLOCK] = self.draw(ids[i : i + ROW_BLOCK], 0, t, exact=True)
+            done = t
         while done < t:
             a = (self.start + done) % self.list_len
             b = min(a + t - done, self.list_len, a + WINDOW_BLOCK)
-            self._sums += self.draw(rows, a, b)
+            sums += self.draw(None, a, b)[ids] if on_view else self.draw(ids, a, b)
             done += b - a
-        self._pulls = t
-        return self._sums[ids] if self._full else self._sums.copy()
+        self._ids, self._sums, self._pulls = ids, sums, t
+        return sums.copy()
 
     def draw(self, rows: np.ndarray | None, a: int, b: int, exact: bool = False) -> np.ndarray:
         """Reward sums of ``rows`` (None: every row) over columns [a, b).

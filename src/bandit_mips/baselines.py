@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import top_ids
+from .elimination import checked_k, top_ids
 from .mips import ObjectiveKind, Query, VectorSet, _block_rows, true_means
 
 __all__ = ["ExactResult", "naive_topk", "LshIndex", "LshResult", "lsh_build", "lsh_query"]
@@ -43,8 +43,7 @@ def naive_topk(
     kind: ObjectiveKind = ObjectiveKind.INNER_PRODUCT,
 ) -> ExactResult:
     """Score all n rows, return the K best (score ties keep the smaller id)."""
-    if not 1 <= k <= vectors.n:
-        raise ValueError("k must lie in [1, n]")
+    k = checked_k(k, vectors.n)
     scores = true_means(vectors, query, kind) * vectors.dim
     order = top_ids(scores, k)
     return ExactResult(
@@ -155,8 +154,7 @@ def lsh_query(
     """
     if index.n != vectors.n or index.dim != vectors.dim:
         raise ValueError("index was built over a different vector set")
-    if not 1 <= k <= index.n:
-        raise ValueError("k must lie in [1, n]")
+    k = checked_k(k, index.n)
     b = index.b if b_use is None else b_use
     if not 1 <= b <= index.b:
         raise ValueError("b_use must lie in [1, index.b]")

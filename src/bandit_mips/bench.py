@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import lsh_build, lsh_query, naive_topk
 from .datasets import gen_adversarial
-from .elimination import EliminationConfig, median_elimination_topk, top_ids
+from .elimination import EliminationConfig, checked_k, median_elimination_topk, top_ids
 from .fileio import (
     CURVE_FIELDS,
     RESULT_FIELDS,
@@ -114,8 +114,7 @@ def run_validate(
     deltas = list(deltas)
     if not epsilons or not deltas or runs < 1:
         raise ValueError("need at least one epsilon, one delta, and one run")
-    if not 1 <= k <= n:
-        raise ValueError(f"k = {k} must lie in [1, n] with n = {n}")
+    k = checked_k(k, n)
     records: list[RunRecord] = []
     cells: list[ValidateCell] = []
     for ei, eps in enumerate(epsilons):
@@ -374,8 +373,9 @@ def run_query(
     """
     vectors = read_dataset(data_path)
     query = read_query(query_path)
+    k = checked_k(k, vectors.n)
     start = time.perf_counter()
-    if 1 <= k < vectors.n:
+    if k < vectors.n:
         lo, hi = reward_range(vectors, query, kind)
         if hi > lo:
             vectors.permuted()

@@ -165,14 +165,9 @@ def _cmd_query(args) -> int:
         seed=args.seed,
         kind=ObjectiveKind(args.objective),
     )
-    if args.format == "json":
-        print(json.dumps(result, indent=2))
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["id", "estimated_score"])
-        scores = result["estimated_scores"] or [None] * len(result["ids"])
-        for arm_id, score in zip(result["ids"], scores):
-            writer.writerow([arm_id, score])
+    scores = result["estimated_scores"] or [None] * len(result["ids"])
+    rows = [{"id": i, "estimated_score": s} for i, s in zip(result["ids"], scores)]
+    _print_rows(args.format, rows, ["id", "estimated_score"], result)
     return 0
 
 

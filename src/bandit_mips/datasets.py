@@ -62,9 +62,10 @@ class AdversarialInstance:
         """Reward sums of the arms in play after ``t`` pulls each: min(ones, t)."""
         in_play = None if self._in_play is None else self._in_play.size
         keep = checked_keep(keep, in_play, self._pulls, t, self.list_len)
-        self._in_play = self.ones if keep is None else self._in_play[keep]
-        self._pulls = t
-        return np.minimum(self._in_play, t)
+        ones = self.ones if keep is None else self._in_play[keep]
+        out = np.minimum(ones, t)
+        self._in_play, self._pulls = ones, t
+        return out
 
     def sources(self) -> AdversarialInstance:
         """The arms of a search: the instance itself."""

@@ -29,6 +29,7 @@ means still lie within eps_l/2 of the true ones.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -73,6 +74,21 @@ class Arms(Protocol):
     def sums(self, t: int, keep: np.ndarray | None = None) -> np.ndarray: ...
 
 
+def checked_k(k, n: float) -> int:
+    """``k`` as an int, once it is an integer in [1, n].
+
+    Raises TypeError naming ``k`` for a non-integer such as 2.0 (Python and
+    numpy integers pass ``operator.index``), and ValueError outside [1, n].
+    """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise TypeError(f"k must be an integer, not {type(k).__name__}") from None
+    if not 1 <= k <= n:
+        raise ValueError(f"k = {k} must lie in [1, n] with n = {n}")
+    return k
+
+
 @dataclass(slots=True)
 class EliminationConfig:
     """Search parameters for one top-K run.
@@ -89,8 +105,7 @@ class EliminationConfig:
     range_width: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        self.k = checked_k(self.k, math.inf)  # a search over n <= k arms returns them all
         if self.epsilon < 0.0 or not math.isfinite(self.epsilon):
             raise ValueError("epsilon must be finite and non-negative")
         if not 0.0 < self.delta < 1.0:
@@ -257,7 +272,8 @@ def median_elimination_topk(
     pulls across all arms including eliminated ones, and the per-arm
     maximum.
 
-    If there are at most K arms, all of them are returned with zero pulls.
+    If there are at most K arms, all of them are returned in id order,
+    unranked, with zero pulls and no ``returned_means``.
     """
     n, list_len = arms.n, arms.list_len
     if n < 1:

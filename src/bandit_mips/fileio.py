@@ -40,7 +40,6 @@ __all__ = [
     "read_dataset",
     "write_dataset",
     "read_query",
-    "write_query",
     "write_results",
     "write_curve",
 ]
@@ -136,10 +135,6 @@ def _read_binary(fh: BinaryIO, head: bytes, path: Path) -> VectorSet:
         return VectorSet._from_rows((n, dim), fill)
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc
-
-
-def write_query(path: str | Path, query: Query) -> None:
-    write_dataset(path, VectorSet(query.vector[None, :]))
 
 
 def read_query(path: str | Path) -> Query:

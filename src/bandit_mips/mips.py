@@ -55,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from .arms import ROW_BLOCK, LazySource, ObjectiveKind, PositionSampler
-from .elimination import EliminationConfig, EliminationTrace, median_elimination_topk
+from .elimination import EliminationConfig, EliminationTrace, checked_k, median_elimination_topk
 
 __all__ = [
     "VectorSet",
@@ -321,11 +321,11 @@ def mips_topk(
     (a non-negative integer) picks the cyclic offset into that permutation,
     ``_start_offset(seed, N)``.  A degenerate reward range (all scores
     provably equal) short-circuits to the first K ids, flagged in
-    ``trace.warning``, and K = n to all ids with no pulls, neither building
-    the arms; both after the same epsilon and delta checks.
+    ``trace.warning``, and K = n to all ids in id order, unranked, with no
+    pulls and no ``returned_means``, neither building the arms; both after
+    the same epsilon and delta checks.  A non-integer ``k`` is a TypeError.
     """
-    if not 1 <= k <= vectors.n:
-        raise ValueError("k must lie in [1, n]")
+    k = checked_k(k, vectors.n)
     lo, hi = reward_range(vectors, query, kind)
     if hi == lo:
         EliminationConfig(k=k, epsilon=epsilon, delta=delta)  # validates epsilon and delta

@@ -185,9 +185,8 @@ def test_sums_rejects_a_bad_keep_mask(arms):
 
 @pytest.mark.parametrize("arms", keep_mask_arm_sets(5), ids=["lazy", "adversarial"])
 def test_sums_returns_no_alias_of_the_running_sums(arms):
-    # for LazySource: the n-long sums of the strided view with 5 and 2 arms
-    # in play, compacted ones after the switch at 1, and the float64 re-sum
-    # at t = N
+    # for LazySource: windows read on the strided view with 5 and 2 arms in
+    # play, on the gathered row with 1, and the float64 re-sum at t = N
     steps = ((1, None), (2, np.array([True, False, True, False, False])),
              (3, np.array([True, False])), (5, np.array([True])))
     for t, keep in steps:
@@ -231,6 +230,34 @@ def test_per_arm_determinism_is_schedule_independent():
         assert got_a == pytest.approx(got_b, rel=1e-9)
 
 
+@pytest.mark.parametrize("kind", [IP, NSD])
+def test_a_failed_sums_call_changes_nothing(kind, monkeypatch):
+    # 26 of 40 arms read the view for inner products and gather for
+    # distances; the call's second window raises, and a retry of the same
+    # call must then answer as an arm set that never saw the failure
+    rng = np.random.default_rng(39)
+    vs = VectorSet(rng.standard_normal((40, 3000)), seed=3)
+    q = Query(rng.standard_normal(3000))
+    a, b = build_arms(vs, q, kind, start=2500), build_arms(vs, q, kind, start=2500)
+    a.sums(10)
+    b.sums(10)
+    keep = np.arange(40) % 3 != 0
+    assert keep.sum() == 26
+    draw, windows = LazySource.draw, []
+
+    def failing(self, rows, lo, hi, exact=False):
+        windows.append((lo, hi))
+        if len(windows) == 2:
+            raise MemoryError("window failed")
+        return draw(self, rows, lo, hi, exact)
+
+    monkeypatch.setattr(LazySource, "draw", failing)
+    with pytest.raises(MemoryError):
+        a.sums(2500, keep)
+    monkeypatch.setattr(LazySource, "draw", draw)
+    assert a.sums(2500, keep).tolist() == b.sums(2500, keep).tolist()
+
+
 def test_lazy_source_positions_distinct_and_in_range():
     rng = np.random.default_rng(8)
     values = rng.random(30) + 0.5
@@ -251,7 +278,7 @@ def test_lazy_source_rejects_wrong_shape_rewards():
     with pytest.raises(ValueError):
         build_arms(vs, Query(np.ones(3)), IP)
     with pytest.raises(ValueError):
-        LazySource(np.ones((2, 10)), np.ones(3), IP)
+        LazySource(np.ones((2, 10)), np.ones(3), IP, 0, 1.0, 1.0)
 
 
 def test_position_sampler_uniformity_smoke():
@@ -392,9 +419,10 @@ def test_float32_means_within_mean_error_random_data(kind):
     q = Query(rng.standard_normal(dim) * 3.0)
     arms = build_arms(vs, q, kind, start=int(rng.integers(dim)))
     assert arms.mean_error > 0.0
-    # the bounds build_arms hands over are the ones LazySource would compute
+    # the bounds build_arms hands over are the largest |entry| of copy and query
     perm, copy = vs.permuted()
-    assert arms.mean_error == LazySource(copy, q.vector[perm], kind).mean_error
+    bounds = float(np.abs(copy).max()), float(np.abs(q.vector).max())
+    assert arms.mean_error == LazySource(copy, q.vector[perm], kind, 0, *bounds).mean_error
     order = prefix_order(arms, vs)
     rows, t, keep = np.arange(n), 0, None
     while t < dim - 1:

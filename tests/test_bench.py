@@ -1,6 +1,7 @@
 """Experiment drivers: the validation grid and the comparison sweep."""
 
 import csv
+import hashlib
 import json
 import math
 from types import SimpleNamespace
@@ -21,7 +22,7 @@ from bandit_mips.bench import (
 )
 from bandit_mips.datasets import gen_vectors
 from bandit_mips.elimination import top_ids
-from bandit_mips.fileio import write_dataset, write_query
+from bandit_mips.fileio import write_dataset
 from bandit_mips.mips import ObjectiveKind, Query, VectorSet, mips_topk
 from dominance import me_dominates
 
@@ -100,6 +101,16 @@ def test_validate_deterministic_records():
     a = run_validate([0.3], [0.1], n=25, list_len=250, runs=4, seed=77)
     b = run_validate([0.3], [0.1], n=25, list_len=250, runs=4, seed=77)
     assert [r.row() for r in a.records] == [r.row() for r in b.records]
+
+
+def test_validate_jsonl_is_byte_identical(tmp_path):
+    # The results file is a pure function of its arguments.  A change that
+    # alters adversarial answers on purpose re-records this hash, and says
+    # why, in CHANGES.md.
+    out = tmp_path / "v.jsonl"
+    run_validate([0.1, 0.3, 0.5], [0.05, 0.2], n=500, list_len=5000, runs=20, seed=7, out=out)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "8cb31575fce9e759fbd4748ebb81767d1ad83a3984fe50dbeaac052b8148ed67"
 
 
 # --- run_compare -------------------------------------------------------------
@@ -391,7 +402,7 @@ def test_run_query_matches_naive(tmp_path):
     q = rng.standard_normal(30)
     dpath, qpath = tmp_path / "d.bin", tmp_path / "q.bin"
     write_dataset(dpath, VectorSet(data))
-    write_query(qpath, Query(q))
+    write_dataset(qpath, VectorSet(q[None, :]))
     out = run_query(dpath, qpath, 3, epsilon=1e-9, delta=0.1, seed=2)
     # float32 storage perturbs scores, so compare against the stored matrix
     from bandit_mips.baselines import naive_topk
@@ -407,7 +418,7 @@ def test_run_query_matches_naive(tmp_path):
 def test_run_query_degenerate_zero_query(tmp_path):
     dpath, qpath = tmp_path / "d.bin", tmp_path / "q.bin"
     write_dataset(dpath, VectorSet(np.ones((4, 3))))
-    write_query(qpath, Query(np.zeros(3)))
+    write_dataset(qpath, VectorSet(np.zeros((1, 3))))
     out = run_query(dpath, qpath, 2, epsilon=0.1, delta=0.1)
     assert out["ids"] == [0, 1]
     assert out["warning"] is not None
@@ -427,8 +438,8 @@ def test_run_query_times_the_permuted_copy_apart_from_the_search(tmp_path, monke
     rng = np.random.default_rng(72)
     dpath, qpath, zero = tmp_path / "d.bin", tmp_path / "q.bin", tmp_path / "z.bin"
     write_dataset(dpath, VectorSet(rng.standard_normal((12, 30))))
-    write_query(qpath, Query(rng.standard_normal(30)))
-    write_query(zero, Query(np.zeros(30)))
+    write_dataset(qpath, VectorSet(rng.standard_normal((1, 30))))
+    write_dataset(zero, VectorSet(np.zeros((1, 30))))
     out = run_query(dpath, qpath, 3, epsilon=0.1, delta=0.1, seed=2)
     # built before the search, so wall_ms is the search alone
     assert seen == [(True, True)]
@@ -438,6 +449,13 @@ def test_run_query_times_the_permuted_copy_apart_from_the_search(tmp_path, monke
         seen.clear()
         out = run_query(dpath, path, k, epsilon=0.1, delta=0.1)
         assert seen == [(False, False)]
-        assert out["ids"] == list(range(k))
+        assert out["ids"] == list(range(k))  # unranked: no means to rank by
+        assert out["estimated_scores"] is None
     with pytest.raises(ValueError):
         run_query(dpath, qpath, 13, epsilon=0.1, delta=0.1)
+    # a non-integer k is rejected before the set-up reads the reward range
+    ranges = []
+    monkeypatch.setattr(bench, "reward_range", lambda *args: ranges.append(args))
+    with pytest.raises(TypeError, match="k must be an integer"):
+        run_query(dpath, qpath, 2.0, epsilon=0.1, delta=0.1)
+    assert ranges == []

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from bandit_mips.cli import main
-from bandit_mips.fileio import read_dataset, write_dataset, write_query
-from bandit_mips.mips import Query, VectorSet
+from bandit_mips.fileio import read_dataset, write_dataset
+from bandit_mips.mips import VectorSet
 
 
 def test_gen_then_query_round_trip(tmp_path, capsys):
@@ -42,7 +42,7 @@ def test_query_csv_format(tmp_path, capsys):
     data, query = tmp_path / "d.bin", tmp_path / "q.bin"
     rng = np.random.default_rng(0)
     write_dataset(data, VectorSet(rng.standard_normal((8, 12))))
-    write_query(query, Query(rng.standard_normal(12)))
+    write_dataset(query, VectorSet(rng.standard_normal((1, 12))))
     capsys.readouterr()
     code = main([
         "query", "--data", str(data), "--query", str(query),
@@ -52,6 +52,15 @@ def test_query_csv_format(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "id,estimated_score"
     assert len(lines) == 3
+    # K = n answers without means: every id in id order, no score
+    code = main([
+        "query", "--data", str(data), "--query", str(query),
+        "--k", "8", "--format", "csv",
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == "id,estimated_score\r\n" + "".join(
+        f"{i},\r\n" for i in range(8)
+    )
 
 
 def test_validate_passing_grid_exit_zero(tmp_path, capsys):

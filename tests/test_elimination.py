@@ -286,6 +286,44 @@ def test_config_validation():
         EliminationConfig(k=1, epsilon=0.1, delta=0.1, range_width=0.0)
 
 
+def k_callers():
+    """Every entry point that takes k, as a function of k over 6 rows."""
+    from bandit_mips.baselines import lsh_build, lsh_query, naive_topk
+    from bandit_mips.bench import run_compare, run_validate
+    from bandit_mips.mips import Query, VectorSet, mips_topk
+
+    rng = np.random.default_rng(5)
+    vs, q = VectorSet(rng.standard_normal((6, 8))), Query(rng.standard_normal(8))
+    index = lsh_build(vs, 2, 3)
+    return {
+        "mips_topk": lambda k: mips_topk(vs, q, k, 0.1, 0.1),
+        "naive_topk": lambda k: naive_topk(vs, q, k),
+        "lsh_query": lambda k: lsh_query(index, vs, q, k),
+        "run_validate": lambda k: run_validate([0.3], [0.1], n=6, list_len=20, k=k, runs=1),
+        "run_compare": lambda k: run_compare(vs, [q], k, methods=("naive",)),
+        "EliminationConfig": lambda k: EliminationConfig(k=k, epsilon=0.1, delta=0.1),
+    }
+
+
+@pytest.mark.parametrize("k", [2.0, 2.5, "2", None])
+@pytest.mark.parametrize("caller", sorted(k_callers()))
+def test_a_non_integer_k_is_a_type_error_naming_k(caller, k):
+    with pytest.raises(TypeError, match="k must be an integer"):
+        k_callers()[caller](k)
+
+
+@pytest.mark.parametrize("k", [0, -1, 7])
+@pytest.mark.parametrize("caller", ["mips_topk", "naive_topk", "lsh_query", "run_validate"])
+def test_k_outside_one_to_n_is_a_value_error(caller, k):
+    with pytest.raises(ValueError, match=rf"k = {k} must lie in \[1, n\] with n = 6$"):
+        k_callers()[caller](k)
+
+
+@pytest.mark.parametrize("caller", sorted(k_callers()))
+def test_a_numpy_integer_k_is_accepted(caller):
+    k_callers()[caller](np.int64(2))
+
+
 def test_round_target_one_entry_list_exhausts():
     # a one-entry list has nothing to shrink: one pull reads it all
     assert round_pull_target(10, 2, 0.1, 0.1, 1.0, 1) == 1

@@ -18,7 +18,6 @@ from bandit_mips.fileio import (
     read_query,
     write_curve,
     write_dataset,
-    write_query,
     write_results,
 )
 from bandit_mips.mips import Query, VectorSet, _block_rows
@@ -203,7 +202,7 @@ def test_float32_overflow_limits_binary_writes_only(tmp_path):
 def test_query_round_trip(tmp_path):
     q = Query(np.array([0.25, -1.5, 3.0]))
     p = tmp_path / "q.bin"
-    write_query(p, q)
+    write_dataset(p, VectorSet(q.vector[None, :]))
     back = read_query(p)
     assert back.vector.tolist() == q.vector.tolist()
 
