@@ -26,6 +26,10 @@ from .mips import ObjectiveKind, Query, VectorSet, _block_rows, true_means
 
 __all__ = ["ExactResult", "naive_topk", "LshIndex", "LshResult", "lsh_build", "lsh_query"]
 
+# Rows per hashing product: tall enough for BLAS to run near its peak, short
+# enough that the (rows, b*a) projections stay a small temporary.
+HASH_BLOCK = 256
+
 
 @dataclass(slots=True)
 class ExactResult:
@@ -83,58 +87,63 @@ class LshResult:
     padded: bool
 
 
-def _lift_rows(rows: np.ndarray, norms: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
-    """``rows`` / scale with sqrt(1 - (norm / scale)^2) appended, written into ``out``."""
-    np.divide(rows, scale, out=out[:, :-1])
-    out[:, -1] = np.sqrt(np.maximum(0.0, 1.0 - (norms / scale) ** 2))
-    return out
-
-
 def _lift_query(q: np.ndarray) -> np.ndarray:
     lifted = np.concatenate([q, [0.0]])
-    norm = np.linalg.norm(lifted)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(lifted)
+    if not np.isfinite(norm):
+        raise ValueError("the query norm overflows float64: scale the query down")
     return lifted / norm if norm > 0.0 else lifted
 
 
-def _keys(planes: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Bucket keys of points (m, d+1) in every table of planes (b, a, d+1): (m, b) int64."""
-    b, a, dim_l = planes.shape
-    bits = (points @ planes.reshape(b * a, dim_l).T > 0.0).reshape(-1, b, a)
-    return bits @ (1 << np.arange(a, dtype=np.int64))
+def _keys(proj: np.ndarray, a: int) -> np.ndarray:
+    """Bucket keys (m, b) int64 of projections (m, b*a) on every table's a planes."""
+    return (proj > 0.0).reshape(len(proj), -1, a) @ (1 << np.arange(a, dtype=np.int64))
 
 
 def lsh_build(vectors: VectorSet, a: int, b: int, seed: int = 0) -> LshIndex:
     """Hash all rows into b tables of a sign bits each.
 
-    The row norms are taken, and the rows lifted and hashed, a row block
-    at a time, the lifted rows through one reused buffer, so no lifted copy
-    of the data and no temporary of its size is ever held.
+    A lifted row (v/s, sqrt(1 - |v|^2/s^2)) projects on a plane p as
+    (v . p[:dim]) / s + lift * p[dim], so each block of ``HASH_BLOCK`` rows
+    is multiplied by all b*a planes at once as it stands, divided by s, and
+    given the rank-one lift term: no lifted copy of the data, nor a buffer
+    for one, is ever made.  The signs are those of the lifted rows up to
+    rounding: a projection within rounding of 0 may take either sign, and
+    near float64 underflow (row norms below about 2^-900) the unscaled
+    product may round differently from dividing the rows first.  Raises
+    ValueError when a row norm overflows float64.
     """
     if a < 1 or b < 1:
         raise ValueError("a and b must be at least 1")
     if a > 63:
         raise ValueError("a must be at most 63: a bucket key of a sign bits must fit in int64")
-    data, n, dim_l = vectors.data, vectors.n, vectors.dim + 1
-    step = _block_rows(dim_l)
+    data, n, dim = vectors.data, vectors.n, vectors.dim
+    step = _block_rows(dim)
     norms = np.empty(n)
-    for r in range(0, n, step):
-        norms[r : r + step] = np.linalg.norm(data[r : r + step], axis=1)
+    with np.errstate(over="ignore"):
+        for r in range(0, n, step):
+            norms[r : r + step] = np.linalg.norm(data[r : r + step], axis=1)
+    if not np.isfinite(norms).all():
+        raise ValueError("a row norm overflows float64: scale the data down to index it")
     scale = float(norms.max())
     if scale == 0.0:
         raise ValueError("cannot index all-zero data")
-    planes = np.empty((b, a, dim_l))
+    lifts = np.sqrt(np.maximum(0.0, 1.0 - (norms / scale) ** 2))
+    planes = np.empty((b, a, dim + 1))
     for t in range(b):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        planes[t] = rng.standard_normal((a, dim_l))
+        planes[t] = rng.standard_normal((a, dim + 1))
     planes /= np.linalg.norm(planes, axis=2, keepdims=True)
+    flat = planes.reshape(b * a, dim + 1)
     keys = np.empty((n, b), dtype=np.int64)
-    lifted = np.empty((min(step, n), dim_l))
-    for r in range(0, n, step):
-        rows = data[r : r + step]
-        out = _lift_rows(rows, norms[r : r + step], scale, lifted[: len(rows)])
-        keys[r : r + step] = _keys(planes, out)
+    for r in range(0, n, HASH_BLOCK):
+        proj = data[r : r + HASH_BLOCK] @ flat[:, :dim].T
+        proj /= scale
+        proj += lifts[r : r + HASH_BLOCK, None] * flat[:, dim]
+        keys[r : r + HASH_BLOCK] = _keys(proj, a)
     return LshIndex(
-        a=a, b=b, seed=seed, scale=scale, planes=planes, keys=keys, dim=vectors.dim, n=n,
+        a=a, b=b, seed=seed, scale=scale, planes=planes, keys=keys, dim=dim, n=n,
     )
 
 
@@ -158,7 +167,8 @@ def lsh_query(
     b = index.b if b_use is None else b_use
     if not 1 <= b <= index.b:
         raise ValueError("b_use must lie in [1, index.b]")
-    qkeys = _keys(index.planes[:b], _lift_query(query.vector)[None, :])
+    planes = index.planes[:b].reshape(b * index.a, index.dim + 1)
+    qkeys = _keys(_lift_query(query.vector)[None, :] @ planes.T, index.a)
     hit = (index.keys[:, :b] == qkeys).any(axis=1)
     cands = np.flatnonzero(hit)
     n_cands = int(cands.size)

@@ -19,8 +19,14 @@ from functools import partial
 import numpy as np
 
 from .baselines import lsh_build, lsh_query, naive_topk
-from .datasets import gen_adversarial
-from .elimination import EliminationConfig, checked_k, median_elimination_topk, top_ids
+from .datasets import AdversarialInstance, gen_adversarial
+from .elimination import (
+    EliminationConfig,
+    checked_k,
+    median_elimination_topk,
+    round_plan,
+    top_ids,
+)
 from .fileio import (
     CURVE_FIELDS,
     RESULT_FIELDS,
@@ -108,7 +114,8 @@ def run_validate(
     Every cell runs ``runs`` fresh adversarial instances and passes when the
     (1 - delta)-percentile of the observed suboptimalities is at most
     epsilon.  Records carry wall_ms = 0.0 unless ``record_wall`` so that the
-    results file is a pure function of the master seed.
+    results file is a pure function of the master seed.  The runs of a cell
+    share its search parameters, so the cell's round plan is made once.
     """
     epsilons = list(epsilons)
     deltas = list(deltas)
@@ -119,15 +126,16 @@ def run_validate(
     cells: list[ValidateCell] = []
     for ei, eps in enumerate(epsilons):
         for di, delta in enumerate(deltas):
+            config = EliminationConfig(k=k, epsilon=eps, delta=delta, range_width=1.0)
+            plan = round_plan(n, config, list_len, AdversarialInstance.mean_error)
             subopts: list[float] = []
             for r in range(runs):
                 instance_seed = derive_seed(seed, 1, ei, di, r)
                 # Recorded for the results file; the fixed-order lists draw no randomness.
                 algorithm_seed = derive_seed(seed, 2, ei, di, r)
                 instance = gen_adversarial(n, list_len, instance_seed)
-                config = EliminationConfig(k=k, epsilon=eps, delta=delta, range_width=1.0)
                 start = time.perf_counter()
-                ids, trace = median_elimination_topk(instance.sources(), config)
+                ids, trace = median_elimination_topk(instance.sources(), config, plan)
                 wall_ms = (time.perf_counter() - start) * 1e3 if record_wall else 0.0
                 sub = suboptimality(ids, instance.list_means, k)
                 subopts.append(sub)

@@ -44,6 +44,7 @@ __all__ = [
     "EliminationTrace",
     "elimination_schedule",
     "round_pull_target",
+    "round_plan",
     "pull_batch",
     "eliminate",
     "top_ids",
@@ -114,9 +115,12 @@ class EliminationConfig:
             raise ValueError("range_width must be positive")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class RoundRecord:
-    """One elimination round: sizes, budget slice, cumulative pull target."""
+    """One elimination round: sizes, budget slice, cumulative pull target.
+
+    Frozen, because the traces of every search run on one plan share it.
+    """
 
     round_index: int
     survivors: int
@@ -184,14 +188,15 @@ def round_pull_target(
     return max(pull_target(u, list_len), 1)
 
 
-def _round_plan(
+def round_plan(
     n: int, config: EliminationConfig, list_len: int, mean_error: float
 ) -> list[RoundRecord]:
     """Every round of a search over n > K arms, before any pull.
 
     Survivor counts, budgets and targets depend only on (n, K, epsilon,
     delta, range_width, N, mean_error), never on the sampled means, so the
-    whole schedule is known in advance.  Targets never decrease.
+    whole schedule is known in advance, and searches that share those
+    values can share one plan.  Targets never decrease.
     """
     plan: list[RoundRecord] = []
     survivors, target = n, 0
@@ -260,7 +265,7 @@ def top_ids(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def median_elimination_topk(
-    arms: Arms, config: EliminationConfig
+    arms: Arms, config: EliminationConfig, plan: list[RoundRecord] | None = None
 ) -> tuple[list[int], EliminationTrace]:
     """Return K arm ids whose K-th best true mean is epsilon-close to optimal.
 
@@ -271,6 +276,11 @@ def median_elimination_topk(
     (ties by id).  The trace carries per-round budgets and targets, total
     pulls across all arms including eliminated ones, and the per-arm
     maximum.
+
+    ``plan`` is ``round_plan(arms.n, config, arms.list_len,
+    arms.mean_error)``, passed by a caller that runs many searches on the
+    same values, or None to compute it here.  A plan whose first round does
+    not hold all ``arms.n`` arms raises ValueError.
 
     If there are at most K arms, all of them are returned in id order,
     unranked, with zero pulls and no ``returned_means``.
@@ -286,7 +296,11 @@ def median_elimination_topk(
         trace.returned = list(range(n))
         return list(trace.returned), trace
 
-    trace.rounds = _round_plan(n, config, list_len, arms.mean_error)
+    if plan is None:
+        plan = round_plan(n, config, list_len, arms.mean_error)
+    elif not plan or plan[0].survivors != n:
+        raise ValueError(f"the plan's first round must hold all {n} arms")
+    trace.rounds = list(plan)
     alive = np.arange(n)
     keep, target = None, 0
     for record in trace.rounds:

@@ -67,9 +67,9 @@ __all__ = [
 ]
 
 # Entries per block of a one-pass load (building a ``VectorSet``, reading a
-# dataset file, hashing rows for LSH): 2 MB as float32, 4 MB as float64, so a
-# block is still in cache when it is bounded or hashed.  Narrow rows go in
-# tall blocks, which keeps the per-block overhead small beside the work.
+# dataset file, taking row norms for LSH): 2 MB as float32, 4 MB as float64,
+# so a block is still in cache when it is bounded or reduced.  Narrow rows go
+# in tall blocks, which keeps the per-block overhead small beside the work.
 _LOAD_BLOCK = 1 << 19
 
 

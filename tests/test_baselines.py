@@ -5,10 +5,13 @@ double-computation treatment: an independent re-implementation with a
 different loop order must agree exactly on random instances.
 """
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from bandit_mips.baselines import _lift_rows, lsh_build, lsh_query, naive_topk
+from bandit_mips.baselines import HASH_BLOCK, lsh_build, lsh_query, naive_topk
 from bandit_mips.mips import ObjectiveKind, Query, VectorSet, _block_rows, mips_topk
 
 IP = ObjectiveKind.INNER_PRODUCT
@@ -243,24 +246,9 @@ def divide_then_stack(data):
     return np.hstack([data / scale, extra[:, None]]), scale
 
 
-def test_lsh_lift_matches_divide_then_stack():
-    data = np.random.default_rng(7).standard_normal((50, 17))
-    want, scale = divide_then_stack(data)
-    norms = np.linalg.norm(data, axis=1)
-    out = np.full((50, 18), np.nan)
-    assert _lift_rows(data, norms, scale, out) is out
-    assert np.array_equal(out, want)
-
-
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
-def test_lsh_block_lift_matches_full_matrix_lift(n):
-    # lsh_build lifts and hashes a row block at a time; the index must be the
-    # one the whole lifted matrix gives, key for key
-    dim = 8191
-    assert _block_rows(dim + 1) == 64  # n straddles the block boundaries
-    rng = np.random.default_rng(100 + n)
-    data = rng.standard_normal((n, dim)) * rng.uniform(0.1, 3.0, size=(n, 1))
-    a, b, seed = 7, 5, 11
+def assert_full_matrix_lift(data, a=7, b=5, seed=11):
+    """The index is the one the whole lifted matrix gives, key for key."""
+    n, dim = data.shape
     index = lsh_build(VectorSet(data), a=a, b=b, seed=seed)
     lifted, scale = divide_then_stack(data)
     planes = np.stack([
@@ -274,6 +262,64 @@ def test_lsh_block_lift_matches_full_matrix_lift(n):
     assert np.array_equal(index.planes, planes)
     assert index.keys.dtype == np.int64
     assert np.array_equal(index.keys, keys)
+
+
+def scaled_gaussian_rows(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, dim)) * rng.uniform(0.1, 3.0, size=(n, 1))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 255, 256, 257])
+def test_lsh_block_lift_matches_full_matrix_lift(n):
+    # lsh_build takes norms and hashes a row block at a time, never lifting
+    # a row; n straddles the boundaries of both kinds of block
+    dim = 8191
+    assert _block_rows(dim) == 64
+    assert HASH_BLOCK == 256
+    assert_full_matrix_lift(scaled_gaussian_rows(n, dim, 100 + n))
+
+
+@pytest.mark.parametrize("row_scale", [2.0**-400, 2.0**400])
+def test_lsh_full_matrix_lift_at_extreme_row_scales(row_scale):
+    # the projections are divided by the scale after the product, which must
+    # neither underflow nor overflow where dividing the rows first does not
+    assert_full_matrix_lift(scaled_gaussian_rows(130, 8191, 99) * row_scale)
+
+
+def test_lsh_build_holds_no_lifted_copy():
+    # the largest temporary is one norm block of _LOAD_BLOCK entries, under
+    # half of these 300 rows; a lifted copy would be more than all of them
+    data = np.random.default_rng(8).standard_normal((300, 4000))
+    vs = VectorSet(data)
+    tracemalloc.start()
+    try:
+        lsh_build(vs, a=4, b=3, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * data.nbytes, (peak, data.nbytes)
+
+
+def test_lsh_build_rejects_overflowing_row_norms():
+    # the entries are finite, but the squares in a norm overflow: with an
+    # infinite scale every key would be 0 and every query miss
+    data = np.random.default_rng(9).standard_normal((50, 20)) * 1e200
+    vs = VectorSet(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            lsh_build(vs, 4, 3)
+
+
+def test_lsh_query_rejects_overflowing_query_norm():
+    rng = np.random.default_rng(10)
+    vs = VectorSet(rng.standard_normal((50, 20)))
+    index = lsh_build(vs, 4, 3)
+    query = Query(rng.standard_normal(20) * 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            lsh_query(index, vs, query, 3)
 
 
 def per_table_union(data, q, planes, b_use):

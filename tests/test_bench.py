@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bandit_mips import bench
+from bandit_mips import bench, elimination
 from bandit_mips.bench import (
     LSH,
     ME,
@@ -88,6 +88,25 @@ def test_validate_zero_epsilon_degenerate_cell():
     for rec in report.records:
         assert rec.suboptimality == 0.0
         assert rec.params["max_arm_pulls"] == 60
+
+
+def test_validate_plans_each_cell_once(monkeypatch):
+    # every run of a cell searches on the same plan, made through
+    # round_pull_target once per round, not once per run
+    calls = []
+    honest = elimination.round_pull_target
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(elimination, "round_pull_target", spy)
+    report = run_validate([0.2, 0.4], [0.1, 0.3], n=40, list_len=400, runs=5, seed=11)
+    rounds = [rec.params["rounds"] for rec in report.records]
+    per_cell = rounds[::5]
+    assert all(r == per_cell[c // 5] for c, r in enumerate(rounds))
+    assert min(per_cell) > 1
+    assert len(calls) == sum(per_cell)
 
 
 @pytest.mark.parametrize("k", [0, 4])

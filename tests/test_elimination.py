@@ -13,6 +13,7 @@ from bandit_mips.elimination import (
     elimination_schedule,
     eliminate,
     median_elimination_topk,
+    round_plan,
     round_pull_target,
 )
 from oracles import oracle_eliminate, oracle_topk
@@ -264,6 +265,29 @@ def test_topk_returned_means_are_empirical():
     assert ids == [1, 3]
     assert trace.returned_means == [1.0, 1.0]
     assert trace.max_arm_pulls == 2
+
+
+def test_topk_runs_on_a_given_plan():
+    # a plan made once serves every search on the same values, and its
+    # records are shared, not copied
+    lists = np.random.default_rng(3).permuted(np.random.default_rng(6).random((30, 300)), axis=1)
+    config = EliminationConfig(k=2, epsilon=0.3, delta=0.1)
+    plan = round_plan(30, config, 300, 0.0)
+    want_ids, want = median_elimination_topk(MatrixArms(lists), config)
+    ids, trace = median_elimination_topk(MatrixArms(lists), config, plan)
+    assert ids == want_ids
+    assert trace.rounds == want.rounds == plan
+    assert all(got is rec for got, rec in zip(trace.rounds, plan))
+    assert trace.total_pulls == want.total_pulls
+
+
+@pytest.mark.parametrize("plan_n", [2, 29, 31])
+def test_topk_rejects_a_plan_for_another_arm_count(plan_n):
+    # plan_n = k plans no round at all
+    config = EliminationConfig(k=2, epsilon=0.3, delta=0.1)
+    plan = round_plan(plan_n, config, 300, 0.0)
+    with pytest.raises(ValueError, match="first round"):
+        median_elimination_topk(MatrixArms(np.zeros((30, 300))), config, plan)
 
 
 def test_topk_empty_arms_rejected():
