@@ -154,12 +154,8 @@ class LazySource:
     threads faster than it gathers the rows.  Distance windows are
     single-threaded elementwise work, so they use the view only while every
     row is in play, and gather from the first elimination on.  Either way a
-    row's window sum, and so its running sum, is the same.
-
-    ``data`` is never written.  A gathered distance window is a fresh copy,
-    so ``draw`` subtracts the query into it in place where both have one
-    dtype; on the view, and in the float64 re-sum of float32 rows, it
-    subtracts into a new array, which a float32 buffer would round.
+    row's window sum, and so its running sum, is the same.  ``data`` is
+    never written.
     """
 
     def __init__(
@@ -230,10 +226,5 @@ class LazySource:
         query = (self._query if exact else self._window_query)[a:b]
         if self._kind is ObjectiveKind.INNER_PRODUCT:
             return window @ query
-        # The gathered window is a copy of its own; the view is ``data``.
-        if rows is not None and window.dtype == query.dtype:
-            diff = np.subtract(window, query, out=window)
-        else:
-            diff = window - query
-        out = np.einsum("ij,ij->i", diff, diff)
-        return np.negative(out, out=out)
+        diff = window - query
+        return -np.einsum("ij,ij->i", diff, diff)

@@ -131,10 +131,10 @@ def lsh_build(vectors: VectorSet, a: int, b: int, seed: int = 0) -> LshIndex:
         raise ValueError("cannot index all-zero data")
     lifts = np.sqrt(np.maximum(0.0, 1.0 - (norms / scale) ** 2))
     planes = np.empty((b, a, dim + 1))
-    for t in range(b):
+    for t in range(b):  # one table at a time, so no temporary of all planes
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        planes[t] = rng.standard_normal((a, dim + 1))
-    planes /= np.linalg.norm(planes, axis=2, keepdims=True)
+        rng.standard_normal(out=planes[t])
+        planes[t] /= np.linalg.norm(planes[t], axis=1, keepdims=True)
     flat = planes.reshape(b * a, dim + 1)
     keys = np.empty((n, b), dtype=np.int64)
     for r in range(0, n, HASH_BLOCK):

@@ -17,30 +17,15 @@ inequality
 where u is exactly the classic with-replacement Hoeffding sample count
 (``hoeffding_count``).  ``sample_size`` solves the inequality in closed
 form; the least sufficient integer is its ceiling, which brute-force search
-confirms overshoots the true minimum by at most one.
+confirms overshoots the true minimum by at most one.  The factor itself is
+computed only by the tests, for that search.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["shrinkage", "hoeffding_count", "sample_size", "pull_target"]
-
-
-def shrinkage(m: int, list_len: int) -> float:
-    """Variance-shrinkage factor for m of ``list_len`` draws without replacement.
-
-    Equals 1 at m = 1, recovering the i.i.d. bound, and 0 at m = N: exhausting
-    the list leaves no estimation error at all.
-
-    Raises ValueError outside 1 <= m <= list_len or when list_len < 2.
-    """
-    if list_len < 2:
-        raise ValueError("list_len must be at least 2")
-    if not 1 <= m <= list_len:
-        raise ValueError("m must be in [1, list_len]")
-    n = float(list_len)
-    return min(1.0 - (m - 1) / n, (1.0 - m / n) * (1.0 + 1.0 / m))
+__all__ = ["hoeffding_count", "sample_size", "pull_target"]
 
 
 def hoeffding_count(epsilon: float, delta: float, range_width: float) -> float:

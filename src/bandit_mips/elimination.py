@@ -225,30 +225,18 @@ def pull_batch(arms: Arms, keep: np.ndarray | None, t: int) -> np.ndarray:
     return arms.sums(t, keep) / t
 
 
-# From this many survivors on, one argpartition over a complex key finds the
-# drop set faster than lexsort; below it lexsort is faster.
-PARTITION_MIN = 512
-
-
 def eliminate(rows: np.ndarray, means: np.ndarray, k: int) -> np.ndarray:
     """Keep mask over ``rows``: drop the ceil((s - k)/2) least ``means``.
 
     Ties on the mean drop the larger row id first, the ``top_ids`` order
     reversed, making the outcome a pure function of (means, ids).  Applying
     the mask keeps the input order.
-    With at least ``PARTITION_MIN`` rows the drop set is the first part of
-    an argpartition of ``means - 1j*rows``: complex values order by real
-    part, then imaginary part, which is lexsort's (mean ascending, id
-    descending) order, and the ids are distinct, so the set is the same.
     """
     s = rows.size
     if s <= k:
         raise ValueError("survivors must exceed k")
     drop_count = (s - k + 1) // 2
-    if s >= PARTITION_MIN:
-        drop = np.argpartition(means - 1j * rows, drop_count - 1)[:drop_count]
-    else:
-        drop = np.lexsort((-rows, means))[:drop_count]  # ascending mean, then descending id
+    drop = np.lexsort((-rows, means))[:drop_count]  # ascending mean, then descending id
     keep = np.ones(s, dtype=bool)
     keep[drop] = False
     return keep

@@ -19,11 +19,12 @@ import pytest
 from bandit_mips import elimination
 from bandit_mips.baselines import naive_topk
 from bandit_mips.bench import ME, run_compare, run_validate
-from bandit_mips.bounds import pull_target, shrinkage
+from bandit_mips.bounds import pull_target
 from bandit_mips.cli import main
 from bandit_mips.datasets import gen_vectors
 from bandit_mips.mips import ObjectiveKind, Query, VectorSet, build_arms, mips_topk
 from dominance import me_dominates
+from pull_scan import brute_force_min_pulls as brute
 
 EPSILONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 DELTAS = (0.05, 0.1, 0.2, 0.3)
@@ -88,13 +89,6 @@ def test_criterion_2_pull_bound_never_violated(validate_report):
 def test_criterion_3_sample_size_oracle():
     """Closed-form pull count vs brute-force minimal m: within +1 on 200
     random (u, N) pairs, exact on the two worked cases."""
-
-    def brute(u, list_len):
-        for m in range(1, list_len + 1):
-            r = shrinkage(m, list_len)
-            if r == 0.0 or m / r >= u:
-                return m
-        return list_len
 
     assert min(max(pull_target(1.0, 10), 1), 10) == brute(1.0, 10) == 1
     assert min(max(pull_target(50.0, 100), 1), 100) == brute(50.0, 100) == 34

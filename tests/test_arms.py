@@ -516,8 +516,8 @@ def test_float32_radius_too_small_for_the_bound_exhausts_exactly():
 
 
 def engine_cases():
-    """(vectors, queries, k) on float32-exact and float64 data, n above and
-    below ``PARTITION_MIN``; every search halves through a quarter of n."""
+    """(vectors, queries, k) on float32-exact and float64 data, n of 120 and
+    600; every search halves through a quarter of n."""
     rng = np.random.default_rng(37)
     for n, dim, queries in ((120, 2500, 10), (600, 1300, 3)):
         for exact32 in (True, False):

@@ -300,6 +300,22 @@ def test_lsh_build_holds_no_lifted_copy():
     assert peak < 0.5 * data.nbytes, (peak, data.nbytes)
 
 
+def test_lsh_build_normalises_planes_one_table_at_a_time():
+    # the planes are the largest array built; normalising them all at once
+    # would add a temporary as large, one table at a time adds one table's
+    data = np.random.default_rng(11).standard_normal((20, 20000))
+    vs = VectorSet(data)
+    a, b = 8, 8
+    tracemalloc.start()
+    try:
+        index = lsh_build(vs, a=a, b=b, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = a * (vs.dim + 1) * 8
+    assert peak < index.planes.nbytes + 2 * table, (peak, index.planes.nbytes, table)
+
+
 def test_lsh_build_rejects_overflowing_row_norms():
     # the entries are finite, but the squares in a norm overflow: with an
     # infinite scale every key would be 0 and every query miss

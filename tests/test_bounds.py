@@ -10,20 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from bandit_mips.bounds import hoeffding_count, pull_target, sample_size, shrinkage
-
-
-def brute_force_min_pulls(u, list_len):
-    """Smallest m in 1..N with m / shrinkage(m) >= u, by direct scan.
-
-    shrinkage(N) == 0 counts as sufficient: exhausting the list makes the
-    empirical mean exact, so any accuracy demand is met vacuously.
-    """
-    for m in range(1, list_len + 1):
-        r = shrinkage(m, list_len)
-        if r == 0.0 or m / r >= u:
-            return m
-    return list_len
+from bandit_mips.bounds import hoeffding_count, pull_target, sample_size
+from pull_scan import brute_force_min_pulls, shrinkage
 
 
 # --- shrinkage -------------------------------------------------------------

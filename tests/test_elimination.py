@@ -6,17 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
-from bandit_mips.bounds import shrinkage
 from bandit_mips.elimination import (
-    PARTITION_MIN,
     EliminationConfig,
     elimination_schedule,
     eliminate,
     median_elimination_topk,
     round_plan,
     round_pull_target,
+    top_ids,
 )
 from oracles import oracle_eliminate, oracle_topk
+from pull_scan import brute_force_min_pulls
 
 
 # --- schedule ---------------------------------------------------------------
@@ -47,14 +47,6 @@ def test_schedule_partial_sums_stay_below_budget():
 
 
 # --- round_pull_target ------------------------------------------------------
-
-
-def brute_force_min_pulls(u, list_len):
-    for m in range(1, list_len + 1):
-        r = shrinkage(m, list_len)
-        if r == 0.0 or m / r >= u:
-            return m
-    return list_len
 
 
 def test_round_target_frozen_value():
@@ -415,15 +407,15 @@ def test_topk_matches_the_oracle_loop():
 
 
 def test_eliminate_matches_the_oracle_for_ids_in_any_order():
-    # small sets, and sizes on both sides of the partition switch; means tied
-    # in groups (+0.0 beside -0.0) or all distinct
+    # small sets, and 511 to 1000 survivors; means tied in groups (+0.0
+    # beside -0.0) or all distinct
     rng = np.random.default_rng(42)
     sizes = set()
     for trial in range(420):
         if trial < 300:
             s = int(rng.integers(2, 60))
         else:
-            s = (PARTITION_MIN - 1, PARTITION_MIN, PARTITION_MIN + 1, 1000)[trial % 4]
+            s = (511, 512, 513, 1000)[trial % 4]
         k = int(rng.integers(1, s))
         rows = rng.permutation(max(200, 2 * s))[:s]
         if rng.random() < 0.5:
@@ -439,4 +431,21 @@ def test_eliminate_matches_the_oracle_for_ids_in_any_order():
         assert rows.tolist() == given[0].tolist()
         assert [repr(m) for m in means] == [repr(m) for m in given[1]]
         sizes.add(s)
-    assert {PARTITION_MIN - 1, PARTITION_MIN, PARTITION_MIN + 1} <= sizes
+    assert {511, 512, 513, 1000} <= sizes
+
+
+def test_eliminate_keeps_the_top_ids_of_increasing_ids():
+    # one ranking rule: for ids in increasing order the kept arms are the
+    # s - ceil((s - k)/2) best means with ties to the smaller id, at every
+    # size from 2 to 1000, on means tied in groups (+0.0 beside -0.0) and
+    # on distinct means
+    rng = np.random.default_rng(43)
+    for s in range(2, 1001):
+        k = int(rng.integers(1, s))
+        rows = np.sort(rng.permutation(2 * s)[:s])
+        tied = rng.integers(-2, 3, s) * 0.5
+        tied[tied == 0.0] *= rng.choice([1.0, -1.0], np.count_nonzero(tied == 0.0))
+        for means in (tied, rng.standard_normal(s)):
+            kept = s - (s - k + 1) // 2
+            want = np.sort(top_ids(means, kept))
+            assert np.flatnonzero(eliminate(rows, means, k)).tolist() == want.tolist()
