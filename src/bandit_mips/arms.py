@@ -1,14 +1,14 @@
 """Arm sets in the ``Arms`` protocol of ``elimination``.
 
 An arm set holds n arms with reward lists of a common length N and answers
-``sums(t, keep)``: the reward sums of the arms in play after ``t`` pulls
-each.  ``keep=None`` starts a search with every arm in play; each later
-call passes the previous round's boolean keep mask over the arms it
-returned, and the arm set compacts its own survivor ids and running sums.
-Every arm in play has the same pull count, so an arm set is a few arrays,
-not n objects.  ``mean_error`` bounds how far a mean ``sums/t`` may lie
-from the exact one through floating-point rounding; the search widens its
-radius by it.  ``checked_keep`` validates a call for every arm set.
+``sums(ids, t, done, prior)``: the reward sums of the arms ``ids`` after
+``t`` pulls each, given ``prior``, their sums after ``done`` pulls, so
+that only the pulls ``done..t-1`` are read.  An arm set is a pure function
+of those arguments: the search loop holds the survivors and their running
+sums, and the arm set keeps no search state.  ``check_pulls`` is the one
+check of a call, shared by every arm set.  ``mean_error`` bounds how far a
+mean ``sums/t`` may lie from the exact one through floating-point
+rounding; the search widens its radius by it.
 
 ``LazySource`` reads the rows of a matrix, computing rewards on demand in
 one column order shared by all arms; ``PositionSampler`` draws the random
@@ -32,7 +32,6 @@ WINDOW_BLOCK = 1024
 # Rows per block of an exhaustive float64 re-sum and of building a permuted
 # copy; bounds their temporaries to that many rows x N floats.
 ROW_BLOCK = 64
-_BOOL = np.dtype(bool)
 
 
 class ObjectiveKind(enum.Enum):
@@ -73,33 +72,12 @@ def _float32_mean_error(kind: ObjectiveKind, data_bound: float, query_bound: flo
     return eta
 
 
-def checked_keep(
-    keep, in_play: int | None, pulls: int, t: int, list_len: int
-) -> np.ndarray | None:
-    """``keep`` as a boolean mask, once one ``sums(t, keep)`` call is valid.
-
-    ``in_play`` is the number of arms the previous call returned (None
-    before any call) and ``pulls`` its pull count.  ``keep=None`` starts
-    over from no pulls; a mask must be boolean and hold one entry per arm in
-    play.  Either way t must lie in [pulls, list_len].  Raises ValueError
-    naming the fault before the arm set changes.
-    """
-    if keep is None:
-        pulls = 0
-    elif in_play is None:
-        raise ValueError("a keep mask needs a previous round: call sums(t) with keep=None first")
-    else:
-        keep = np.asarray(keep)
-        if keep.dtype != _BOOL:
-            raise ValueError(f"keep must be a boolean mask, not {keep.dtype}")
-        if keep.shape != (in_play,):
-            raise ValueError(f"keep has shape {keep.shape}, but {in_play} arms are in play")
-    if not pulls <= t <= list_len:
+def check_pulls(done: int, t: int, list_len: int) -> None:
+    """Raise ValueError unless 0 <= done <= t <= list_len, before any read."""
+    if not 0 <= done <= t <= list_len:
         raise ValueError(
-            f"pull count {t} outside [{pulls}, {list_len}]: "
-            "t never decreases and never exceeds the list length"
+            f"pull counts done = {done}, t = {t} outside 0 <= done <= t <= {list_len}"
         )
-    return keep
 
 
 class PositionSampler:
@@ -134,8 +112,8 @@ class LazySource:
     it wraps), evaluated in blocks of at most ``WINDOW_BLOCK`` columns.  The
     reads are uniform without-replacement samples when the columns are in
     uniformly random order (``mips.build_arms`` permutes them).  The object
-    keeps the ids of the arms in play and one cumulative sum per id, and
-    compacts both by each call's keep mask; ``sums`` returns a fresh array.
+    keeps no search state: ``sums`` reads only the windows of the new pulls
+    and returns a new array.
 
     ``data`` is a float64 or float32 matrix and ``query`` a float64 vector,
     as ``mips.build_arms`` passes them.  On float32 data the windows are
@@ -148,14 +126,14 @@ class LazySource:
     float32 rounding.
 
     Read rule: a window is evaluated either for every row on the strided
-    view of ``data``, then gathered by the ids in play, or for the gathered
-    rows of the arms in play.  Inner-product windows use the view while at
-    least a quarter of the rows are in play, as BLAS reads it with its
-    threads faster than it gathers the rows.  Distance windows are
-    single-threaded elementwise work, so they use the view only while every
-    row is in play, and gather from the first elimination on.  Either way a
-    row's window sum, and so its running sum, is the same.  ``data`` is
-    never written.
+    view of ``data``, then gathered by ``ids``, or for the gathered rows
+    ``ids``.  Inner-product windows use the view while ``ids`` holds at
+    least a quarter of the rows, as BLAS reads it with its threads faster
+    than it gathers the rows.  Distance windows are single-threaded
+    elementwise work, so they use the view only while ``ids`` holds every
+    row, and gather from the first elimination on.  Either way a row's
+    window sum, and so its running sum, is the same.  ``data`` is never
+    written.
     """
 
     def __init__(
@@ -180,25 +158,18 @@ class LazySource:
                 self.mean_error, self._window_query = eta, query.astype(np.float32)
         self.n, self.list_len = data.shape
         self.start = start % self.list_len
-        # Ids in play (None before the first call), their sums and pull count.
-        self._ids: np.ndarray | None = None
-        self._sums: np.ndarray | None = None
-        self._pulls = 0
 
-    def sums(self, t: int, keep: np.ndarray | None = None) -> np.ndarray:
-        """Cumulative reward sums of the arms in play over the first ``t`` positions.
+    def sums(
+        self, ids: np.ndarray, t: int, done: int = 0, prior: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Reward sums of the arms ``ids`` over the first ``t`` positions.
 
-        ``keep=None`` puts every arm in play with no pulls yet; a boolean
-        ``keep`` over the arms of the previous call drops the False ones.
-        The arm set changes only once every window is read, so a call that
-        raises leaves it as it was.
+        ``prior`` holds their sums over the first ``done`` positions (unread
+        when ``done`` is 0); its copy gains the windows of positions
+        ``done..t-1``.
         """
-        in_play = None if self._ids is None else self._ids.size
-        keep = checked_keep(keep, in_play, self._pulls, t, self.list_len)
-        if keep is None:
-            ids, sums, done = np.arange(self.n), np.zeros(self.n), 0
-        else:
-            ids, sums, done = self._ids[keep], self._sums[keep], self._pulls
+        check_pulls(done, t, self.list_len)
+        sums = np.zeros(ids.size) if done == 0 else prior.copy()
         if self._kind is ObjectiveKind.INNER_PRODUCT:  # the read rule of the class docstring
             on_view = 4 * ids.size >= self.n
         else:
@@ -212,8 +183,7 @@ class LazySource:
             b = min(a + t - done, self.list_len, a + WINDOW_BLOCK)
             sums += self.draw(None, a, b)[ids] if on_view else self.draw(ids, a, b)
             done += b - a
-        self._ids, self._sums, self._pulls = ids, sums, t
-        return sums.copy()
+        return sums
 
     def draw(self, rows: np.ndarray | None, a: int, b: int, exact: bool = False) -> np.ndarray:
         """Reward sums of ``rows`` (None: every row) over columns [a, b).

@@ -17,6 +17,7 @@ exact inner product.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,13 +159,17 @@ def lsh_query(
 
     ``b_use`` restricts the lookup to the first b_use tables (their hashes
     are identical to a standalone index with b = b_use, see LshIndex), which
-    lets one index serve a whole OR-width sweep.  Padding fills with the
-    smallest ids not already present and sets the flag.
+    lets one index serve a whole OR-width sweep; a non-integer such as 2.0
+    raises TypeError, as k does.  Padding fills with the smallest ids not
+    already present and sets the flag.
     """
     if index.n != vectors.n or index.dim != vectors.dim:
         raise ValueError("index was built over a different vector set")
     k = checked_k(k, index.n)
-    b = index.b if b_use is None else b_use
+    try:
+        b = index.b if b_use is None else operator.index(b_use)
+    except TypeError:
+        raise TypeError(f"b_use must be an integer, not {type(b_use).__name__}") from None
     if not 1 <= b <= index.b:
         raise ValueError("b_use must lie in [1, index.b]")
     planes = index.planes[:b].reshape(b * index.a, index.dim + 1)

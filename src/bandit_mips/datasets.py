@@ -14,8 +14,8 @@ which is the stress case for an elimination rule that trusts early means.
 Using a rounded count instead of per-position coin flips pins each list mean
 to within 1/(2N) of r, so measured suboptimality reflects the algorithm, not
 generator noise.  The instance is itself the arm set of a search: its
-``sums(t, keep)`` reads every list front (ones) to back, in closed form,
-and keeps the ones counts of the arms in play, compacted by each keep mask.
+``sums(ids, t, done, prior)`` reads every list front (ones) to back, in
+closed form, ``min(ones, t)``, so it needs no ``prior``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arms import checked_keep
+from .arms import check_pulls
 from .mips import VectorSet
 
 __all__ = ["AdversarialInstance", "gen_vectors", "gen_adversarial"]
@@ -37,8 +37,8 @@ class AdversarialInstance:
     """Per-arm target means and their realized ones-then-zeros reward lists.
 
     The instance is an arm set in the ``Arms`` protocol of ``elimination``;
-    its integer sums are exact.  A ``keep=None`` call starts a new search,
-    so one instance serves any number of searches in turn.
+    its integer sums are exact, and it keeps no search state, so one
+    instance serves any number of searches.
     """
 
     mean_error = 0.0
@@ -47,9 +47,6 @@ class AdversarialInstance:
     ones: np.ndarray          # round(r * list_len) per arm
     list_len: int
     list_means: np.ndarray = field(init=False)  # exact realized means
-    # ones of the arms in play (None before the first call), and their pulls
-    _in_play: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _pulls: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.list_means = self.ones / self.list_len
@@ -58,14 +55,12 @@ class AdversarialInstance:
     def n(self) -> int:
         return self.target_means.size
 
-    def sums(self, t: int, keep: np.ndarray | None = None) -> np.ndarray:
-        """Reward sums of the arms in play after ``t`` pulls each: min(ones, t)."""
-        in_play = None if self._in_play is None else self._in_play.size
-        keep = checked_keep(keep, in_play, self._pulls, t, self.list_len)
-        ones = self.ones if keep is None else self._in_play[keep]
-        out = np.minimum(ones, t)
-        self._in_play, self._pulls = ones, t
-        return out
+    def sums(
+        self, ids: np.ndarray, t: int, done: int = 0, prior: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Reward sums of the arms ``ids`` after ``t`` pulls each: min(ones, t)."""
+        check_pulls(done, t, self.list_len)
+        return np.minimum(self.ones[ids], t)
 
     def sources(self) -> AdversarialInstance:
         """The arms of a search: the instance itself."""

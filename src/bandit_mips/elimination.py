@@ -15,15 +15,16 @@ survivors are measured exactly and later rounds add no pulls.  Survivor
 counts, budgets and targets never depend on the sampled means, so the
 search plans every round before its first pull.
 
-Arms are read through the ``Arms`` protocol: ``sums(t, keep)`` returns the
-cumulative reward sums of the arms in play after ``t`` pulls each, where
-the first round passes ``keep=None`` (every arm) and each later one the
-keep mask ``eliminate`` returned.  The arm set compacts its own survivors,
-so the loop holds no per-arm state beyond the int array of survivor ids
-that breaks ties and names the answer.  An arm set whose sums carry
-rounding error declares a bound ``mean_error`` on it, and each round asks
-the sampled means for eps_l/2 - mean_error per tail, so that the computed
-means still lie within eps_l/2 of the true ones.
+Arms are read through the ``Arms`` protocol: ``sums(ids, t, done, prior)``
+returns the reward sums of the arms ``ids`` after ``t`` pulls each, given
+``prior``, their sums after ``done`` pulls.  The loop holds the search
+state, as in Median Elimination: the int array of survivor ids, which
+breaks ties and names the answer, their running sums and their common pull
+count.  Each round extends the sums to the round's target, then compacts
+ids and sums by the keep mask ``eliminate`` returns.  An arm set whose sums
+carry rounding error declares a bound ``mean_error`` on it, and each round
+asks the sampled means for eps_l/2 - mean_error per tail, so that the
+computed means still lie within eps_l/2 of the true ones.
 """
 
 from __future__ import annotations
@@ -55,16 +56,15 @@ __all__ = [
 class Arms(Protocol):
     """n arms with reward lists of length ``list_len``, ids 0..n-1.
 
-    ``sums(t, keep)`` returns, for each arm in play in increasing id order,
-    the sum of its first ``t`` rewards in a uniformly random
-    without-replacement order (0 <= t <= list_len).  ``keep=None`` puts
-    every arm in play with no pulls yet; a later call passes a boolean mask
-    over the arms the previous call returned, True for those that stay, and
-    a ``t`` no smaller than the previous one, so an implementation adds only
-    the new pulls of the arms in play.  A mask with no previous call, of the
-    wrong dtype or length, or a ``t`` out of range raises ValueError, and
-    the returned array is the caller's own.  ``mean_error`` bounds
-    |sums(t, keep)/t - exact mean of those t rewards| for every arm and
+    ``sums(ids, t, done, prior)`` returns, for each arm of the int array
+    ``ids``, the sum of its first ``t`` rewards in a uniformly random
+    without-replacement order.  ``prior`` holds those arms' sums after
+    ``done`` pulls (it may be None when ``done`` is 0), so an
+    implementation reads only the pulls ``done..t-1``.  The result is a new
+    array, and a call changes neither ``prior`` nor the arm set: the same
+    arguments give the same sums.  Pull counts outside
+    0 <= done <= t <= list_len raise ValueError.  ``mean_error`` bounds
+    |sums/t - exact mean of those t rewards| for every arm and
     t < list_len; at t = list_len the sums are exact.
     """
 
@@ -72,7 +72,9 @@ class Arms(Protocol):
     list_len: int
     mean_error: float
 
-    def sums(self, t: int, keep: np.ndarray | None = None) -> np.ndarray: ...
+    def sums(
+        self, ids: np.ndarray, t: int, done: int = 0, prior: np.ndarray | None = None
+    ) -> np.ndarray: ...
 
 
 def checked_k(k, n: float) -> int:
@@ -214,15 +216,17 @@ def round_plan(
     return plan
 
 
-def pull_batch(arms: Arms, keep: np.ndarray | None, t: int) -> np.ndarray:
-    """Empirical means of the arms in play after ``t`` pulls each (t >= 1).
+def pull_batch(
+    arms: Arms, ids: np.ndarray, t: int, done: int, prior: np.ndarray | None
+) -> np.ndarray:
+    """Reward sums of the arms ``ids`` after ``t`` pulls each (t >= 1).
 
-    ``keep`` is passed on to ``arms.sums``: None in the first round, then
-    the previous round's keep mask.
+    ``prior`` holds their sums after ``done`` pulls, as ``arms.sums`` takes
+    them: a round extends the previous round's sums of its survivors.
     """
     if t < 1:
         raise ValueError("an empirical mean needs at least one pull")
-    return arms.sums(t, keep) / t
+    return arms.sums(ids, t, done, prior)
 
 
 def eliminate(rows: np.ndarray, means: np.ndarray, k: int) -> np.ndarray:
@@ -289,16 +293,16 @@ def median_elimination_topk(
     elif not plan or plan[0].survivors != n:
         raise ValueError(f"the plan's first round must hold all {n} arms")
     trace.rounds = list(plan)
-    alive = np.arange(n)
-    keep, target = None, 0
+    alive, sums, target = np.arange(n), None, 0
     for record in trace.rounds:
-        trace.total_pulls += record.survivors * (record.pull_target - target)
-        target = record.pull_target
-        means = pull_batch(arms, keep, target)
-        keep = eliminate(alive, means, config.k)
-        alive = alive[keep]
+        t = record.pull_target
+        trace.total_pulls += record.survivors * (t - target)
+        sums = pull_batch(arms, alive, t, target, sums)
+        target = t
+        keep = eliminate(alive, sums / t, config.k)
+        alive, sums = alive[keep], sums[keep]
 
-    means = means[keep]
+    means = sums / target
     trace.max_arm_pulls = target
     order = top_ids(means, config.k)  # alive is increasing, so ties keep the smaller id
     trace.returned = alive[order].tolist()

@@ -129,7 +129,7 @@ def test_criterion_4_oracle_equivalence():
         if trial % 10 == 0:  # exhaustive arm-mean audit on a tenth of them
             brute_means = data @ q / dim
             arms = build_arms(vs, query, ObjectiveKind.INNER_PRODUCT, start=trial)
-            means = arms.sums(dim) / dim
+            means = arms.sums(np.arange(n), dim) / dim
             for arm_id in range(n):
                 assert means[arm_id] == pytest.approx(
                     brute_means[arm_id], rel=1e-9, abs=1e-12
@@ -156,13 +156,12 @@ def test_criterion_5_exhaustion_exactness():
         one_hot = VectorSet(np.diag(values), seed=seed)
         order = np.roll(one_hot.permuted()[0], -start)
         arms = build_arms(one_hot, ones, ObjectiveKind.INNER_PRODUCT, start)
-        keep = None
+        ids = np.arange(length)
         before = np.zeros(length)
         t = 0
         while t < length:
             batch = int(rng.integers(1, length - t + 1))
-            now = arms.sums(t + batch, keep)
-            keep = np.ones(length, dtype=bool)
+            now = arms.sums(ids, t + batch, t, before)
             # this batch read exactly the next positions of the pi prefix
             assert sorted(np.flatnonzero(now != before).tolist()) == sorted(
                 order[t : t + batch].tolist()
@@ -172,7 +171,7 @@ def test_criterion_5_exhaustion_exactness():
 
         twin = build_arms(VectorSet(values[None, :], seed=seed), ones,
                           ObjectiveKind.INNER_PRODUCT, start)
-        assert twin.sums(length)[0] / length == pytest.approx(
+        assert twin.sums(np.array([0]), length)[0] / length == pytest.approx(
             values.mean(), rel=1e-9, abs=1e-15
         )
 

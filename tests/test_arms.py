@@ -10,9 +10,11 @@ query, arm i's only nonzero reward sits at column i, so the arms whose sums
 change during a call are exactly the columns that call read, and every sum
 is exact.
 
-Arm sets answer ``sums(t, keep)``: ``keep=None`` puts every arm in play,
-and each later call passes a boolean mask over the arms of the previous
-call.  ``narrow`` turns a sorted subset of the rows in play into that mask.
+Arm sets answer ``sums(ids, t, done, prior)``: the sums of the arms
+``ids`` after ``t`` pulls, extending ``prior``, their sums after ``done``
+pulls, and they keep no state between calls.  A test that runs several
+rounds holds the search state itself, as the elimination loop does: the
+rows in play and, for them, ``running[rows]``, the prior of the next call.
 """
 
 import numpy as np
@@ -41,23 +43,14 @@ def one_hot_arms(values, seed=0, start=0):
     return build_arms(vs, Query(np.ones(values.size)), IP, start)
 
 
-def narrow(in_play, rows):
-    """Keep mask over the ids ``in_play`` that leaves the sorted ids ``rows``."""
-    keep = np.isin(in_play, rows)
-    assert in_play[keep].tolist() == list(rows)
-    return keep
-
-
 def columns_read(arms, splits):
     """Pull all rows through the batch sizes ``splits``; the columns each batch read."""
-    before = np.zeros(arms.n)
+    ids, before = np.arange(arms.n), np.zeros(arms.n)
     t = 0
     batches = []
-    keep = None
     for count in splits:
+        now = arms.sums(ids, t + count, t, before)
         t += count
-        now = arms.sums(t, keep)
-        keep = np.ones(arms.n, dtype=bool)
         batches.append(np.flatnonzero(now != before).tolist())
         before = now
     return batches, before
@@ -70,21 +63,22 @@ def prefix_order(arms, vectors):
 def test_materialized_full_draw_exact_mean():
     vs = VectorSet(np.array([[1.0, 0.0, 0.0, 0.0]]))
     arms = build_arms(vs, Query(np.ones(4)), IP, start=3)
-    assert arms.sums(4)[0] / 4 == 0.25
+    assert arms.sums(np.array([0]), 4)[0] / 4 == 0.25
 
 
 def test_empirical_mean_requires_pulls():
-    arms = one_hot_arms([1.0, 2.0])
+    arms, ids = one_hot_arms([1.0, 2.0]), np.arange(2)
     with pytest.raises(ValueError):
-        pull_batch(arms, None, 0)
-    assert pull_batch(arms, None, 2).tolist() == [0.5, 1.0]
+        pull_batch(arms, ids, 0, 0, None)
+    assert (pull_batch(arms, ids, 2, 0, None) / 2).tolist() == [0.5, 1.0]
 
 
 def test_stream_source_fixed_order():
     # ones stream out before zeros, so a 3-pull prefix sees only ones
-    arms = AdversarialInstance(np.array([0.3]), np.array([3]), 10)
-    assert arms.sums(3)[0] / 3 == 1.0
-    assert arms.sums(10, np.array([True]))[0] / 10 == 0.3
+    arms, ids = AdversarialInstance(np.array([0.3]), np.array([3]), 10), np.array([0])
+    first = arms.sums(ids, 3)
+    assert first[0] / 3 == 1.0
+    assert arms.sums(ids, 10, 3, first)[0] / 10 == 0.3
 
 
 def test_full_draw_recovers_multiset():
@@ -110,11 +104,10 @@ def test_full_draw_multiset_across_window_blocks():
         arms = build_arms(vs, Query(np.ones(n_cols)), IP, start)
         assert arms.mean_error > 0.0
         order = prefix_order(arms, vs)
-        t, keep = 0, None
+        ids, got, t = np.arange(3), None, 0
         for count in (250, WINDOW_BLOCK + 3, 1, n_cols - WINDOW_BLOCK - 254):
+            got = arms.sums(ids, t + count, t, got)
             t += count
-            got = arms.sums(t, keep)
-            keep = np.ones(3, dtype=bool)
             want = vs.data[:, order[:t]].sum(axis=1)
             assert np.all(np.abs(got - want) <= arms.mean_error * t)
         assert t == n_cols
@@ -127,73 +120,61 @@ def test_exhaustion_mean_matches_list_mean():
     q = Query(rng.standard_normal(128))
     for kind, lists in ((IP, vs.data * q.vector), (NSD, -((vs.data - q.vector) ** 2))):
         arms = build_arms(vs, q, kind, start=5)
-        means = arms.sums(128) / 128
+        means = arms.sums(np.arange(6), 128) / 128
         assert means == pytest.approx(lists.mean(axis=1), rel=1e-9)
 
 
 def test_overdraw_is_a_hard_error():
-    arms = one_hot_arms([1.0, 2.0])
-    arms.sums(2)
+    arms, ids = one_hot_arms([1.0, 2.0]), np.arange(2)
+    first = arms.sums(ids, 2)
     with pytest.raises(ValueError):
-        arms.sums(3, np.ones(2, dtype=bool))
+        arms.sums(ids, 3, 2, first)
     with pytest.raises(ValueError):
-        AdversarialInstance(np.array([0.5]), np.array([1]), 2).sums(3)
+        AdversarialInstance(np.array([0.5]), np.array([1]), 2).sums(np.array([0]), 3)
 
 
 def test_pull_batch_overdraw_rejected_before_sampling():
-    arms = one_hot_arms([1.0, 2.0, 3.0], start=1)
-    first = arms.sums(2).tolist()
+    arms, ids = one_hot_arms([1.0, 2.0, 3.0], start=1), np.arange(3)
+    first = arms.sums(ids, 2)
     with pytest.raises(ValueError):
-        arms.sums(4, np.ones(3, dtype=bool))
+        arms.sums(ids, 4, 2, first)
     # the rejected call read nothing: the same pull count gives the same sums
-    assert arms.sums(2, np.ones(3, dtype=bool)).tolist() == first
+    assert arms.sums(ids, 2, 2, first).tolist() == first.tolist()
 
 
-def keep_mask_arm_sets(n):
+def arm_sets(n):
     """Both arm sets over n arms whose lists have length n."""
     ones = np.arange(1, n + 1)
     inst = AdversarialInstance(ones / n, ones, n)
     return [one_hot_arms(ones.astype(float)), inst.sources()]
 
 
-@pytest.mark.parametrize("arms", keep_mask_arm_sets(3), ids=["lazy", "adversarial"])
-def test_sums_rejects_a_bad_keep_mask(arms):
-    # a mask refers to the arms of a previous call, so it cannot come first
-    with pytest.raises(ValueError, match="previous round"):
-        arms.sums(1, np.ones(3, dtype=bool))
-    first = arms.sums(1).tolist()
-    with pytest.raises(ValueError, match="boolean"):
-        arms.sums(2, np.array([0, 2]))
-    with pytest.raises(ValueError, match="boolean"):
-        arms.sums(2, np.ones(3))
-    with pytest.raises(ValueError, match="3 arms are in play"):
-        arms.sums(2, np.ones(2, dtype=bool))
-    with pytest.raises(ValueError, match="never decreases"):
-        arms.sums(0, np.ones(3, dtype=bool))
-    with pytest.raises(ValueError, match="never exceeds"):
-        arms.sums(4, np.ones(3, dtype=bool))
-    # no rejected call changed the arm set: the mask narrows the first call
-    keep = np.array([True, False, True])
-    assert arms.sums(1, keep).tolist() == [first[0], first[2]]
-    with pytest.raises(ValueError, match="2 arms are in play"):
-        arms.sums(2, keep)
-    # keep=None starts a new search over every arm
-    assert arms.sums(1).tolist() == first
-    with pytest.raises(ValueError, match="outside"):
-        arms.sums(4)
+@pytest.mark.parametrize("arms", arm_sets(3), ids=["lazy", "adversarial"])
+def test_sums_rejects_a_bad_pull_count(arms):
+    ids = np.arange(3)
+    prior = arms.sums(ids, 2)
+    assert arms.sums(ids, 3, 2, prior).tolist() == arms.sums(ids, 3).tolist()
+    for done, t in ((2, 1), (0, 4), (-1, 2)):  # done > t, t > N, done < 0
+        with pytest.raises(ValueError, match=f"done = {done}, t = {t} outside"):
+            arms.sums(ids, t, done, prior)
 
 
-@pytest.mark.parametrize("arms", keep_mask_arm_sets(5), ids=["lazy", "adversarial"])
-def test_sums_returns_no_alias_of_the_running_sums(arms):
+@pytest.mark.parametrize("arms", arm_sets(5), ids=["lazy", "adversarial"])
+def test_sums_is_a_pure_function_of_its_arguments(arms):
     # for LazySource: windows read on the strided view with 5 and 2 arms in
     # play, on the gathered row with 1, and the float64 re-sum at t = N
-    steps = ((1, None), (2, np.array([True, False, True, False, False])),
-             (3, np.array([True, False])), (5, np.array([True])))
-    for t, keep in steps:
-        got = arms.sums(t, keep)
-        want = got.tolist()
-        got[:] = -7.0
-        assert arms.sums(t, np.ones(got.size, dtype=bool)).tolist() == want
+    steps = ((np.arange(5), 1), (np.array([0, 2]), 2), (np.array([0]), 3), (np.array([0]), 5))
+    running, done = np.zeros(5), 0
+    for ids, t in steps:
+        prior = running[ids]
+        before = prior.copy()
+        got = arms.sums(ids, t, done, prior)
+        assert not np.shares_memory(got, prior)
+        assert prior.tolist() == before.tolist()
+        assert arms.sums(ids, t, done, prior).tolist() == got.tolist()
+        # one-hot sums are exact, so extending the prior equals reading afresh
+        assert arms.sums(ids, t).tolist() == got.tolist()
+        running[ids], done = got, t
 
 
 def test_position_sampler_overdraw():
@@ -203,10 +184,10 @@ def test_position_sampler_overdraw():
     with pytest.raises(ValueError):
         sampler.draw(1)
     # the arms' pull count never decreases either
-    arms = one_hot_arms([1.0, 2.0, 3.0, 4.0, 5.0])
-    arms.sums(5)
+    arms, ids = one_hot_arms([1.0, 2.0, 3.0, 4.0, 5.0]), np.arange(5)
+    prior = arms.sums(ids, 5)
     with pytest.raises(ValueError):
-        arms.sums(4, np.ones(5, dtype=bool))
+        arms.sums(ids, 4, 5, prior)
 
 
 def test_per_arm_determinism_is_schedule_independent():
@@ -222,40 +203,43 @@ def test_per_arm_determinism_is_schedule_independent():
     q = Query(rng.standard_normal(3000))
     for kind in (IP, NSD):
         a = build_arms(vs, q, kind, start=2500)
-        a.sums(10)
-        a.sums(1100, np.array([True, False, True]))
-        got_a = a.sums(2900, np.array([False, True]))
+        first = a.sums(np.arange(3), 10)
+        second = a.sums(np.array([0, 2]), 1100, 10, first[[0, 2]])
+        got_a = a.sums(np.array([2]), 2900, 1100, second[1:])
         b = build_arms(vs, q, kind, start=2500)
-        got_b = b.sums(2900)[2:]
+        got_b = b.sums(np.arange(3), 2900)[2:]
         assert got_a == pytest.approx(got_b, rel=1e-9)
 
 
 @pytest.mark.parametrize("kind", [IP, NSD])
-def test_a_failed_sums_call_changes_nothing(kind, monkeypatch):
-    # 26 of 40 arms read the view for inner products and gather for
-    # distances; the call's second window raises, and a retry of the same
-    # call must then answer as an arm set that never saw the failure
-    rng = np.random.default_rng(39)
-    vs = VectorSet(rng.standard_normal((40, 3000)), seed=3)
-    q = Query(rng.standard_normal(3000))
-    a, b = build_arms(vs, q, kind, start=2500), build_arms(vs, q, kind, start=2500)
-    a.sums(10)
-    b.sums(10)
-    keep = np.arange(40) % 3 != 0
-    assert keep.sum() == 26
+def test_a_search_reads_each_position_once(kind, monkeypatch):
+    # each round extends the previous round's sums, so a search's windows
+    # tile the cyclic column order from start once, up to its last target;
+    # start sits 40 columns before N, so the first window ends at N and the
+    # next one wraps to column 0
+    rng = np.random.default_rng(40)
+    n, dim = 200, 3000
+    vs = VectorSet(rng.standard_normal((n, dim)), seed=12)
+    perm, permuted = vs.permuted()
     draw, windows = LazySource.draw, []
 
-    def failing(self, rows, lo, hi, exact=False):
-        windows.append((lo, hi))
-        if len(windows) == 2:
-            raise MemoryError("window failed")
-        return draw(self, rows, lo, hi, exact)
+    def spy(self, rows, a, b, exact=False):
+        if not exact:
+            windows.append((a, b))
+        return draw(self, rows, a, b, exact)
 
-    monkeypatch.setattr(LazySource, "draw", failing)
-    with pytest.raises(MemoryError):
-        a.sums(2500, keep)
-    monkeypatch.setattr(LazySource, "draw", draw)
-    assert a.sums(2500, keep).tolist() == b.sums(2500, keep).tolist()
+    monkeypatch.setattr(LazySource, "draw", spy)
+    for frac in (0.4, 0.2, 0.0):
+        q = Query(rng.standard_normal(dim))
+        lo, hi = reward_range(vs, q, kind)
+        config = EliminationConfig(k=5, epsilon=frac * (hi - lo), delta=0.1, range_width=hi - lo)
+        arms = LazySource(permuted, q.vector[perm], kind, dim - 40, vs.coord_bound, q.coord_bound)
+        windows.clear()
+        _, trace = median_elimination_topk(arms, config)
+        assert windows[:2] == [(dim - 40, dim), (0, windows[1][1])]
+        assert sum(b - a for a, b in windows) == trace.max_arm_pulls
+        cols = np.concatenate([np.arange(a, b) for a, b in windows])
+        assert cols.tolist() == ((dim - 40 + np.arange(trace.max_arm_pulls)) % dim).tolist()
 
 
 def test_lazy_source_positions_distinct_and_in_range():
@@ -309,11 +293,12 @@ def test_sums_match_brute_force_however_rounds_split():
         for trial in range(4):
             arms = build_arms(vs, q, kind, start=int(rng.integers(dim)))
             order = prefix_order(arms, vs)
-            rows, keep = np.arange(n), None
+            rows, running = np.arange(n), np.zeros(n)
             t = 0
             while t < dim:
-                t = min(dim, t + int(rng.integers(1, 1500)))
-                got = arms.sums(t, keep)
+                done, t = t, min(dim, t + int(rng.integers(1, 1500)))
+                got = arms.sums(rows, t, done, running[rows])
+                running[rows] = got
                 cols = order[:t]
                 block = vs.data[np.ix_(rows, cols)]
                 if kind is IP:
@@ -321,17 +306,17 @@ def test_sums_match_brute_force_however_rounds_split():
                 else:
                     want = -((block - q.vector[cols]) ** 2).sum(axis=1)
                 assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * dim)
-                kept = np.sort(rng.choice(rows, size=max(1, rows.size // 2), replace=False))
-                rows, keep = kept, narrow(rows, kept)
+                rows = np.sort(rng.choice(rows, size=max(1, rows.size // 2), replace=False))
 
 
 def test_adversarial_sums_closed_form():
     inst = AdversarialInstance(np.array([0.2, 0.9, 0.0]), np.array([2, 9, 0]), 10)
-    arms = inst.sources()
+    arms, ids, got = inst.sources(), np.arange(3), None
     lists = [[1.0] * 2 + [0.0] * 8, [1.0] * 9 + [0.0], [0.0] * 10]  # ones first
     for t in range(11):
         want = [sum(rewards[:t]) for rewards in lists]
-        assert arms.sums(t, None if t == 0 else np.ones(3, dtype=bool)).tolist() == want
+        got = arms.sums(ids, t, max(t - 1, 0), got)
+        assert got.tolist() == want
 
 
 # --- the float32 window engine -------------------------------------------------
@@ -390,23 +375,21 @@ def test_float32_means_within_mean_error_and_exact_at_exhaustion(kind, data_shif
         assert (arms.mean_error == 0.0) == overflows
         order = prefix_order(arms, vs)
         views = spy_on_views(arms)
-        rows, t, keep = np.arange(n), 0, None
+        rows, running, t = np.arange(n), np.zeros(n), 0
         # survivor counts fall from all n rows, where distance windows leave
         # the view, and cross a quarter of n (10) from above, where
         # inner-product windows leave it
         for size in (n, 31, 12, 10, 9, 4, 4, 4, 4, 4):
-            kept = np.sort(rng.choice(rows, size=size, replace=False))
-            if keep is not None or size < n:
-                keep = narrow(rows, kept)
-            rows = kept
-            t = min(dim - 1, t + int(rng.integers(1, 700)))
+            rows = np.sort(rng.choice(rows, size=size, replace=False))
+            done, t = t, min(dim - 1, t + int(rng.integers(1, 700)))
             views.clear()
-            got = arms.sums(t, keep)
+            got = arms.sums(rows, t, done, running[rows])
+            running[rows] = got
             want = brute_sums(vs, q, kind, rows, order[:t])
             assert np.all(np.abs(got / t - want / t) <= arms.mean_error)
             on_view = size == n if kind is NSD else 4 * size >= n
             assert set(views) <= {on_view}
-        got = arms.sums(dim, np.ones(rows.size, dtype=bool))
+        got = arms.sums(rows, dim, t, running[rows])
         assert got.tolist() == brute_sums(vs, q, kind, rows, np.arange(dim)).tolist()
 
 
@@ -424,15 +407,15 @@ def test_float32_means_within_mean_error_random_data(kind):
     bounds = float(np.abs(copy).max()), float(np.abs(q.vector).max())
     assert arms.mean_error == LazySource(copy, q.vector[perm], kind, 0, *bounds).mean_error
     order = prefix_order(arms, vs)
-    rows, t, keep = np.arange(n), 0, None
+    rows, running, t = np.arange(n), np.zeros(n), 0
     while t < dim - 1:
-        t = min(dim - 1, t + int(rng.integers(1, 900)))
+        done, t = t, min(dim - 1, t + int(rng.integers(1, 900)))
         want = brute_sums(vs, q, kind, rows, order[:t])
-        assert np.all(np.abs(arms.sums(t, keep) - want) <= arms.mean_error * t)
-        kept = np.sort(rng.choice(rows, size=max(1, rows.size * 2 // 3), replace=False))
-        rows, keep = kept, narrow(rows, kept)
+        running[rows] = arms.sums(rows, t, done, running[rows])
+        assert np.all(np.abs(running[rows] - want) <= arms.mean_error * t)
+        rows = np.sort(rng.choice(rows, size=max(1, rows.size * 2 // 3), replace=False))
     want = brute_sums(vs, q, kind, rows, order)
-    assert np.allclose(arms.sums(dim, keep), want, rtol=1e-12, atol=0.0)
+    assert np.allclose(arms.sums(rows, dim, t, running[rows]), want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", [IP, NSD])
@@ -447,11 +430,12 @@ def test_float32_underflow_stays_within_mean_error(kind):
     arms = build_arms(vs, q, kind, start=int(rng.integers(dim)))
     assert arms.mean_error > 0.0
     order = prefix_order(arms, vs)
-    rows, keep = np.arange(n), None
+    rows, got, done = np.arange(n), None, 0
     for t in (100, 1200, dim - 1):
         want = brute_sums(vs, q, kind, rows, order[:t])
-        assert np.all(np.abs(arms.sums(t, keep) - want) <= arms.mean_error * t)
-        keep = np.ones(n, dtype=bool)
+        got = arms.sums(rows, t, done, got)
+        assert np.all(np.abs(got - want) <= arms.mean_error * t)
+        done = t
 
 
 def test_inexact_data_gets_a_float64_copy_and_no_rounding_bound():

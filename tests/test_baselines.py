@@ -169,6 +169,21 @@ def test_lsh_prefix_tables_match_standalone_build():
     assert r_prefix.candidates == r_small.candidates
 
 
+def test_lsh_query_rejects_a_non_integer_b_use():
+    rng = np.random.default_rng(45)
+    vs = VectorSet(rng.standard_normal((50, 8)))
+    q = Query(rng.standard_normal(8))
+    index = lsh_build(vs, a=2, b=3, seed=2)
+    for b_use in (2.0, 2.5):
+        with pytest.raises(TypeError, match="b_use must be an integer, not float"):
+            lsh_query(index, vs, q, 3, b_use=b_use)
+    got, want = lsh_query(index, vs, q, 3, b_use=np.int64(2)), lsh_query(index, vs, q, 3, b_use=2)
+    assert want.candidates > 0
+    assert (got.ids, got.candidates) == (want.ids, want.candidates)
+    with pytest.raises(ValueError, match="b_use must lie"):
+        lsh_query(index, vs, q, 3, b_use=4)
+
+
 def test_lsh_recall_improves_with_more_tables():
     rng = np.random.default_rng(45)
     vs = VectorSet(rng.standard_normal((400, 24)))

@@ -8,7 +8,8 @@ from bandit_mips.datasets import AdversarialInstance, gen_adversarial, gen_vecto
 
 def read_list(inst, arm):
     """Arm ``arm``'s rewards in the order a search reads them: its sums' increments."""
-    return np.diff([inst.sums(t)[arm] for t in range(inst.list_len + 1)]).tolist()
+    ids = np.array([arm])
+    return np.diff([inst.sums(ids, t)[0] for t in range(inst.list_len + 1)]).tolist()
 
 
 def test_adversarial_rounding_rule():
@@ -45,12 +46,12 @@ def test_adversarial_list_mean_close_to_target():
 
 def test_adversarial_sources_stream_ones_first():
     inst = gen_adversarial(5, 30, seed=1)
-    arms, keep = inst.sources(), np.ones(5, dtype=bool)
+    arms, ids, got = inst.sources(), np.arange(5), None
     for t in range(31):
         # every pull up to an arm's ones count reads a one, every later one a zero
-        got = arms.sums(t, None if t == 0 else keep)
+        got = arms.sums(ids, t, max(t - 1, 0), got)
         assert got.tolist() == np.minimum(inst.ones, t).tolist()
-    assert (arms.sums(30, keep) / 30).tolist() == inst.list_means.tolist()
+    assert (arms.sums(ids, 30, 30, got) / 30).tolist() == inst.list_means.tolist()
 
 
 def test_gen_vectors_deterministic():

@@ -139,9 +139,9 @@ class MatrixArms:
     """Test-local arms: row i of ``rewards`` is arm i's list, read in stored order.
 
     Shuffle the rows first for a uniformly random order.  Every call is
-    checked against the protocol: the first passes keep=None, each later
-    one a boolean mask over the arms in play, and t never decreases.  The
-    sums are exact.
+    checked against the protocol: 0 <= done <= t <= list_len, and ``prior``
+    holds the exact sums of ``ids`` after ``done`` pulls.  The sums are
+    exact.
     """
 
     mean_error = 0.0
@@ -150,19 +150,12 @@ class MatrixArms:
         rewards = np.asarray(rewards, dtype=float)
         self.n, self.list_len = rewards.shape
         self.prefix = np.concatenate([np.zeros((self.n, 1)), np.cumsum(rewards, axis=1)], axis=1)
-        self.rows = None
-        self.t = 0
 
-    def sums(self, t, keep=None):
-        if keep is None:
-            assert self.rows is None
-            self.rows = np.arange(self.n)
-        else:
-            assert keep.dtype == bool and keep.shape == self.rows.shape
-            self.rows = self.rows[keep]
-        assert self.t <= t <= self.list_len
-        self.t = t
-        return self.prefix[self.rows, t]
+    def sums(self, ids, t, done=0, prior=None):
+        assert 0 <= done <= t <= self.list_len
+        if done:
+            assert prior.tolist() == self.prefix[ids, done].tolist()
+        return self.prefix[ids, t]
 
 
 class RowsMatrixArms(MatrixArms):
@@ -171,6 +164,7 @@ class RowsMatrixArms(MatrixArms):
     def __init__(self, rewards):
         super().__init__(rewards)
         self.rows = set(range(self.n))
+        self.t = 0
 
     def sums(self, rows, t):
         assert set(rows.tolist()) <= self.rows and self.t <= t <= self.list_len

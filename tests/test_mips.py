@@ -28,9 +28,9 @@ def test_build_arms_inner_product_rewards():
     q = Query(np.array([1.0, 1.0, 1.0]))
     arms = build_arms(vs, q, IP, start=1)
     order = np.roll(vs.permuted()[0], -1)
-    keep = np.array([True])
+    ids = np.array([0])
     # each pull adds the reward v[j] * q[j] of the next position of the order
-    got = [arms.sums(t, None if t == 1 else keep)[0] for t in (1, 2, 3)]
+    got = [arms.sums(ids, t)[0] for t in (1, 2, 3)]
     assert got == pytest.approx(np.cumsum(vs.data[0, order]).tolist())
     assert got[-1] == pytest.approx(6.0)
     assert true_means(vs, q, IP)[0] == pytest.approx(2.0)
@@ -40,8 +40,8 @@ def test_build_arms_identical_vector_zero_distance():
     v = np.array([[0.3, -0.7, 2.0]])
     vs, q = VectorSet(v), Query(v[0])
     arms = build_arms(vs, q, NSD)
-    keep = np.array([True])
-    assert [arms.sums(t, None if t == 1 else keep)[0] for t in (1, 2, 3)] == [0.0, 0.0, 0.0]
+    ids = np.array([0])
+    assert [arms.sums(ids, t)[0] for t in (1, 2, 3)] == [0.0, 0.0, 0.0]
     assert true_means(vs, q, NSD)[0] == 0.0
 
 
@@ -60,7 +60,7 @@ def test_lazy_source_means_match_brute_force():
     vs = VectorSet(rng.standard_normal((8, 125)))
     q = Query(rng.standard_normal(125))
     for kind in (IP, NSD):
-        means = build_arms(vs, q, kind, start=2).sums(125) / 125
+        means = build_arms(vs, q, kind, start=2).sums(np.arange(8), 125) / 125
         for got, want in zip(means, true_means(vs, q, kind)):
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
