@@ -17,12 +17,11 @@ exact inner product.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import checked_k, top_ids
+from .elimination import checked_int, top_ids
 from .mips import ObjectiveKind, Query, VectorSet, _block_rows, true_means
 
 __all__ = ["ExactResult", "naive_topk", "LshIndex", "LshResult", "lsh_build", "lsh_query"]
@@ -48,7 +47,7 @@ def naive_topk(
     kind: ObjectiveKind = ObjectiveKind.INNER_PRODUCT,
 ) -> ExactResult:
     """Score all n rows, return the K best (score ties keep the smaller id)."""
-    k = checked_k(k, vectors.n)
+    k = checked_int(k, "k", 1, vectors.n, "n")
     scores = true_means(vectors, query, kind) * vectors.dim
     order = top_ids(scores, k)
     return ExactResult(
@@ -112,13 +111,12 @@ def lsh_build(vectors: VectorSet, a: int, b: int, seed: int = 0) -> LshIndex:
     for one, is ever made.  The signs are those of the lifted rows up to
     rounding: a projection within rounding of 0 may take either sign, and
     near float64 underflow (row norms below about 2^-900) the unscaled
-    product may round differently from dividing the rows first.  Raises
-    ValueError when a row norm overflows float64.
+    product may round differently from dividing the rows first.  A bucket
+    key of ``a`` sign bits must fit in int64, so ``a`` lies in [1, 63].
+    Raises ValueError when a row norm overflows float64.
     """
-    if a < 1 or b < 1:
-        raise ValueError("a and b must be at least 1")
-    if a > 63:
-        raise ValueError("a must be at most 63: a bucket key of a sign bits must fit in int64")
+    a, b = checked_int(a, "a", 1, 63), checked_int(b, "b", 1)
+    seed = checked_int(seed, "seed", 0)
     data, n, dim = vectors.data, vectors.n, vectors.dim
     step = _block_rows(dim)
     norms = np.empty(n)
@@ -165,13 +163,8 @@ def lsh_query(
     """
     if index.n != vectors.n or index.dim != vectors.dim:
         raise ValueError("index was built over a different vector set")
-    k = checked_k(k, index.n)
-    try:
-        b = index.b if b_use is None else operator.index(b_use)
-    except TypeError:
-        raise TypeError(f"b_use must be an integer, not {type(b_use).__name__}") from None
-    if not 1 <= b <= index.b:
-        raise ValueError("b_use must lie in [1, index.b]")
+    k = checked_int(k, "k", 1, index.n, "n")
+    b = index.b if b_use is None else checked_int(b_use, "b_use", 1, index.b, "index.b")
     planes = index.planes[:b].reshape(b * index.a, index.dim + 1)
     qkeys = _keys(_lift_query(query.vector)[None, :] @ planes.T, index.a)
     hit = (index.keys[:, :b] == qkeys).any(axis=1)

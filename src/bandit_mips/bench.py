@@ -22,7 +22,7 @@ from .baselines import lsh_build, lsh_query, naive_topk
 from .datasets import AdversarialInstance, gen_adversarial
 from .elimination import (
     EliminationConfig,
-    checked_k,
+    checked_int,
     median_elimination_topk,
     round_plan,
     top_ids,
@@ -119,9 +119,11 @@ def run_validate(
     """
     epsilons = list(epsilons)
     deltas = list(deltas)
-    if not epsilons or not deltas or runs < 1:
-        raise ValueError("need at least one epsilon, one delta, and one run")
-    k = checked_k(k, n)
+    if not epsilons or not deltas:
+        raise ValueError("need at least one epsilon and one delta")
+    runs, seed = checked_int(runs, "runs", 1), checked_int(seed, "seed")
+    n, list_len = checked_int(n, "n", 1), checked_int(list_len, "list_len", 1)
+    k = checked_int(k, "k", 1, n, "n")
     records: list[RunRecord] = []
     cells: list[ValidateCell] = []
     for ei, eps in enumerate(epsilons):
@@ -234,12 +236,13 @@ def run_compare(
             f"{LSH} ranks by inner product and cannot answer the {kind.value} objective; "
             f"leave {LSH} out of the methods"
         )
+    seed = checked_int(seed, "seed")
     eps_label = "eps_frac" if me_epsilons is None else "epsilon"
     eps_name = "me_" + eps_label + "s"
     eps_values = [float(e) for e in (me_eps_fracs if me_epsilons is None else me_epsilons)]
     me_deltas = list(me_deltas)
-    lsh_a = sorted({int(a) for a in lsh_a})
-    lsh_b = sorted({int(b) for b in lsh_b})
+    lsh_a = sorted({checked_int(a, "lsh_a", 1) for a in lsh_a})
+    lsh_b = sorted({checked_int(b, "lsh_b", 1) for b in lsh_b})
     sweep_lists = {
         ME: {eps_name: eps_values, "me_deltas": me_deltas},
         LSH: {"lsh_a": lsh_a, "lsh_b": lsh_b},
@@ -249,17 +252,15 @@ def run_compare(
     rules = {
         eps_name: (lambda v: math.isfinite(v) and v >= 0.0, "be finite and >= 0"),
         "me_deltas": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
-        "lsh_a": (lambda v: v >= 1, "be at least 1"),
-        "lsh_b": (lambda v: v >= 1, "be at least 1"),
     }
     for method in methods:
         for name, values in sweep_lists.get(method, {}).items():
             if not values:
                 raise ValueError(f"{name} is empty; {method} needs at least one value")
-            valid, rule = rules[name]
-            for value in values:
-                if not valid(value):
-                    raise ValueError(f"{name} holds {value!r}; it must {rule}")
+    for name, (valid, rule) in rules.items() if ME in methods else ():
+        for value in sweep_lists[ME][name]:
+            if not valid(value):
+                raise ValueError(f"{name} holds {value!r}; it must {rule}")
     ops_naive = vectors.n * vectors.dim
 
     truth_ids: list[list[int]] = []
@@ -377,15 +378,19 @@ def run_query(
     estimate of the full inner product.  ``setup_ms`` is the time to build
     the set's column-permuted copy, which only a search that builds arms
     needs (0 with K = n or a zero-width reward range); ``wall_ms`` is the
-    search alone.
+    search alone.  ``range_width`` is the width of the reward range that
+    ``epsilon``, an absolute accuracy on the mean scale, is measured against
+    (None where no search runs).
     """
     vectors = read_dataset(data_path)
     query = read_query(query_path)
-    k = checked_k(k, vectors.n)
+    k = checked_int(k, "k", 1, vectors.n, "n")
+    range_width = None
     start = time.perf_counter()
     if k < vectors.n:
         lo, hi = reward_range(vectors, query, kind)
         if hi > lo:
+            range_width = hi - lo
             vectors.permuted()
     setup_ms = (time.perf_counter() - start) * 1e3
     start = time.perf_counter()
@@ -398,6 +403,7 @@ def run_query(
         "estimated_scores": [m * vectors.dim for m in trace.returned_means] or None,
         "k": k,
         "epsilon": epsilon,
+        "range_width": range_width,
         "delta": delta,
         "seed": seed,
         "objective": kind.value,

@@ -38,11 +38,11 @@ def hoeffding_count(epsilon: float, delta: float, range_width: float) -> float:
     A ratio range_width / epsilon too large to square in float64 gives
     u = inf, which ``sample_size`` maps to exhaustion.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if range_width <= 0.0:
+    if not range_width > 0.0:
         raise ValueError("range_width must be positive")
     try:
         ratio_sq = (range_width / epsilon) ** 2
@@ -63,7 +63,7 @@ def sample_size(u: float, list_len: int) -> float:
 
     u = inf is accepted and maps to N (exhaustive sampling, exact mean).
     """
-    if u < 0.0:
+    if not u >= 0.0:
         raise ValueError("u must be non-negative")
     if list_len < 2:
         raise ValueError("list_len must be at least 2")

@@ -81,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--k", type=int, default=5)
     p_query.add_argument(
         "--epsilon", type=float, default=0.1,
-        help="mean-scale accuracy; epsilon_ip = epsilon * dim (0 = exact)",
+        help="absolute mean-scale accuracy, not a fraction of the reward range "
+        "(the summary's range_width; about a quarter of it is useful); "
+        "epsilon_ip = epsilon * dim (0 = exact)",
     )
     p_query.add_argument("--delta", type=float, default=0.1, help="failure probability")
     p_query.add_argument(

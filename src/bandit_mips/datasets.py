@@ -1,9 +1,11 @@
 """Synthetic instance generators: dense vector sets and adversarial reward lists.
 
 Everything here is a pure function of its arguments, seed included, and each
-generator rejects arguments it cannot realize.  ``gen_vectors(dist, n, dim,
-seed)`` draws an n x dim matrix for a ``dist`` in ``VECTOR_DISTS``: Gaussian
-entries are standard normal; uniform entries are Uniform[0, 1).
+generator rejects arguments it cannot realize.  Sizes and seeds are integers
+checked by ``checked_int``: a size below 1, a negative seed or a non-integer
+is an error that names the argument.  ``gen_vectors(dist, n, dim, seed)``
+draws an n x dim matrix for a ``dist`` in ``VECTOR_DISTS``: Gaussian entries
+are standard normal; uniform entries are Uniform[0, 1).
 
 The adversarial generator draws each arm's target mean r uniformly from
 [0, 1] and realizes it as a deterministic list of round(r * N) ones followed
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arms import check_pulls
+from .elimination import checked_int
 from .mips import VectorSet
 
 __all__ = ["AdversarialInstance", "gen_vectors", "gen_adversarial"]
@@ -70,9 +73,8 @@ class AdversarialInstance:
 def gen_vectors(dist: str, n: int, dim: int, seed: int = 0) -> VectorSet:
     if dist not in VECTOR_DISTS:
         raise ValueError(f"unknown dist: {dist!r}")
-    if n < 1 or dim < 1:
-        raise ValueError("n and dim must be positive")
-    rng = np.random.default_rng(seed)
+    n, dim = checked_int(n, "n", 1), checked_int(dim, "dim", 1)
+    rng = np.random.default_rng(checked_int(seed, "seed", 0))
     if dist == "gaussian":
         data = rng.standard_normal((n, dim))
     else:
@@ -81,9 +83,8 @@ def gen_vectors(dist: str, n: int, dim: int, seed: int = 0) -> VectorSet:
 
 
 def gen_adversarial(n: int, list_len: int, seed: int = 0) -> AdversarialInstance:
-    if n < 1 or list_len < 1:
-        raise ValueError("n and list_len must be positive")
-    rng = np.random.default_rng(seed)
+    n, list_len = checked_int(n, "n", 1), checked_int(list_len, "list_len", 1)
+    rng = np.random.default_rng(checked_int(seed, "seed", 0))
     targets = rng.random(n)
     ones = np.floor(targets * list_len + 0.5).astype(np.int64)
     return AdversarialInstance(target_means=targets, ones=ones, list_len=list_len)

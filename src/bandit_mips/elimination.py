@@ -25,6 +25,10 @@ ids and sums by the keep mask ``eliminate`` returns.  An arm set whose sums
 carry rounding error declares a bound ``mean_error`` on it, and each round
 asks the sampled means for eps_l/2 - mean_error per tail, so that the
 computed means still lie within eps_l/2 of the true ones.
+
+``checked_int`` is the package's one check of an integer argument (k,
+seeds, sizes, LSH widths): a non-integer is a TypeError and a value out of
+range a ValueError, each naming the argument.
 """
 
 from __future__ import annotations
@@ -77,19 +81,24 @@ class Arms(Protocol):
     ) -> np.ndarray: ...
 
 
-def checked_k(k, n: float) -> int:
-    """``k`` as an int, once it is an integer in [1, n].
+def checked_int(
+    value, name: str, lo: float = -math.inf, hi: float = math.inf, hi_name: str = ""
+) -> int:
+    """``value`` as an int, once it is an integer in [lo, hi].
 
-    Raises TypeError naming ``k`` for a non-integer such as 2.0 (Python and
-    numpy integers pass ``operator.index``), and ValueError outside [1, n].
+    The one check of every integer argument, which ``name`` names in its
+    errors: TypeError for a non-integer such as 2.0, "2" or None (Python and
+    numpy integers pass ``operator.index``), ValueError with the value and
+    the range outside [lo, hi], calling hi ``hi_name`` when one is given.
     """
     try:
-        k = operator.index(k)
+        value = operator.index(value)
     except TypeError:
-        raise TypeError(f"k must be an integer, not {type(k).__name__}") from None
-    if not 1 <= k <= n:
-        raise ValueError(f"k = {k} must lie in [1, n] with n = {n}")
-    return k
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
+    if not lo <= value <= hi:
+        top = f"{hi_name}] with {hi_name} = {hi}" if hi_name else f"{hi}]"
+        raise ValueError(f"{name} = {value} must lie in [{lo}, {top}")
+    return value
 
 
 @dataclass(slots=True)
@@ -108,12 +117,12 @@ class EliminationConfig:
     range_width: float = 1.0
 
     def __post_init__(self) -> None:
-        self.k = checked_k(self.k, math.inf)  # a search over n <= k arms returns them all
+        self.k = checked_int(self.k, "k", 1)  # a search over n <= k arms returns them all
         if self.epsilon < 0.0 or not math.isfinite(self.epsilon):
             raise ValueError("epsilon must be finite and non-negative")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.range_width <= 0.0:
+        if not self.range_width > 0.0:
             raise ValueError("range_width must be positive")
 
 

@@ -48,14 +48,13 @@ On 1000 x 10^4 float32-exact data the copy takes 40 MB instead of 80 MB.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .arms import ROW_BLOCK, LazySource, ObjectiveKind, PositionSampler
-from .elimination import EliminationConfig, EliminationTrace, checked_k, median_elimination_topk
+from .elimination import EliminationConfig, EliminationTrace, checked_int, median_elimination_topk
 
 __all__ = [
     "VectorSet",
@@ -66,7 +65,7 @@ __all__ = [
     "mips_topk",
 ]
 
-# Entries per block of a one-pass load (building a ``VectorSet``, reading a
+# Entries per block of a one-pass load (bounding a ``VectorSet``, reading a
 # dataset file, taking row norms for LSH): 2 MB as float32, 4 MB as float64,
 # so a block is still in cache when it is bounded or reduced.  Narrow rows go
 # in tall blocks, which keeps the per-block overhead small beside the work.
@@ -89,8 +88,8 @@ class VectorSet:
     ``data`` exactly, float64 otherwise.
 
     A float64 C-contiguous ``data`` is kept as given; any other input is
-    converted into a new float64 matrix.  Either way the bound is taken a
-    row block at a time, as each block lands, in one pass.
+    converted into a new float64 matrix, which the bound then scans a row
+    block at a time.
     """
 
     data: np.ndarray
@@ -101,25 +100,11 @@ class VectorSet:
     )
 
     def __post_init__(self) -> None:
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise TypeError(f"seed must be an integer, not {type(self.seed).__name__}") from None
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
-        x = np.asarray(self.data)
-        if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
+        self.seed = checked_int(self.seed, "seed", 0)
+        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
+        if self.data.ndim != 2 or self.data.size == 0:
             raise ValueError("data must be a non-empty 2-D matrix")
-        if x.dtype == np.float64 and x.flags.c_contiguous:
-            self.data, fill = x, None
-        else:
-            self.data = np.empty(x.shape)
-
-            def fill(rows: np.ndarray, a: int) -> np.ndarray:
-                rows[...] = x[a : a + len(rows)]
-                return rows
-
-        self.coord_bound = _load_rows(self.data, fill)
+        self.coord_bound = _load_rows(self.data, None)
 
     @classmethod
     def _from_rows(
@@ -162,13 +147,12 @@ def _load_rows(
 ) -> float:
     """Land ``out`` a row block at a time; returns its largest |entry|.
 
-    ``fill(rows, a)`` writes rows a, a + 1, ... into the slice ``rows`` of
-    ``out`` and returns an array of the same values to bound: ``rows``, or
-    the block it was converted from exactly, which may be narrower and so
-    faster to scan (None: the rows are in place already).  Each block is
+    ``fill(rows, a)``, from a dataset read, writes rows a, a + 1, ... into
+    the slice ``rows`` of ``out`` and returns the block it converted them
+    from exactly, which is narrower and so faster to scan.  Each block is
     bounded as it lands, while it is in cache, so the bound takes no second
-    pass over ``out``.  Raises ValueError at the first block with a NaN or
-    an infinite entry.
+    pass over ``out``.  ``fill`` None bounds rows that are in place already.
+    Raises ValueError at the first block with a NaN or an infinite entry.
     """
     bound, step = 0.0, _block_rows(out.shape[1])
     for a in range(0, out.shape[0], step):
@@ -231,6 +215,7 @@ def build_arms(
     query is permuted once; the set's permuted copy is built on first use.
     """
     _check_dims(vectors, query)
+    start = checked_int(start, "start")
     perm, permuted = vectors.permuted()
     return LazySource(
         permuted, query.vector[perm], kind, start, vectors.coord_bound, query.coord_bound
@@ -295,10 +280,7 @@ def _start_offset(seed: int, list_len: int) -> int:
     seeds give unrelated offsets without building a random generator per
     query.  The modulo bias is below N / 2^64.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    z = (seed + 0x9E3779B97F4A7C15) & _MASK64
+    z = (checked_int(seed, "seed", 0) + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) % list_len
@@ -325,7 +307,7 @@ def mips_topk(
     pulls and no ``returned_means``, neither building the arms; both after
     the same epsilon and delta checks.  A non-integer ``k`` is a TypeError.
     """
-    k = checked_k(k, vectors.n)
+    k = checked_int(k, "k", 1, vectors.n, "n")
     lo, hi = reward_range(vectors, query, kind)
     if hi == lo:
         EliminationConfig(k=k, epsilon=epsilon, delta=delta)  # validates epsilon and delta

@@ -180,7 +180,8 @@ def test_lsh_query_rejects_a_non_integer_b_use():
     got, want = lsh_query(index, vs, q, 3, b_use=np.int64(2)), lsh_query(index, vs, q, 3, b_use=2)
     assert want.candidates > 0
     assert (got.ids, got.candidates) == (want.ids, want.candidates)
-    with pytest.raises(ValueError, match="b_use must lie"):
+    said = r"^b_use = 4 must lie in \[1, index\.b\] with index\.b = 3$"
+    with pytest.raises(ValueError, match=said):
         lsh_query(index, vs, q, 3, b_use=4)
 
 

@@ -23,7 +23,7 @@ from bandit_mips.bench import (
 from bandit_mips.datasets import gen_vectors
 from bandit_mips.elimination import top_ids
 from bandit_mips.fileio import write_dataset
-from bandit_mips.mips import ObjectiveKind, Query, VectorSet, mips_topk
+from bandit_mips.mips import ObjectiveKind, Query, VectorSet, mips_topk, reward_range
 from dominance import me_dominates
 
 
@@ -344,7 +344,12 @@ def test_compare_bad_delta_or_lsh_width_rejected_before_any_query(
     searched = []
     monkeypatch.setattr(bench, "naive_topk", lambda *args: searched.append(args))
     vs, queries = small_instance
-    with pytest.raises(ValueError, match=rf"{name} holds {value}\b"):
+    # the delta rule and the integer check of the LSH widths word it apart
+    if name == "me_deltas":
+        said = rf"holds {value}; it must lie in \(0, 1\)"
+    else:
+        said = rf"= {value} must lie in \[1, inf\]"
+    with pytest.raises(ValueError, match=rf"^{name} {said}$"):
         run_compare(vs, queries, 2, **{"methods": (NAIVE, ME), **kwargs})
     assert searched == []
 
@@ -432,6 +437,23 @@ def test_run_query_matches_naive(tmp_path):
     assert out["speedup_ops"] >= 1.0
     assert out["warning"] is None
     assert len(out["estimated_scores"]) == 3
+
+
+def test_run_query_reports_the_range_width_epsilon_is_measured_against(tmp_path):
+    from bandit_mips.fileio import read_dataset, read_query
+
+    rng = np.random.default_rng(73)
+    dpath, qpath, zero = tmp_path / "d.bin", tmp_path / "q.bin", tmp_path / "z.bin"
+    write_dataset(dpath, VectorSet(rng.standard_normal((12, 30))))
+    write_dataset(qpath, VectorSet(rng.standard_normal((1, 30))))
+    write_dataset(zero, VectorSet(np.zeros((1, 30))))
+    for kind in ObjectiveKind:
+        lo, hi = reward_range(read_dataset(dpath), read_query(qpath), kind)
+        out = run_query(dpath, qpath, 3, epsilon=0.1, delta=0.1, kind=kind)
+        assert out["range_width"] == hi - lo > 0.0
+    # no search runs at K = n or on a zero-width range
+    assert run_query(dpath, qpath, 12, epsilon=0.1, delta=0.1)["range_width"] is None
+    assert run_query(dpath, zero, 3, epsilon=0.1, delta=0.1)["range_width"] is None
 
 
 def test_run_query_degenerate_zero_query(tmp_path):

@@ -76,6 +76,8 @@ def test_sample_size_infinite_u_exhausts():
 def test_sample_size_negative_u_rejected():
     with pytest.raises(ValueError):
         sample_size(-0.5, 10)
+    with pytest.raises(ValueError):
+        sample_size(math.nan, 10)
 
 
 def test_sample_size_monotone_in_u():
@@ -142,3 +144,7 @@ def test_hoeffding_count_domain_errors():
         hoeffding_count(0.1, 1.0, 1.0)
     with pytest.raises(ValueError):
         hoeffding_count(0.1, 0.1, 0.0)
+    with pytest.raises(ValueError):
+        hoeffding_count(math.nan, 0.1, 1.0)
+    with pytest.raises(ValueError):
+        hoeffding_count(0.1, 0.1, math.nan)

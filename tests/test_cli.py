@@ -181,7 +181,10 @@ def test_compare_bad_epsilon_exit_two(flag, capsys):
 
 @pytest.mark.parametrize(
     "flags, name",
-    [(["--deltas=0.1,7"], "me_deltas holds 7.0"), (["--lsh-b=0"], "lsh_b holds 0")],
+    [
+        (["--deltas=0.1,7"], "me_deltas holds 7.0"),
+        (["--lsh-b=0"], "lsh_b = 0 must lie in [1, inf]"),
+    ],
 )
 def test_compare_bad_delta_or_lsh_width_exit_two(flags, name, capsys):
     code = main(["compare", "--n", "12", "--dim", "50", "--queries", "2", "--k", "1", *flags])

@@ -1,7 +1,9 @@
 """Round schedule, per-round pull targets, and the halving loop."""
 
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,23 +296,37 @@ def test_config_validation():
         EliminationConfig(k=1, epsilon=0.1, delta=1.0)
     with pytest.raises(ValueError):
         EliminationConfig(k=1, epsilon=0.1, delta=0.1, range_width=0.0)
+    with pytest.raises(ValueError):
+        EliminationConfig(k=1, epsilon=0.1, delta=0.1, range_width=math.nan)
+    # an infinite width stays accepted: every round exhausts, which is sound
+    EliminationConfig(k=1, epsilon=0.1, delta=0.1, range_width=math.inf)
 
 
 def k_callers():
     """Every entry point that takes k, as a function of k over 6 rows."""
     from bandit_mips.baselines import lsh_build, lsh_query, naive_topk
-    from bandit_mips.bench import run_compare, run_validate
+    from bandit_mips.bench import run_compare, run_query, run_validate
+    from bandit_mips.fileio import write_dataset
     from bandit_mips.mips import Query, VectorSet, mips_topk
 
     rng = np.random.default_rng(5)
     vs, q = VectorSet(rng.standard_normal((6, 8))), Query(rng.standard_normal(8))
     index = lsh_build(vs, 2, 3)
+
+    def query_files(k):
+        with tempfile.TemporaryDirectory() as tmp:
+            data, query = Path(tmp, "d.bin"), Path(tmp, "q.bin")
+            write_dataset(data, vs)
+            write_dataset(query, VectorSet(q.vector[None, :]))
+            return run_query(data, query, k, 0.1, 0.1)
+
     return {
         "mips_topk": lambda k: mips_topk(vs, q, k, 0.1, 0.1),
         "naive_topk": lambda k: naive_topk(vs, q, k),
         "lsh_query": lambda k: lsh_query(index, vs, q, k),
         "run_validate": lambda k: run_validate([0.3], [0.1], n=6, list_len=20, k=k, runs=1),
         "run_compare": lambda k: run_compare(vs, [q], k, methods=("naive",)),
+        "run_query": query_files,
         "EliminationConfig": lambda k: EliminationConfig(k=k, epsilon=0.1, delta=0.1),
     }
 
@@ -323,7 +339,9 @@ def test_a_non_integer_k_is_a_type_error_naming_k(caller, k):
 
 
 @pytest.mark.parametrize("k", [0, -1, 7])
-@pytest.mark.parametrize("caller", ["mips_topk", "naive_topk", "lsh_query", "run_validate"])
+@pytest.mark.parametrize(
+    "caller", ["mips_topk", "naive_topk", "lsh_query", "run_validate", "run_query"]
+)
 def test_k_outside_one_to_n_is_a_value_error(caller, k):
     with pytest.raises(ValueError, match=rf"k = {k} must lie in \[1, n\] with n = 6$"):
         k_callers()[caller](k)
@@ -332,6 +350,93 @@ def test_k_outside_one_to_n_is_a_value_error(caller, k):
 @pytest.mark.parametrize("caller", sorted(k_callers()))
 def test_a_numpy_integer_k_is_accepted(caller):
     k_callers()[caller](np.int64(2))
+
+
+def int_callers():
+    """Every other integer argument: "entry point.argument" -> (call, lo, hi).
+
+    ``call`` runs the entry point with the argument set to its one
+    parameter; lo and hi bound the argument, None where it has no bound.
+    """
+    from bandit_mips.baselines import lsh_build, lsh_query
+    from bandit_mips.bench import run_compare, run_validate
+    from bandit_mips.datasets import gen_adversarial, gen_vectors
+    from bandit_mips.mips import Query, VectorSet, build_arms, mips_topk
+
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((6, 8))
+    vs, q = VectorSet(rows), Query(rng.standard_normal(8))
+    index = lsh_build(vs, 2, 3)
+
+    def validate(**kwargs):
+        return run_validate([0.3], [0.1], **{"n": 6, "list_len": 20, "runs": 1, **kwargs})
+
+    def compare(**kwargs):
+        return run_compare(vs, [q], 2, **{"methods": ("naive",), **kwargs})
+
+    return {
+        "VectorSet.seed": (lambda v: VectorSet(rows, seed=v), 0, None),
+        "mips_topk.seed": (lambda v: mips_topk(vs, q, 2, 0.1, 0.1, seed=v), 0, None),
+        "build_arms.start": (lambda v: build_arms(vs, q, start=v), None, None),
+        "lsh_build.a": (lambda v: lsh_build(vs, v, 3), 1, 63),
+        "lsh_build.b": (lambda v: lsh_build(vs, 2, v), 1, None),
+        "lsh_build.seed": (lambda v: lsh_build(vs, 2, 3, seed=v), 0, None),
+        "lsh_query.b_use": (lambda v: lsh_query(index, vs, q, 2, b_use=v), 1, 3),
+        "gen_vectors.n": (lambda v: gen_vectors("gaussian", v, 3), 1, None),
+        "gen_vectors.dim": (lambda v: gen_vectors("gaussian", 3, v), 1, None),
+        "gen_vectors.seed": (lambda v: gen_vectors("gaussian", 3, 3, v), 0, None),
+        "gen_adversarial.n": (lambda v: gen_adversarial(v, 3), 1, None),
+        "gen_adversarial.list_len": (lambda v: gen_adversarial(3, v), 1, None),
+        "gen_adversarial.seed": (lambda v: gen_adversarial(3, 3, v), 0, None),
+        "run_validate.runs": (lambda v: validate(runs=v), 1, None),
+        "run_validate.n": (lambda v: validate(n=v), 1, None),
+        "run_validate.list_len": (lambda v: validate(list_len=v), 1, None),
+        "run_validate.seed": (lambda v: validate(seed=v), None, None),
+        "run_compare.lsh_a": (
+            lambda v: compare(methods=("lsh",), lsh_a=(v,), lsh_b=(1,)), 1, None
+        ),
+        "run_compare.lsh_b": (
+            lambda v: compare(methods=("lsh",), lsh_a=(2,), lsh_b=(v,)), 1, None
+        ),
+        "run_compare.seed": (lambda v: compare(seed=v), None, None),
+    }
+
+
+@pytest.mark.parametrize(
+    "caller, value",
+    [
+        (caller, value)
+        for caller in sorted(int_callers())
+        for value in (2.0, 2.5, "2", None)
+        if (caller, value) != ("lsh_query.b_use", None)  # b_use None reads every table
+    ],
+)
+def test_a_non_integer_argument_is_a_type_error_naming_it(caller, value):
+    call, _, _ = int_callers()[caller]
+    name = caller.split(".")[1]
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer, not "):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "caller", sorted(c for c, (_, lo, _) in int_callers().items() if lo is not None)
+)
+def test_an_argument_out_of_range_is_a_value_error_naming_it(caller):
+    call, lo, hi = int_callers()[caller]
+    name = caller.split(".")[1]
+    top = "inf" if hi is None else hi
+    for value in [lo - 1] if hi is None else [lo - 1, hi + 1]:
+        # the message gives the value and the range, whose top may be named
+        said = rf"^{name} = {value} must lie in \[{lo}, .*\b{top}\]?$"
+        with pytest.raises(ValueError, match=said):
+            call(value)
+
+
+@pytest.mark.parametrize("caller", sorted(int_callers()))
+def test_numpy_integers_and_unbounded_negatives_are_accepted(caller):
+    call, lo, _ = int_callers()[caller]
+    for value in (np.int64(2), np.uint64(2)) + ((-3,) if lo is None else ()):
+        call(value)
 
 
 def test_round_target_one_entry_list_exhausts():
