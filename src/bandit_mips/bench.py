@@ -12,6 +12,7 @@ master seed.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -56,7 +57,8 @@ NAIVE = "naive"
 
 def derive_seed(*parts: int) -> int:
     """Deterministic 64-bit seed from integer parts (order matters)."""
-    mixed = np.random.SeedSequence([int(p) & 0xFFFFFFFFFFFFFFFF for p in parts])
+    parts = [checked_int(p, f"derive_seed part {i}") for i, p in enumerate(parts)]
+    mixed = np.random.SeedSequence([p & 0xFFFFFFFFFFFFFFFF for p in parts])
     return int(mixed.generate_state(1, np.uint64)[0])
 
 
@@ -239,7 +241,7 @@ def run_compare(
     seed = checked_int(seed, "seed")
     eps_label = "eps_frac" if me_epsilons is None else "epsilon"
     eps_name = "me_" + eps_label + "s"
-    eps_values = [float(e) for e in (me_eps_fracs if me_epsilons is None else me_epsilons)]
+    eps_values = list(me_eps_fracs if me_epsilons is None else me_epsilons)
     me_deltas = list(me_deltas)
     lsh_a = sorted({checked_int(a, "lsh_a", 1) for a in lsh_a})
     lsh_b = sorted({checked_int(b, "lsh_b", 1) for b in lsh_b})
@@ -259,6 +261,8 @@ def run_compare(
                 raise ValueError(f"{name} is empty; {method} needs at least one value")
     for name, (valid, rule) in rules.items() if ME in methods else ():
         for value in sweep_lists[ME][name]:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} holds {value!r}; it must hold real numbers")
             if not valid(value):
                 raise ValueError(f"{name} holds {value!r}; it must {rule}")
     ops_naive = vectors.n * vectors.dim
@@ -313,7 +317,7 @@ def run_compare(
             yield NAIVE, (NAIVE, 0.0, 0.0), "exhaustive", naive
         if ME in methods:
             for di, delta in enumerate(me_deltas):
-                for vi, value in enumerate(eps_values):
+                for vi, value in enumerate(map(float, eps_values)):
                     knob = f"{eps_label}={value:g},delta={delta:g}"
                     yield ME, (ME, float(delta), value), knob, partial(bandit, di, vi, delta, value)
         if LSH in methods:

@@ -21,7 +21,8 @@ returns the reward sums of the arms ``ids`` after ``t`` pulls each, given
 state, as in Median Elimination: the int array of survivor ids, which
 breaks ties and names the answer, their running sums and their common pull
 count.  Each round extends the sums to the round's target, then compacts
-ids and sums by the keep mask ``eliminate`` returns.  An arm set whose sums
+ids and sums by the keep mask ``eliminate`` returns: a selection for
+real-valued sums, a sort for integer ones.  An arm set whose sums
 carry rounding error declares a bound ``mean_error`` on it, and each round
 asks the sampled means for eps_l/2 - mean_error per tail, so that the
 computed means still lie within eps_l/2 of the true ones.
@@ -238,20 +239,30 @@ def pull_batch(
     return arms.sums(ids, t, done, prior)
 
 
-def eliminate(rows: np.ndarray, means: np.ndarray, k: int) -> np.ndarray:
-    """Keep mask over ``rows``: drop the ceil((s - k)/2) least ``means``.
+def eliminate(rows: np.ndarray, sums: np.ndarray, t: int, k: int) -> np.ndarray:
+    """Keep mask over ``rows``: drop the ceil((s - k)/2) least means ``sums/t``.
 
     Ties on the mean drop the larger row id first, the ``top_ids`` order
     reversed, making the outcome a pure function of (means, ids).  Applying
-    the mask keeps the input order.
+    the mask keeps the input order.  Float sums, which do not tie, take one
+    ``np.partition``; integer sums, tied in large groups, one ``lexsort``.
     """
     s = rows.size
     if s <= k:
         raise ValueError("survivors must exceed k")
+    means = sums / t
     drop_count = (s - k + 1) // 2
-    drop = np.lexsort((-rows, means))[:drop_count]  # ascending mean, then descending id
-    keep = np.ones(s, dtype=bool)
-    keep[drop] = False
+    if sums.dtype.kind != "f":
+        drop = np.lexsort((-rows, means))[:drop_count]  # ascending mean, then descending id
+        keep = np.ones(s, dtype=bool)
+        keep[drop] = False
+        return keep
+    pivot = np.partition(means, drop_count - 1)[drop_count - 1]
+    keep = means > pivot
+    spare = s - drop_count - np.count_nonzero(keep)  # places left for means at the pivot
+    if spare:
+        tied = np.flatnonzero(means == pivot)
+        keep[tied[np.argsort(rows[tied])[:spare]]] = True
     return keep
 
 
@@ -308,7 +319,7 @@ def median_elimination_topk(
         trace.total_pulls += record.survivors * (t - target)
         sums = pull_batch(arms, alive, t, target, sums)
         target = t
-        keep = eliminate(alive, sums / t, config.k)
+        keep = eliminate(alive, sums, t, config.k)
         alive, sums = alive[keep], sums[keep]
 
     means = sums / target

@@ -33,6 +33,16 @@ def test_derive_seed_deterministic_and_sensitive():
     assert derive_seed(0) != derive_seed(1)
 
 
+@pytest.mark.parametrize(
+    "parts, index", [((1.5, 2), 0), ((3, 2.0), 1), ((3, 1, "4"), 2), ((None,), 0)]
+)
+def test_derive_seed_rejects_a_non_integer_part(parts, index):
+    # int() used to truncate it: derive_seed(1.5, 2) was derive_seed(1, 2)
+    with pytest.raises(TypeError, match=rf"^derive_seed part {index} must be an integer, not "):
+        derive_seed(*parts)
+    assert derive_seed(np.int64(3), 1) == derive_seed(3, 1)
+
+
 def test_top_ids_tie_break():
     assert top_ids(np.array([0.5, 0.9, 0.5, 0.9]), 3).tolist() == [1, 3, 0]
     # +0.0 and -0.0 tie; k may equal the length
@@ -351,6 +361,29 @@ def test_compare_bad_delta_or_lsh_width_rejected_before_any_query(
         said = rf"= {value} must lie in \[1, inf\]"
     with pytest.raises(ValueError, match=rf"^{name} {said}$"):
         run_compare(vs, queries, 2, **{"methods": (NAIVE, ME), **kwargs})
+    assert searched == []
+
+
+@pytest.mark.parametrize(
+    "kwargs, name, value",
+    [
+        ({"me_eps_fracs": (0.5, "0.5")}, "me_eps_fracs", "'0.5'"),
+        ({"me_eps_fracs": (True,)}, "me_eps_fracs", "True"),
+        ({"me_epsilons": (0.1, None)}, "me_epsilons", "None"),
+        ({"me_epsilons": (1j,)}, "me_epsilons", "1j"),
+        ({"me_deltas": ("0.1",)}, "me_deltas", "'0.1'"),
+        ({"me_deltas": (False,)}, "me_deltas", "False"),
+    ],
+)
+def test_compare_non_real_sweep_value_rejected_before_any_query(
+    small_instance, monkeypatch, kwargs, name, value
+):
+    # a string used to run through float() or fail a comparison unnamed
+    searched = []
+    monkeypatch.setattr(bench, "naive_topk", lambda *args: searched.append(args))
+    vs, queries = small_instance
+    with pytest.raises(TypeError, match=rf"^{name} holds {value}; it must hold real numbers$"):
+        run_compare(vs, queries, 2, methods=(NAIVE, ME), **kwargs)
     assert searched == []
 
 

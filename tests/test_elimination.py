@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bandit_mips import elimination
+from bandit_mips.datasets import gen_adversarial
 from bandit_mips.elimination import (
     EliminationConfig,
     elimination_schedule,
@@ -95,7 +97,7 @@ def test_round_target_requires_excess():
 
 def kept_ids(means, k, ids=None):
     ids = np.arange(len(means)) if ids is None else np.asarray(ids)
-    keep = eliminate(ids, np.asarray(means, dtype=float), k)
+    keep = eliminate(ids, np.asarray(means, dtype=float), 1, k)
     return ids[keep].tolist()
 
 
@@ -123,7 +125,7 @@ def test_eliminate_single_removal_keeps_tied_pair():
 def test_eliminate_preserves_input_order_and_state():
     ids = np.array([7, 3, 9, 1])
     means = np.array([0.3, 0.9, 0.5, 0.8])
-    keep = eliminate(ids, means, 2)
+    keep = eliminate(ids, means, 1, 2)
     assert ids[keep].tolist() == [3, 9, 1]
     assert means[keep].tolist() == [0.9, 0.5, 0.8]
     assert ids.tolist() == [7, 3, 9, 1] and means.tolist() == [0.3, 0.9, 0.5, 0.8]
@@ -131,7 +133,7 @@ def test_eliminate_preserves_input_order_and_state():
 
 def test_eliminate_requires_more_than_k():
     with pytest.raises(ValueError):
-        eliminate(np.arange(2), np.array([0.1, 0.2]), 2)
+        eliminate(np.arange(2), np.array([0.1, 0.2]), 1, 2)
 
 
 # --- median_elimination_topk -------------------------------------------------
@@ -525,7 +527,7 @@ def test_eliminate_matches_the_oracle_for_ids_in_any_order():
         else:
             means = rng.standard_normal(s)
         given = rows.copy(), means.copy()
-        assert eliminate(rows, means, k).tolist() == oracle_eliminate(rows, means, k).tolist()
+        assert eliminate(rows, means, 1, k).tolist() == oracle_eliminate(rows, means, k).tolist()
         # the inputs are left as they were, -0.0 included
         assert rows.tolist() == given[0].tolist()
         assert [repr(m) for m in means] == [repr(m) for m in given[1]]
@@ -547,4 +549,71 @@ def test_eliminate_keeps_the_top_ids_of_increasing_ids():
         for means in (tied, rng.standard_normal(s)):
             kept = s - (s - k + 1) // 2
             want = np.sort(top_ids(means, kept))
-            assert np.flatnonzero(eliminate(rows, means, k)).tolist() == want.tolist()
+            assert np.flatnonzero(eliminate(rows, means, 1, k)).tolist() == want.tolist()
+
+
+class NumpyWithout:
+    """numpy as ``elimination`` sees it, with one function that raises."""
+
+    def __init__(self, banned):
+        self.banned = banned
+
+    def __getattr__(self, name):
+        if name == self.banned:
+            raise AssertionError(f"eliminate called np.{name}")
+        return getattr(np, name)
+
+
+def test_eliminate_float_sums_match_the_oracle_with_ties_at_the_pivot(monkeypatch):
+    # every size from 2 to 1000, ids in any order, sums over t pulls; copies
+    # of the pivot mean are injected, and in half the trials the pivot is
+    # shifted to 0.0 and its copies are +0.0 or -0.0.  Float sums take the
+    # partition path and never sort.
+    monkeypatch.setattr(elimination, "np", NumpyWithout("lexsort"))
+    rng = np.random.default_rng(44)
+    for s in range(2, 1001):
+        k = int(rng.integers(1, s))
+        t = int(rng.integers(1, 10_000))
+        rows = rng.permutation(2 * s)[:s]
+        means = rng.standard_normal(s)
+        drop_count = (s - k + 1) // 2
+        pivot = np.sort(means)[drop_count - 1]
+        ties = rng.choice(s, int(rng.integers(0, min(s, 8) + 1)), replace=False)
+        if s % 2:
+            means -= pivot
+            means[ties] = rng.choice([0.0, -0.0], ties.size)
+        else:
+            means[ties] = pivot
+        sums = means * t
+        given = rows.copy(), sums.copy()
+        want = oracle_eliminate(rows, sums / t, k)
+        assert eliminate(rows, sums, t, k).tolist() == want.tolist()
+        assert rows.tolist() == given[0].tolist()
+        assert [repr(x) for x in sums] == [repr(x) for x in given[1]]
+
+
+def test_eliminate_tie_heavy_integer_sums_take_the_sort_path(monkeypatch):
+    # sums built like the adversarial ones, min(ones, t) over ones-first
+    # lists, tie in large groups; they are ranked by one lexsort
+    monkeypatch.setattr(elimination, "np", NumpyWithout("partition"))
+    rng = np.random.default_rng(45)
+    for trial in range(200):
+        s = int(rng.integers(2, 600))
+        list_len = int(rng.integers(1, 60))
+        ones = np.floor(rng.random(s) * list_len + 0.5).astype(np.int64)
+        t = int(rng.integers(1, list_len + 1))
+        sums = np.minimum(ones, t)
+        k = int(rng.integers(1, s))
+        rows = rng.permutation(2 * s)[:s]
+        if trial % 2:
+            rows = np.sort(rows)
+        want = oracle_eliminate(rows, sums / t, k)
+        assert eliminate(rows, sums, t, k).tolist() == want.tolist()
+    # and through the loop, on adversarial instances of the validation grid's shape
+    for seed, epsilon in enumerate((0.6, 0.3, 0.1, 0.0)):
+        instance = gen_adversarial(500, 5000, seed)
+        config = EliminationConfig(k=1, epsilon=epsilon, delta=0.1)
+        ids, trace = median_elimination_topk(instance, config)
+        want_ids, want = oracle_topk(instance, config)
+        assert ids == want_ids and trace.returned_means == want.returned_means
+        assert trace.rounds == want.rounds and trace.total_pulls == want.total_pulls
