@@ -1,14 +1,8 @@
 """Arm sets in the ``Arms`` protocol of ``elimination``.
 
-An arm set holds n arms with reward lists of a common length N and answers
-``sums(ids, t, done, prior)``: the reward sums of the arms ``ids`` after
-``t`` pulls each, given ``prior``, their sums after ``done`` pulls, so
-that only the pulls ``done..t-1`` are read.  An arm set is a pure function
-of those arguments: the search loop holds the survivors and their running
-sums, and the arm set keeps no search state.  ``check_pulls`` is the one
-check of a call, shared by every arm set.  ``mean_error`` bounds how far a
-mean ``sums/t`` may lie from the exact one through floating-point
-rounding; the search widens its radius by it.
+An arm set keeps no search state: the search loop holds the survivors and
+their running sums.  ``check_pulls`` is the one check of a ``sums`` call,
+shared by every arm set.
 
 ``LazySource`` reads the rows of a matrix, computing rewards on demand in
 one column order shared by all arms; ``PositionSampler`` draws the random
@@ -131,8 +125,10 @@ class LazySource:
     least a quarter of the rows, as BLAS reads it with its threads faster
     than it gathers the rows.  Distance windows are single-threaded
     elementwise work, so they use the view only while ``ids`` holds every
-    row, and gather from the first elimination on.  Either way a row's
-    window sum, and so its running sum, is the same.  ``data`` is never
+    row, and gather from the first elimination on.  A BLAS product may sum
+    a row in another order on the view, so an inner-product window sum can
+    differ in its last bits; ``mean_error`` bounds any summation order, so
+    the rule moves answers only within the guarantee.  ``data`` is never
     written.
     """
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elimination import checked_int, top_ids
-from .mips import ObjectiveKind, Query, VectorSet, _block_rows, true_means
+from .mips import ObjectiveKind, Query, VectorSet, _block_rows, _check_dims, _scores
 
 __all__ = ["ExactResult", "naive_topk", "LshIndex", "LshResult", "lsh_build", "lsh_query"]
 
@@ -46,9 +46,9 @@ def naive_topk(
     k: int,
     kind: ObjectiveKind = ObjectiveKind.INNER_PRODUCT,
 ) -> ExactResult:
-    """Score all n rows, return the K best (score ties keep the smaller id)."""
+    """Score all n rows exactly, return the K best (score ties keep the smaller id)."""
     k = checked_int(k, "k", 1, vectors.n, "n")
-    scores = true_means(vectors, query, kind) * vectors.dim
+    scores = _scores(vectors, query, kind)
     order = top_ids(scores, k)
     return ExactResult(
         topk_ids=order.tolist(),
@@ -161,6 +161,7 @@ def lsh_query(
     raises TypeError, as k does.  Padding fills with the smallest ids not
     already present and sets the flag.
     """
+    _check_dims(vectors, query)
     if index.n != vectors.n or index.dim != vectors.dim:
         raise ValueError("index was built over a different vector set")
     k = checked_int(k, "k", 1, index.n, "n")

@@ -1,18 +1,17 @@
 """Experiment runners: PAC validation, method comparison, single queries.
 
 Speedups are reported two ways.  Op-count speedup divides the exhaustive
-cost n*N by the work the method actually did (reward pulls for the bandit,
-hash + rerank multiplies for LSH); it is deterministic and is what the
-acceptance checks gate on.  Wall-clock speedup divides measured times and is
-recorded for orientation only.  ``run_validate`` writes wall_ms as 0.0
-unless asked, so its results file is byte-identical across reruns with one
-master seed.
+cost n*N by the op count (reward pulls for the bandit, fewer than the
+entries it evaluates where a round reads the strided view; hash + rerank
+multiplies for LSH); it is deterministic and is what the acceptance checks
+gate on.  Wall-clock speedup divides measured times and is recorded for
+orientation only.  ``run_validate`` writes wall_ms as 0.0 unless asked, so
+its results file is byte-identical across reruns with one master seed.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -23,6 +22,8 @@ from .baselines import lsh_build, lsh_query, naive_topk
 from .datasets import AdversarialInstance, gen_adversarial
 from .elimination import (
     EliminationConfig,
+    check_delta,
+    check_epsilon,
     checked_int,
     median_elimination_topk,
     round_plan,
@@ -53,6 +54,15 @@ __all__ = [
 ME = "median_elimination"
 LSH = "lsh"
 NAIVE = "naive"
+
+
+def _check_grid(eps_name: str, epsilons: list, delta_name: str, deltas: list) -> None:
+    """Reject an empty axis, and apply the epsilon and delta rules to every entry."""
+    for name, axis, check in (eps_name, epsilons, check_epsilon), (delta_name, deltas, check_delta):
+        if not axis:
+            raise ValueError(f"{name} is empty; the grid needs at least one value")
+        for i, value in enumerate(axis):
+            check(value, f"{name}[{i}]")
 
 
 def derive_seed(*parts: int) -> int:
@@ -118,11 +128,10 @@ def run_validate(
     epsilon.  Records carry wall_ms = 0.0 unless ``record_wall`` so that the
     results file is a pure function of the master seed.  The runs of a cell
     share its search parameters, so the cell's round plan is made once.
+    The whole grid is checked before the first cell runs.
     """
-    epsilons = list(epsilons)
-    deltas = list(deltas)
-    if not epsilons or not deltas:
-        raise ValueError("need at least one epsilon and one delta")
+    epsilons, deltas = list(epsilons), list(deltas)
+    _check_grid("epsilons", epsilons, "deltas", deltas)
     runs, seed = checked_int(runs, "runs", 1), checked_int(seed, "seed")
     n, list_len = checked_int(n, "n", 1), checked_int(list_len, "list_len", 1)
     k = checked_int(k, "k", 1, n, "n")
@@ -176,11 +185,7 @@ def run_validate(
                     passed=cell_percentile <= eps,
                 )
             )
-    report = ValidateReport(
-        records=records,
-        cells=cells,
-        all_passed=all(c.passed for c in cells),
-    )
+    report = ValidateReport(records, cells, all_passed=all(c.passed for c in cells))
     if out is not None:
         write_results(out, (rec.row() for rec in records))
     return report
@@ -218,17 +223,15 @@ def run_compare(
     construction).  Index build time, and the column-permuted copy of the
     data that every bandit query reads, are excluded from query costs,
     matching how preprocessing-free and preprocessing-heavy methods are
-    usually contrasted.  LSH ranks by inner product, so it is rejected with
-    the distance objective.
+    usually contrasted.
 
     Curve points aggregate over all queries: mean precision against the
     exact top-K, total naive ops over total spent ops, total naive wall time
     over total spent wall time.  The exhaustive reference pass that times
     the naive side runs after one untimed warm-up search.
     """
-    known = {NAIVE, ME, LSH}
     methods = tuple(methods)
-    unknown = set(methods) - known
+    unknown = set(methods) - {NAIVE, ME, LSH}
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
     if not queries:
@@ -245,26 +248,13 @@ def run_compare(
     me_deltas = list(me_deltas)
     lsh_a = sorted({checked_int(a, "lsh_a", 1) for a in lsh_a})
     lsh_b = sorted({checked_int(b, "lsh_b", 1) for b in lsh_b})
-    sweep_lists = {
-        ME: {eps_name: eps_values, "me_deltas": me_deltas},
-        LSH: {"lsh_a": lsh_a, "lsh_b": lsh_b},
-    }
-    # Checked before any search runs; on a zero-width query an epsilon
-    # fraction scales to a valid 0, so only this check can see a bad one.
-    rules = {
-        eps_name: (lambda v: math.isfinite(v) and v >= 0.0, "be finite and >= 0"),
-        "me_deltas": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
-    }
-    for method in methods:
-        for name, values in sweep_lists.get(method, {}).items():
-            if not values:
-                raise ValueError(f"{name} is empty; {method} needs at least one value")
-    for name, (valid, rule) in rules.items() if ME in methods else ():
-        for value in sweep_lists[ME][name]:
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} holds {value!r}; it must hold real numbers")
-            if not valid(value):
-                raise ValueError(f"{name} holds {value!r}; it must {rule}")
+    for name, values in (("lsh_a", lsh_a), ("lsh_b", lsh_b)) if LSH in methods else ():
+        if not values:
+            raise ValueError(f"{name} is empty; {LSH} needs at least one value")
+    if ME in methods:
+        # Checked before any search runs; on a zero-width query an epsilon
+        # fraction scales to a valid 0, so only this check can see a bad one.
+        _check_grid(eps_name, eps_values, "me_deltas", me_deltas)
     ops_naive = vectors.n * vectors.dim
 
     truth_ids: list[list[int]] = []
@@ -379,27 +369,16 @@ def run_query(
     """Answer one query from files; returns a printable result summary.
 
     Estimated scores are empirical mean times dimension, i.e. the bandit's
-    estimate of the full inner product.  ``setup_ms`` is the time to build
-    the set's column-permuted copy, which only a search that builds arms
-    needs (0 with K = n or a zero-width reward range); ``wall_ms`` is the
-    search alone.  ``range_width`` is the width of the reward range that
-    ``epsilon``, an absolute accuracy on the mean scale, is measured against
-    (None where no search runs).
+    estimate of the full inner product.  ``range_width`` (the width that
+    ``epsilon``, an absolute mean-scale accuracy, is measured against) and
+    ``setup_ms`` (the arms' build, with the set's permuted copy) are the
+    trace's: None and 0.0 where ``mips_topk`` answers without a search.
+    ``wall_ms`` is the rest of ``mips_topk``'s time.
     """
-    vectors = read_dataset(data_path)
-    query = read_query(query_path)
-    k = checked_int(k, "k", 1, vectors.n, "n")
-    range_width = None
-    start = time.perf_counter()
-    if k < vectors.n:
-        lo, hi = reward_range(vectors, query, kind)
-        if hi > lo:
-            range_width = hi - lo
-            vectors.permuted()
-    setup_ms = (time.perf_counter() - start) * 1e3
+    vectors, query = read_dataset(data_path), read_query(query_path)
     start = time.perf_counter()
     ids, trace = mips_topk(vectors, query, k, epsilon, delta, seed=seed, kind=kind)
-    wall_ms = (time.perf_counter() - start) * 1e3
+    wall_ms = (time.perf_counter() - start) * 1e3 - trace.setup_ms
     pulls = trace.total_pulls
     ops_naive = vectors.n * vectors.dim
     return {
@@ -407,7 +386,7 @@ def run_query(
         "estimated_scores": [m * vectors.dim for m in trace.returned_means] or None,
         "k": k,
         "epsilon": epsilon,
-        "range_width": range_width,
+        "range_width": trace.range_width,
         "delta": delta,
         "seed": seed,
         "objective": kind.value,
@@ -415,7 +394,7 @@ def run_query(
         "pulls_total": pulls,
         "ops_naive": ops_naive,
         "speedup_ops": ops_naive / pulls if pulls else math.inf,
-        "setup_ms": setup_ms,
+        "setup_ms": trace.setup_ms,
         "wall_ms": wall_ms,
         "warning": trace.warning,
     }

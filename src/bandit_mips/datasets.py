@@ -1,11 +1,10 @@
 """Synthetic instance generators: dense vector sets and adversarial reward lists.
 
 Everything here is a pure function of its arguments, seed included, and each
-generator rejects arguments it cannot realize.  Sizes and seeds are integers
-checked by ``checked_int``: a size below 1, a negative seed or a non-integer
-is an error that names the argument.  ``gen_vectors(dist, n, dim, seed)``
-draws an n x dim matrix for a ``dist`` in ``VECTOR_DISTS``: Gaussian entries
-are standard normal; uniform entries are Uniform[0, 1).
+generator rejects arguments it cannot realize: ``checked_int`` takes sizes
+(>= 1) and seeds (>= 0).  ``gen_vectors(dist, n, dim, seed)`` draws an
+n x dim matrix for a ``dist`` in ``VECTOR_DISTS``: Gaussian entries are
+standard normal; uniform entries are Uniform[0, 1).
 
 The adversarial generator draws each arm's target mean r uniformly from
 [0, 1] and realizes it as a deterministic list of round(r * N) ones followed

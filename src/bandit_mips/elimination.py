@@ -15,9 +15,7 @@ survivors are measured exactly and later rounds add no pulls.  Survivor
 counts, budgets and targets never depend on the sampled means, so the
 search plans every round before its first pull.
 
-Arms are read through the ``Arms`` protocol: ``sums(ids, t, done, prior)``
-returns the reward sums of the arms ``ids`` after ``t`` pulls each, given
-``prior``, their sums after ``done`` pulls.  The loop holds the search
+The loop reads arms through the ``Arms`` protocol and holds the search
 state, as in Median Elimination: the int array of survivor ids, which
 breaks ties and names the answer, their running sums and their common pull
 count.  Each round extends the sums to the round's target, then compacts
@@ -27,14 +25,16 @@ carry rounding error declares a bound ``mean_error`` on it, and each round
 asks the sampled means for eps_l/2 - mean_error per tail, so that the
 computed means still lie within eps_l/2 of the true ones.
 
-``checked_int`` is the package's one check of an integer argument (k,
-seeds, sizes, LSH widths): a non-integer is a TypeError and a value out of
-range a ValueError, each naming the argument.
+``checked_int``, ``check_epsilon`` and ``check_delta`` are the package's one
+check of an integer argument (k, seeds, sizes, LSH widths), an epsilon and a
+delta: a wrong type is a TypeError and a value out of range a ValueError,
+each naming the argument.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -102,6 +102,26 @@ def checked_int(
     return value
 
 
+def _check_real(value, name: str) -> None:
+    # float and int first: they are Real, and the ABC's own check is slower
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise TypeError(f"{name} must be a real number, not {type(value).__name__} {value!r}")
+
+
+def check_epsilon(value, name: str = "epsilon") -> None:
+    """Raise unless ``value`` (not a bool) is a finite real >= 0, naming it ``name``."""
+    _check_real(value, name)
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} = {value!r} must be finite and >= 0")
+
+
+def check_delta(value, name: str = "delta") -> None:
+    """Raise unless ``value`` (not a bool) is a real in (0, 1), naming it ``name``."""
+    _check_real(value, name)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} = {value!r} must lie in (0, 1)")
+
+
 @dataclass(slots=True)
 class EliminationConfig:
     """Search parameters for one top-K run.
@@ -119,10 +139,8 @@ class EliminationConfig:
 
     def __post_init__(self) -> None:
         self.k = checked_int(self.k, "k", 1)  # a search over n <= k arms returns them all
-        if self.epsilon < 0.0 or not math.isfinite(self.epsilon):
-            raise ValueError("epsilon must be finite and non-negative")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+        check_epsilon(self.epsilon)
+        check_delta(self.delta)
         if not self.range_width > 0.0:
             raise ValueError("range_width must be positive")
 
@@ -149,6 +167,8 @@ class EliminationTrace:
     total_pulls: int = 0
     max_arm_pulls: int = 0
     warning: str | None = None
+    range_width: float | None = None  # of the reward range, when mips_topk searches
+    setup_ms: float = 0.0  # mips_topk's build_arms time, with a set's first permuted copy
 
 
 def elimination_schedule(epsilon: float, delta: float, round_index: int) -> tuple[float, float]:

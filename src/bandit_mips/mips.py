@@ -17,44 +17,38 @@ pi of the ``VectorSet``, entered at a cyclic offset that the query's seed
 picks, splitmix64(seed) mod N.  Each arm's first t positions are then a
 uniform without-replacement sample, as the bound requires, and a round's
 new pulls for all survivors are one contiguous column window of the
-permuted copy (two where it wraps around).  No n x N reward matrix is ever
-materialized.  A window is read either for every row, on the strided view
-of the copy, or for the survivors' gathered rows.  Inner-product windows,
-a BLAS product on its threads, take the view while at least a quarter of
-the rows survive; distance windows, single-threaded elementwise work, take
-it only in the first round, while every row survives.
+permuted copy (two where it wraps around), read on the strided view of the
+copy or from the survivors' gathered rows by ``LazySource``'s read rule.  No
+n x N reward matrix is ever materialized.
 
 The permuted copy is float32 whenever float32 holds every entry of
 ``data`` exactly (as it does for data read from the binary format), and
-float64 otherwise.  On a float32 copy the windows are evaluated in float32
-against the query rounded to float32, so every empirical mean may be off by
-up to the arm set's ``mean_error`` eta:
-
-    inner_product:      eta = (gamma_B + 3u) Mv Mq       + (Mv + 1) tau
-    neg_sq_distance:    eta = (gamma_B + 5u) (Mv + Mq)^2 + 2 (Mv + Mq + 1) tau
-
-with B = ``WINDOW_BLOCK``, u = 2^-24, gamma_B = B u / (1 - B u), tau =
-2^-149 for float32 underflow, and Mv, Mq the largest data and query
-magnitudes (about 6.1e-5 Mv Mq at B = 1024).  The search pays for it
-inside the confidence radius: each round estimates the means to
-eps_l/2 - eta per tail instead of eps_l/2, and a round where that is not
-positive exhausts.  Rows that reach t = N are re-summed in float64, so
-exhausted means, and epsilon = 0 answers, stay exact.  A query whose
-float32 windows could overflow (B Mv Mq or B (Mv + Mq)^2 above 2^127) is
-evaluated in float64 with eta = 0, as is every query on a float64 copy.
-On 1000 x 10^4 float32-exact data the copy takes 40 MB instead of 80 MB.
+float64 otherwise.  ``LazySource`` evaluates a float32 copy's windows in
+float32, so every empirical mean may be off by up to its ``mean_error``
+eta (about 6.1e-5 Mv Mq for inner products, with Mv and Mq the largest
+data and query magnitudes), which the search's confidence radius absorbs;
+exhausted means, and epsilon = 0 answers, stay exact.  On 1000 x 10^4
+float32-exact data the copy takes 40 MB instead of 80 MB.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .arms import ROW_BLOCK, LazySource, ObjectiveKind, PositionSampler
-from .elimination import EliminationConfig, EliminationTrace, checked_int, median_elimination_topk
+from .elimination import (
+    EliminationConfig,
+    EliminationTrace,
+    check_delta,
+    check_epsilon,
+    checked_int,
+    median_elimination_topk,
+)
 
 __all__ = [
     "VectorSet",
@@ -84,8 +78,7 @@ class VectorSet:
     ``seed``, a non-negative integer, draws the column permutation pi that
     bandit queries sample coordinates in.  pi and the column-permuted copy
     of ``data`` are built on the first bandit query and cached; ``data``
-    itself keeps the caller's order.  The copy is float32 when that holds
-    ``data`` exactly, float64 otherwise.
+    itself keeps the caller's order.
 
     A float64 C-contiguous ``data`` is kept as given; any other input is
     converted into a new float64 matrix, which the bound then scans a row
@@ -252,20 +245,25 @@ def reward_range(vectors: VectorSet, query: Query, kind: ObjectiveKind) -> tuple
 
 
 def true_means(vectors: VectorSet, query: Query, kind: ObjectiveKind) -> np.ndarray:
-    """Exact per-arm means, i.e. score(i)/dim for every row (O(n*dim)).
+    """Exact per-arm means, i.e. score(i)/dim for every row (O(n*dim))."""
+    return _scores(vectors, query, kind) / vectors.dim
+
+
+def _scores(vectors: VectorSet, query: Query, kind: ObjectiveKind) -> np.ndarray:
+    """Exact score(i) of every row: q . v_i, or -||q - v_i||^2.
 
     Distances are summed over blocks of rows, so no n x dim difference is
     ever held; each row's sum is the same as over the whole matrix.
     """
     _check_dims(vectors, query)
     if kind is ObjectiveKind.INNER_PRODUCT:
-        return vectors.data @ query.vector / vectors.dim
+        return vectors.data @ query.vector
     if kind is ObjectiveKind.NEG_SQ_DISTANCE:
         sq = np.empty(vectors.n)
         for a in range(0, vectors.n, ROW_BLOCK):
             diff = vectors.data[a : a + ROW_BLOCK] - query.vector
             sq[a : a + ROW_BLOCK] = np.einsum("ij,ij->i", diff, diff)
-        return -sq / vectors.dim
+        return -sq
     raise ValueError(f"unknown objective kind: {kind!r}")
 
 
@@ -301,21 +299,27 @@ def mips_topk(
     mean is within ``epsilon`` (mean scale) of the K-th best overall, for a
     query chosen independently of the set's column permutation.  ``seed``
     (a non-negative integer) picks the cyclic offset into that permutation,
-    ``_start_offset(seed, N)``.  A degenerate reward range (all scores
-    provably equal) short-circuits to the first K ids, flagged in
-    ``trace.warning``, and K = n to all ids in id order, unranked, with no
-    pulls and no ``returned_means``, neither building the arms; both after
-    the same epsilon and delta checks.  A non-integer ``k`` is a TypeError.
+    ``_start_offset(seed, N)``.  Every argument is checked first.  Then
+    K = n and a degenerate reward range (all scores provably equal, flagged
+    in ``trace.warning``) answer without a search or arms: the first K ids,
+    unranked, with no pulls and no ``returned_means``.  A search records the
+    range's width and the arms' build time in ``trace.range_width`` and
+    ``trace.setup_ms``.
     """
     k = checked_int(k, "k", 1, vectors.n, "n")
+    check_epsilon(epsilon)
+    check_delta(delta)
+    start = _start_offset(seed, vectors.dim)
     lo, hi = reward_range(vectors, query, kind)
-    if hi == lo:
-        EliminationConfig(k=k, epsilon=epsilon, delta=delta)  # validates epsilon and delta
+    if k == vectors.n or hi == lo:
         trace = EliminationTrace(returned=list(range(k)))
-        trace.warning = "degenerate reward range: all means equal, returning first k ids"
+        if hi == lo:
+            trace.warning = "degenerate reward range: all means equal, returning first k ids"
         return list(range(k)), trace
     config = EliminationConfig(k=k, epsilon=epsilon, delta=delta, range_width=hi - lo)
-    if k == vectors.n:
-        return list(range(k)), EliminationTrace(returned=list(range(k)))
-    start = _start_offset(seed, vectors.dim)
-    return median_elimination_topk(build_arms(vectors, query, kind, start), config)
+    begin = time.perf_counter()
+    arms = build_arms(vectors, query, kind, start)
+    setup_ms = (time.perf_counter() - begin) * 1e3
+    ids, trace = median_elimination_topk(arms, config)
+    trace.range_width, trace.setup_ms = hi - lo, setup_ms
+    return ids, trace

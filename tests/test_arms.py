@@ -265,6 +265,11 @@ def test_lazy_source_rejects_wrong_shape_rewards():
         LazySource(np.ones((2, 10)), np.ones(3), IP, 0, 1.0, 1.0)
 
 
+def test_lazy_source_rejects_an_unknown_objective():
+    with pytest.raises(ValueError, match="^unknown objective kind: 'ip'$"):
+        LazySource(np.ones((2, 3)), np.ones(3), "ip", 0, 1.0, 1.0)
+
+
 def test_position_sampler_uniformity_smoke():
     # the first position of pi over a 4-column set should be near-uniform
     counts = np.zeros(4)

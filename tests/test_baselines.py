@@ -123,6 +123,22 @@ def test_naive_distance_objective_matches_sort():
     assert res.topk_ids == want.tolist()
 
 
+@pytest.mark.parametrize("kind", [IP, NSD])
+def test_naive_scores_are_exact_bit_for_bit(kind):
+    # the exact scores, not true_means * dim: (x/N)*N rounds x
+    rng = np.random.default_rng(43)
+    data = rng.standard_normal((200, 1000))
+    for _ in range(10):
+        q = rng.standard_normal(1000)
+        res = naive_topk(VectorSet(data), Query(q), 50, kind)
+        if kind is IP:
+            exact = data @ q
+        else:
+            diff = data - q
+            exact = -np.einsum("ij,ij->i", diff, diff)
+        assert res.topk_scores.tolist() == exact[res.topk_ids].tolist()
+
+
 # --- LSH ---------------------------------------------------------------------
 
 
@@ -167,6 +183,18 @@ def test_lsh_prefix_tables_match_standalone_build():
     r_small = lsh_query(small, vs, q, 7)
     assert r_prefix.ids == r_small.ids
     assert r_prefix.candidates == r_small.candidates
+
+
+def test_lsh_query_checks_the_query_dimension_and_the_index():
+    rng = np.random.default_rng(46)
+    vs = VectorSet(rng.standard_normal((20, 8)))
+    index = lsh_build(vs, 2, 3)
+    # a wrong query width is named before numpy's matmul can fail on it
+    with pytest.raises(ValueError, match="^dimension mismatch: data 8, query 9$"):
+        lsh_query(index, vs, Query(np.ones(9)), 2)
+    other = VectorSet(rng.standard_normal((21, 8)))
+    with pytest.raises(ValueError, match="^index was built over a different vector set$"):
+        lsh_query(index, other, Query(np.ones(8)), 2)
 
 
 def test_lsh_query_rejects_a_non_integer_b_use():

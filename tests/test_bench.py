@@ -126,6 +126,31 @@ def test_validate_k_outside_one_to_n_rejected(k):
         run_validate([0.3], [0.1], n=3, list_len=10, k=k, runs=1)
 
 
+@pytest.mark.parametrize(
+    "epsilons, deltas, error",
+    [
+        ([0.1, -1.0], [0.1], ValueError),
+        ([0.1], [0.1, 0.2, 1.5], ValueError),
+        ([0.1, 0.2], [0.1, "0.2"], TypeError),
+        ([True], [0.1], TypeError),
+    ],
+)
+def test_validate_checks_the_whole_grid_before_any_search(monkeypatch, epsilons, deltas, error):
+    # a bad value anywhere in the grid, a bool included, raises before the
+    # first cell draws an instance
+    searched = []
+    monkeypatch.setattr(bench, "gen_adversarial", lambda *args: searched.append(args))
+    with pytest.raises(error, match=r"^(epsilons|deltas)\[\d\] "):
+        run_validate(epsilons, deltas, n=50, list_len=100, runs=5)
+    assert searched == []
+
+
+def test_validate_empty_grid_rejected():
+    for epsilons, deltas, name in (([], [0.1], "epsilons"), ([0.1], [], "deltas")):
+        with pytest.raises(ValueError, match=rf"^{name} is empty; the grid needs at least one"):
+            run_validate(epsilons, deltas, n=5, list_len=10, runs=1)
+
+
 def test_validate_deterministic_records():
     a = run_validate([0.3], [0.1], n=25, list_len=250, runs=4, seed=77)
     b = run_validate([0.3], [0.1], n=25, list_len=250, runs=4, seed=77)
@@ -354,12 +379,13 @@ def test_compare_bad_delta_or_lsh_width_rejected_before_any_query(
     searched = []
     monkeypatch.setattr(bench, "naive_topk", lambda *args: searched.append(args))
     vs, queries = small_instance
-    # the delta rule and the integer check of the LSH widths word it apart
+    # the delta rule names the bad entry of the list, the last one here,
+    # and words its range apart from the integer check of the LSH widths
     if name == "me_deltas":
-        said = rf"holds {value}; it must lie in \(0, 1\)"
+        said = rf"\[{len(kwargs[name]) - 1}\] = {value} must lie in \(0, 1\)"
     else:
-        said = rf"= {value} must lie in \[1, inf\]"
-    with pytest.raises(ValueError, match=rf"^{name} {said}$"):
+        said = rf" = {value} must lie in \[1, inf\]"
+    with pytest.raises(ValueError, match=rf"^{name}{said}$"):
         run_compare(vs, queries, 2, **{"methods": (NAIVE, ME), **kwargs})
     assert searched == []
 
@@ -378,11 +404,14 @@ def test_compare_bad_delta_or_lsh_width_rejected_before_any_query(
 def test_compare_non_real_sweep_value_rejected_before_any_query(
     small_instance, monkeypatch, kwargs, name, value
 ):
-    # a string used to run through float() or fail a comparison unnamed
+    # a string used to run through float() or fail a comparison unnamed;
+    # the message names the bad entry, the last one here, and its type
     searched = []
     monkeypatch.setattr(bench, "naive_topk", lambda *args: searched.append(args))
     vs, queries = small_instance
-    with pytest.raises(TypeError, match=rf"^{name} holds {value}; it must hold real numbers$"):
+    bad = kwargs[name][-1]
+    said = rf"\[{len(kwargs[name]) - 1}\] must be a real number, not {type(bad).__name__} {value}"
+    with pytest.raises(TypeError, match=rf"^{name}{said}$"):
         run_compare(vs, queries, 2, methods=(NAIVE, ME), **kwargs)
     assert searched == []
 
@@ -391,6 +420,11 @@ def test_compare_unknown_method_rejected(small_instance):
     vs, queries = small_instance
     with pytest.raises(ValueError):
         run_compare(vs, queries, 2, methods=("annoy",))
+
+
+def test_compare_needs_a_query(small_instance):
+    with pytest.raises(ValueError, match="^need at least one query$"):
+        run_compare(small_instance[0], [], 2)
 
 
 def test_compare_deterministic(small_instance):
@@ -499,13 +533,13 @@ def test_run_query_degenerate_zero_query(tmp_path):
 
 
 def test_run_query_times_the_permuted_copy_apart_from_the_search(tmp_path, monkeypatch):
-    # the spy sees whether the copy exists when the search starts and ends
+    # the copy is built in the search's build_arms, which mips_topk times
+    # as trace.setup_ms; run_query reports it apart from the rest
     seen = []
 
     def spy(vectors, *args, **kwargs):
-        before = vectors._permuted is not None
         result = mips_topk(vectors, *args, **kwargs)
-        seen.append((before, vectors._permuted is not None))
+        seen.append((vectors._permuted is not None, result[1].setup_ms))
         return result
 
     monkeypatch.setattr(bench, "mips_topk", spy)
@@ -515,21 +549,37 @@ def test_run_query_times_the_permuted_copy_apart_from_the_search(tmp_path, monke
     write_dataset(qpath, VectorSet(rng.standard_normal((1, 30))))
     write_dataset(zero, VectorSet(np.zeros((1, 30))))
     out = run_query(dpath, qpath, 3, epsilon=0.1, delta=0.1, seed=2)
-    # built before the search, so wall_ms is the search alone
-    assert seen == [(True, True)]
-    assert out["setup_ms"] > 0.0 and out["wall_ms"] > 0.0
+    ((built, setup_ms),) = seen
+    assert built and out["setup_ms"] == setup_ms > 0.0 and out["wall_ms"] > 0.0
     # K = n and a zero-width range answer without arms: no copy, no set-up
     for path, k in ((qpath, 12), (zero, 3)):
         seen.clear()
         out = run_query(dpath, path, k, epsilon=0.1, delta=0.1)
-        assert seen == [(False, False)]
+        assert seen == [(False, 0.0)]
+        assert out["setup_ms"] == 0.0
         assert out["ids"] == list(range(k))  # unranked: no means to rank by
         assert out["estimated_scores"] is None
     with pytest.raises(ValueError):
         run_query(dpath, qpath, 13, epsilon=0.1, delta=0.1)
-    # a non-integer k is rejected before the set-up reads the reward range
-    ranges = []
-    monkeypatch.setattr(bench, "reward_range", lambda *args: ranges.append(args))
     with pytest.raises(TypeError, match="k must be an integer"):
         run_query(dpath, qpath, 2.0, epsilon=0.1, delta=0.1)
-    assert ranges == []
+
+
+def test_run_query_leaves_every_check_and_exit_to_mips_topk(tmp_path, monkeypatch):
+    # run_query reads, searches and summarises: it keeps no copy of the
+    # k check, the reward range or the permuted copy's build
+    for name in ("checked_int", "reward_range"):
+        monkeypatch.setattr(bench, name, None)
+    builds = []
+    honest = VectorSet.permuted
+    monkeypatch.setattr(VectorSet, "permuted", lambda self: builds.append(1) or honest(self))
+    rng = np.random.default_rng(74)
+    dpath, qpath = tmp_path / "d.bin", tmp_path / "q.bin"
+    write_dataset(dpath, VectorSet(rng.standard_normal((12, 30))))
+    write_dataset(qpath, VectorSet(rng.standard_normal((1, 30))))
+    out = run_query(dpath, qpath, 3, epsilon=0.1, delta=0.1)
+    assert builds == [1]  # the search's own build_arms
+    assert out["range_width"] > 0.0 and out["setup_ms"] > 0.0
+    out = run_query(dpath, qpath, 12, epsilon=0.1, delta=0.1)
+    assert builds == [1]
+    assert out["range_width"] is None and out["setup_ms"] == 0.0

@@ -80,6 +80,12 @@ def test_sample_size_negative_u_rejected():
         sample_size(math.nan, 10)
 
 
+@pytest.mark.parametrize("list_len", [1, 0])
+def test_sample_size_needs_two_entries(list_len):
+    with pytest.raises(ValueError, match="^list_len must be at least 2$"):
+        sample_size(1.0, list_len)
+
+
 def test_sample_size_monotone_in_u():
     for n in (2, 17, 1000, 99991):
         us = np.linspace(0.0, 4.0 * n, 200)

@@ -182,7 +182,9 @@ def test_compare_bad_epsilon_exit_two(flag, capsys):
 @pytest.mark.parametrize(
     "flags, name",
     [
-        (["--deltas=0.1,7"], "me_deltas holds 7.0"),
+        pytest.param(
+            ["--deltas=0.1,7"], "me_deltas[1] = 7.0 must lie in (0, 1)", id="me_deltas-7.0"
+        ),
         (["--lsh-b=0"], "lsh_b = 0 must lie in [1, inf]"),
     ],
 )
@@ -256,6 +258,30 @@ def test_unknown_method_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--methods", "annoy"])
     assert exc.value.code == 2
+
+
+def test_methods_skip_blank_parts(monkeypatch):
+    import bandit_mips.cli as cli_mod
+    from bandit_mips.bench import CompareReport
+
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["methods"])
+        return CompareReport(records=[], curve=[])
+
+    monkeypatch.setattr(cli_mod, "run_compare", spy)
+    assert main(["compare", "--n", "4", "--dim", "3", "--queries", "1",
+                 "--methods", "me,, naive,"]) == 0
+    assert seen == [["median_elimination", "naive"]]
+
+
+@pytest.mark.parametrize("text", ["", ",", " , "])
+def test_methods_need_at_least_one(text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--methods", text])
+    assert exc.value.code == 2
+    assert "need at least one method" in capsys.readouterr().err
 
 
 def test_bad_float_list_usage_error():

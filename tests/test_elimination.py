@@ -1,6 +1,7 @@
 """Round schedule, per-round pull targets, and the halving loop."""
 
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -34,6 +35,12 @@ def test_schedule_second_round_values():
     eps2, del2 = elimination_schedule(0.4, 0.2, 2)
     assert eps2 == pytest.approx(0.075, abs=1e-15)
     assert del2 == pytest.approx(0.05, abs=1e-15)
+
+
+@pytest.mark.parametrize("round_index", [0, -1])
+def test_schedule_rounds_start_at_one(round_index):
+    with pytest.raises(ValueError, match="^round_index starts at 1$"):
+        elimination_schedule(0.4, 0.2, round_index)
 
 
 def test_schedule_partial_sums_stay_below_budget():
@@ -438,6 +445,90 @@ def test_an_argument_out_of_range_is_a_value_error_naming_it(caller):
 def test_numpy_integers_and_unbounded_negatives_are_accepted(caller):
     call, lo, _ = int_callers()[caller]
     for value in (np.int64(2), np.uint64(2)) + ((-3,) if lo is None else ()):
+        call(value)
+
+
+def real_callers():
+    """Every epsilon and delta argument: "entry point.argument" -> (call, name).
+
+    ``call`` runs the entry point with the argument set to its one
+    parameter; ``name`` is what its errors call the argument.  The grids
+    and sweeps hold the value second, after a valid one, and the
+    ``mips_topk`` rows cover the search and both of its exits.
+    """
+    from bandit_mips.bench import run_compare, run_query, run_validate
+    from bandit_mips.fileio import write_dataset
+    from bandit_mips.mips import Query, VectorSet, mips_topk
+
+    rng = np.random.default_rng(5)
+    vs, q = VectorSet(rng.standard_normal((6, 8))), Query(rng.standard_normal(8))
+    zero = Query(np.zeros(8))
+
+    def query_files(epsilon=0.1, delta=0.1):
+        with tempfile.TemporaryDirectory() as tmp:
+            data, query = Path(tmp, "d.bin"), Path(tmp, "q.bin")
+            write_dataset(data, vs)
+            write_dataset(query, VectorSet(q.vector[None, :]))
+            return run_query(data, query, 2, epsilon, delta)
+
+    def validate(epsilons=(0.3,), deltas=(0.1,)):
+        return run_validate(epsilons, deltas, n=6, list_len=20, runs=1)
+
+    def compare(**sweep):
+        return run_compare(vs, [q], 2, methods=("median_elimination",), **sweep)
+
+    calls = {
+        "EliminationConfig.epsilon": (lambda v: EliminationConfig(1, v, 0.1), "epsilon"),
+        "EliminationConfig.delta": (lambda v: EliminationConfig(1, 0.3, v), "delta"),
+        "run_query.epsilon": (lambda v: query_files(epsilon=v), "epsilon"),
+        "run_query.delta": (lambda v: query_files(delta=v), "delta"),
+        "run_validate.epsilons": (lambda v: validate(epsilons=(0.3, v)), "epsilons[1]"),
+        "run_validate.deltas": (lambda v: validate(deltas=(0.1, v)), "deltas[1]"),
+        "run_compare.me_eps_fracs": (
+            lambda v: compare(me_eps_fracs=(0.5, v)), "me_eps_fracs[1]"
+        ),
+        "run_compare.me_epsilons": (lambda v: compare(me_epsilons=(0.5, v)), "me_epsilons[1]"),
+        "run_compare.me_deltas": (lambda v: compare(me_deltas=(0.1, v)), "me_deltas[1]"),
+    }
+    for exit_name, query, k in (("search", q, 2), ("k=n", q, 6), ("zero-width", zero, 2)):
+        calls[f"mips_topk({exit_name}).epsilon"] = (
+            lambda v, query=query, k=k: mips_topk(vs, query, k, v, 0.1), "epsilon"
+        )
+        calls[f"mips_topk({exit_name}).delta"] = (
+            lambda v, query=query, k=k: mips_topk(vs, query, k, 0.3, v), "delta"
+        )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "caller, value",
+    [(c, v) for c in sorted(real_callers()) for v in ("0.1", True, False, None, 1j)],
+)
+def test_a_non_real_epsilon_or_delta_is_a_type_error_naming_it(caller, value):
+    # a bool is rejected too, rather than run as 0 or 1
+    call, name = real_callers()[caller]
+    said = rf"^{re.escape(name)} must be a real number, not {type(value).__name__} "
+    with pytest.raises(TypeError, match=said + re.escape(repr(value)) + "$"):
+        call(value)
+
+
+@pytest.mark.parametrize("caller", sorted(real_callers()))
+def test_an_epsilon_or_delta_out_of_range_is_a_value_error_naming_it(caller):
+    call, name = real_callers()[caller]
+    if caller.endswith("delta") or caller.endswith("deltas"):
+        values, rule = (0.0, 1.0, -0.5, 7.0, math.nan), r"must lie in \(0, 1\)"
+    else:
+        values, rule = (-0.1, -math.inf, math.inf, math.nan), "must be finite and >= 0"
+    for value in values:
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} = {value!r} {rule}$"):
+            call(value)
+
+
+@pytest.mark.parametrize("caller", sorted(real_callers()))
+def test_numpy_and_integer_epsilons_and_deltas_are_accepted(caller):
+    call, _ = real_callers()[caller]
+    deltas = caller.endswith("delta") or caller.endswith("deltas")
+    for value in (np.float64(0.2), np.float32(0.2)) + (() if deltas else (0, np.int64(1))):
         call(value)
 
 

@@ -89,6 +89,28 @@ def test_truncated_header_rejected(tmp_path):
         read_dataset(p)
 
 
+def test_truncated_header_after_the_magic_rejected(tmp_path):
+    p = tmp_path / "d.bin"
+    p.write_bytes(MAGIC + b"\x02\x00\x00")
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{p}: truncated header") + "$"):
+        read_dataset(p)
+
+
+@pytest.mark.parametrize("n, dim", [(0, 3), (2, 0)])
+def test_empty_shape_in_header_rejected(tmp_path, n, dim):
+    p = tmp_path / "d.bin"
+    p.write_bytes(struct.pack("<4sII", MAGIC, n, dim))
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{p}: invalid shape {n}x{dim}") + "$"):
+        read_dataset(p)
+
+
+def test_malformed_csv_rejected(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("1,2\n3,zebra\n")
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{p}: malformed CSV: ")):
+        read_dataset(p)
+
+
 def test_nonfinite_payload_rejected(tmp_path):
     p = tmp_path / "d.bin"
     header = struct.pack("<4sII", MAGIC, 1, 2)

@@ -77,3 +77,15 @@ def test_percentile_matches_manual_rule():
 def test_percentile_empty_rejected():
     with pytest.raises(ValueError):
         percentile([], 0.5)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+def test_percentile_outside_zero_one_rejected(p):
+    with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\]$"):
+        percentile([1.0, 2.0], p)
+
+
+@pytest.mark.parametrize("returned", [[0, 0], [0], [0, 1, 2]])
+def test_suboptimality_needs_k_distinct_ids(returned):
+    with pytest.raises(ValueError, match="^returned must hold exactly k distinct ids$"):
+        suboptimality(returned, [0.1, 0.2, 0.3], 2)

@@ -265,6 +265,55 @@ def test_mips_topk_dimension_mismatch():
         mips_topk(vs, Query(np.ones(4)), 1, epsilon=0.1, delta=0.1)
 
 
+@pytest.mark.parametrize("answer", ["search", "k=n", "zero-width"])
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (2.5, TypeError)])
+def test_mips_topk_checks_the_seed_whether_or_not_it_searches(answer, seed, error):
+    # the no-search exits reject the seeds a search rejects
+    vs = VectorSet(np.eye(3, 4))
+    query, k = {
+        "search": (Query(np.ones(4)), 2),
+        "k=n": (Query(np.ones(4)), 3),
+        "zero-width": (Query(np.zeros(4)), 2),
+    }[answer]
+    with pytest.raises(error, match="^seed "):
+        mips_topk(vs, query, k, 0.1, 0.1, seed=seed)
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+def test_mips_topk_trace_reports_range_width_and_set_up(kind):
+    rng = np.random.default_rng(47)
+    vs = VectorSet(rng.standard_normal((40, 300)))
+    q = Query(rng.standard_normal(300))
+    lo, hi = reward_range(vs, q, kind)
+    _, first = mips_topk(vs, q, 3, 0.3 * (hi - lo), 0.1, kind=kind)
+    # the set's first search builds its permuted copy inside build_arms
+    assert first.range_width == hi - lo
+    assert first.setup_ms > 0.0
+    _, later = mips_topk(vs, q, 3, 0.3 * (hi - lo), 0.1, kind=kind)
+    assert later.range_width == hi - lo and later.setup_ms >= 0.0
+    # no search: K = n, and a zero-width range (a zero inner-product
+    # query), which alone is flagged
+    cases = [(q, 40, False)] + ([(Query(np.zeros(300)), 3, True)] if kind is IP else [])
+    for query, k, warned in cases:
+        ids, trace = mips_topk(VectorSet(vs.data), query, k, 0.1, 0.1, kind=kind)
+        assert ids == list(range(k))
+        assert (trace.range_width, trace.setup_ms) == (None, 0.0)
+        assert (trace.warning is not None) == warned
+
+
+def test_query_must_be_a_non_empty_vector():
+    for vector in (np.ones((2, 2)), np.empty(0)):
+        with pytest.raises(ValueError, match="^query must be a non-empty 1-D vector$"):
+            Query(vector)
+
+
+@pytest.mark.parametrize("call", [reward_range, true_means])
+def test_an_unknown_objective_is_named(call):
+    vs, q = VectorSet(np.ones((2, 3))), Query(np.ones(3))
+    with pytest.raises(ValueError, match="^unknown objective kind: 'ip'$"):
+        call(vs, q, "ip")
+
+
 def test_mips_topk_k_bounds():
     vs = VectorSet(np.ones((2, 3)))
     q = Query(np.array([1.0, 0.0, 0.0]))
