@@ -9,6 +9,10 @@ one column order shared by all arms; ``PositionSampler`` draws the random
 order that makes those reads uniform without-replacement samples.  The
 adversarial instance of ``datasets`` is an arm set of its own: it answers
 ``sums`` in closed form from its ones-then-zeros lists.
+
+``exact_sums``, the one exact scorer, sums file-order float64 data for the
+exact answers (``naive_topk``, ``true_means``, the LSH rerank) and the
+permuted copy, read in float64, for exhausted rows: the reference orders.
 """
 
 from __future__ import annotations
@@ -23,14 +27,46 @@ __all__ = ["ObjectiveKind", "WINDOW_BLOCK", "PositionSampler", "LazySource"]
 # Widest column window evaluated at once; bounds the temporary of a round to
 # survivors x WINDOW_BLOCK floats.
 WINDOW_BLOCK = 1024
-# Rows per block of an exhaustive float64 re-sum and of building a permuted
-# copy; bounds their temporaries to that many rows x N floats.
+# Rows per block of ``exact_sums`` and of building a permuted copy; bounds
+# their temporaries to that many rows x N floats.
 ROW_BLOCK = 64
 
 
 class ObjectiveKind(enum.Enum):
     INNER_PRODUCT = "inner_product"
     NEG_SQ_DISTANCE = "neg_sq_distance"
+
+
+def check_kind(kind) -> None:
+    """Raise ValueError unless ``kind`` is an ``ObjectiveKind``."""
+    if not isinstance(kind, ObjectiveKind):
+        raise ValueError(f"unknown objective kind: {kind!r}")
+
+
+def _row_sums(block: np.ndarray, query: np.ndarray, kind: ObjectiveKind) -> np.ndarray:
+    """Sum of f(i, j) over the columns of each row of ``block``."""
+    if kind is ObjectiveKind.INNER_PRODUCT:
+        return block @ query
+    diff = block - query
+    return -np.einsum("ij,ij->i", diff, diff)
+
+
+def exact_sums(
+    matrix: np.ndarray, query: np.ndarray, kind: ObjectiveKind, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """Float64 reward sums over all columns of ``rows`` (None: every row) of ``matrix``.
+
+    Inner products of every row are one ``matrix @ query``; distances and
+    gathered rows go in ``ROW_BLOCK``-row blocks, each with its own temporary.
+    """
+    check_kind(kind)
+    if rows is None and kind is ObjectiveKind.INNER_PRODUCT:
+        return matrix @ query
+    out = np.empty(len(matrix) if rows is None else rows.size)
+    for a in range(0, out.size, ROW_BLOCK):
+        block = matrix[a : a + ROW_BLOCK] if rows is None else matrix[rows[a : a + ROW_BLOCK]]
+        out[a : a + ROW_BLOCK] = _row_sums(block, query, kind)
+    return out
 
 
 def _float32_mean_error(kind: ObjectiveKind, data_bound: float, query_bound: float) -> float:
@@ -116,7 +152,7 @@ class LazySource:
     ``query_bound`` (the largest |entry| of ``data`` and of ``query``);
     where that bound is infinite the windows are evaluated in float64
     instead, and ``mean_error`` is 0.  Rows that reach t = N with a nonzero
-    ``mean_error`` are re-summed in float64, so exhausted means carry no
+    ``mean_error`` are re-summed by ``exact_sums``, so exhausted means carry no
     float32 rounding.
 
     Read rule: a window is evaluated either for every row on the strided
@@ -143,8 +179,7 @@ class LazySource:
     ):
         if data.ndim != 2 or query.shape != data.shape[1:]:
             raise ValueError(f"query shape {query.shape} does not fit data {data.shape}")
-        if kind not in (ObjectiveKind.INNER_PRODUCT, ObjectiveKind.NEG_SQ_DISTANCE):
-            raise ValueError(f"unknown objective kind: {kind!r}")
+        check_kind(kind)
         self._data, self._query, self._kind = data, query, kind
         self._window_query = query
         self.mean_error = 0.0
@@ -165,15 +200,11 @@ class LazySource:
         ``done..t-1``.
         """
         check_pulls(done, t, self.list_len)
-        sums = np.zeros(ids.size) if done == 0 else prior.copy()
-        if self._kind is ObjectiveKind.INNER_PRODUCT:  # the read rule of the class docstring
-            on_view = 4 * ids.size >= self.n
-        else:
-            on_view = ids.size == self.n
         if self.mean_error and done < t == self.list_len:
-            for i in range(0, ids.size, ROW_BLOCK):
-                sums[i : i + ROW_BLOCK] = self.draw(ids[i : i + ROW_BLOCK], 0, t, exact=True)
-            done = t
+            return exact_sums(self._data, self._query, self._kind, ids)
+        sums = np.zeros(ids.size) if done == 0 else prior.copy()
+        ip = self._kind is ObjectiveKind.INNER_PRODUCT  # the read rule of the class docstring
+        on_view = 4 * ids.size >= self.n if ip else ids.size == self.n
         while done < t:
             a = (self.start + done) % self.list_len
             b = min(a + t - done, self.list_len, a + WINDOW_BLOCK)
@@ -181,16 +212,7 @@ class LazySource:
             done += b - a
         return sums
 
-    def draw(self, rows: np.ndarray | None, a: int, b: int, exact: bool = False) -> np.ndarray:
-        """Reward sums of ``rows`` (None: every row) over columns [a, b).
-
-        The sums are in the window dtype, or with ``exact`` in float64 (the
-        float64 query promotes a float32 window, which holds its entries
-        exactly).
-        """
+    def draw(self, rows: np.ndarray | None, a: int, b: int) -> np.ndarray:
+        """Reward sums, in the window dtype, of ``rows`` (None: every row) over columns [a, b)."""
         window = self._data[:, a:b] if rows is None else self._data[rows, a:b]
-        query = (self._query if exact else self._window_query)[a:b]
-        if self._kind is ObjectiveKind.INNER_PRODUCT:
-            return window @ query
-        diff = window - query
-        return -np.einsum("ij,ij->i", diff, diff)
+        return _row_sums(window, self._window_query[a:b], self._kind)

@@ -1,8 +1,9 @@
 """Exhaustive search (the correctness oracle) and a sign-projection LSH baseline.
 
-``naive_topk`` scores every vector against the query and is both the truth
-oracle for precision measurements and the cost denominator for speedups
-(ops = n * dim scalar multiplies, exactly).
+``naive_topk`` scores every vector against the query with ``arms.exact_sums``
+over the file-order float64 data, the reference order of every exact answer,
+and is both the truth oracle for precision measurements and the cost
+denominator for speedups (ops = n * dim scalar multiplies, exactly).
 
 The LSH baseline answers maximum inner product queries through the standard
 reduction to near-neighbor search on the unit sphere: scale all data vectors
@@ -12,7 +13,7 @@ query; cosine neighbors of the lifted query are then inner-product winners
 of the original data.  Hashing is sign-of-random-projection with an AND
 width of ``a`` bits per table and an OR construction across ``b`` tables;
 query-time candidates are the union of the query's buckets, reranked by
-exact inner product.
+``exact_sums`` in row blocks, so no copy of the candidate rows is made.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arms import exact_sums
 from .elimination import checked_int, top_ids
-from .mips import ObjectiveKind, Query, VectorSet, _block_rows, _check_dims, _scores
+from .mips import ObjectiveKind, Query, VectorSet, _block_rows, _check_dims
 
 __all__ = ["ExactResult", "naive_topk", "LshIndex", "LshResult", "lsh_build", "lsh_query"]
 
@@ -48,13 +50,10 @@ def naive_topk(
 ) -> ExactResult:
     """Score all n rows exactly, return the K best (score ties keep the smaller id)."""
     k = checked_int(k, "k", 1, vectors.n, "n")
-    scores = _scores(vectors, query, kind)
-    order = top_ids(scores, k)
-    return ExactResult(
-        topk_ids=order.tolist(),
-        topk_scores=scores[order].copy(),
-        ops=vectors.n * vectors.dim,
-    )
+    _check_dims(vectors, query)
+    scores = exact_sums(vectors.data, query.vector, kind)
+    order, ops = top_ids(scores, k), vectors.n * vectors.dim
+    return ExactResult(topk_ids=order.tolist(), topk_scores=scores[order], ops=ops)
 
 
 @dataclass
@@ -173,16 +172,10 @@ def lsh_query(
     n_cands = int(cands.size)
     ops = n_cands * index.dim + b * index.a * (index.dim + 1)
 
-    padded = n_cands < k
-    if n_cands:
-        scores = vectors.data[cands] @ query.vector
-        order = top_ids(scores, k)  # cands is increasing, so ties keep the smaller id
-        ids = cands[order].tolist()
-        kept_scores = scores[order]
-    else:
-        ids, kept_scores = [], np.empty(0)
-    if padded:
-        filler = np.flatnonzero(~hit)[: k - n_cands]
-        ids.extend(int(i) for i in filler)
-        kept_scores = np.concatenate([kept_scores, vectors.data[filler] @ query.vector])
-    return LshResult(ids=ids, scores=kept_scores, candidates=n_cands, ops=ops, padded=padded)
+    ip, padded = ObjectiveKind.INNER_PRODUCT, n_cands < k
+    scores = exact_sums(vectors.data, query.vector, ip, cands)
+    order = top_ids(scores, k)  # cands is increasing, so ties keep the smaller id
+    filler = np.flatnonzero(~hit)[: max(k - n_cands, 0)]
+    ids = np.concatenate([cands[order], filler])
+    scores = np.concatenate([scores[order], exact_sums(vectors.data, query.vector, ip, filler)])
+    return LshResult(ids=ids.tolist(), scores=scores, candidates=n_cands, ops=ops, padded=padded)

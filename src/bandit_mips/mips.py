@@ -26,9 +26,12 @@ The permuted copy is float32 whenever float32 holds every entry of
 float64 otherwise.  ``LazySource`` evaluates a float32 copy's windows in
 float32, so every empirical mean may be off by up to its ``mean_error``
 eta (about 6.1e-5 Mv Mq for inner products, with Mv and Mq the largest
-data and query magnitudes), which the search's confidence radius absorbs;
-exhausted means, and epsilon = 0 answers, stay exact.  On 1000 x 10^4
-float32-exact data the copy takes 40 MB instead of 80 MB.
+data and query magnitudes), which the search's confidence radius absorbs.
+Exhausted means, and epsilon = 0 answers, stay exact: the one scorer
+``arms.exact_sums`` sums them in float64 over the permuted copy, and every
+exact answer outside the search over the file-order float64 ``data``, the
+reference order.  On 1000 x 10^4 float32-exact data the copy takes 40 MB
+instead of 80 MB.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arms import ROW_BLOCK, LazySource, ObjectiveKind, PositionSampler
+from .arms import ROW_BLOCK, LazySource, ObjectiveKind, PositionSampler, check_kind, exact_sums
 from .elimination import (
     EliminationConfig,
     EliminationTrace,
@@ -179,7 +182,7 @@ class Query:
     coord_bound: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
-        self.vector = np.ascontiguousarray(np.asarray(self.vector, dtype=np.float64))
+        self.vector = np.asarray(self.vector, dtype=np.float64, order="C")
         if self.vector.ndim != 1 or self.vector.size < 1:
             raise ValueError("query must be a non-empty 1-D vector")
         if not np.isfinite(self.vector).all():
@@ -225,17 +228,16 @@ def reward_range(vectors: VectorSet, query: Query, kind: ObjectiveKind) -> tuple
     that reward sums could, raises a ValueError.
     """
     _check_dims(vectors, query)
+    check_kind(kind)
     if kind is ObjectiveKind.INNER_PRODUCT:
         half = vectors.coord_bound * query.coord_bound
         lo, hi = -half, half
-    elif kind is ObjectiveKind.NEG_SQ_DISTANCE:
+    else:
         try:
             spread = (vectors.coord_bound + query.coord_bound) ** 2
         except OverflowError:
             spread = math.inf
         lo, hi = -spread, 0.0
-    else:
-        raise ValueError(f"unknown objective kind: {kind!r}")
     if not math.isfinite((hi - lo) * vectors.dim):
         raise ValueError(
             "reward range overflows float64 (coordinate bounds "
@@ -246,25 +248,8 @@ def reward_range(vectors: VectorSet, query: Query, kind: ObjectiveKind) -> tuple
 
 def true_means(vectors: VectorSet, query: Query, kind: ObjectiveKind) -> np.ndarray:
     """Exact per-arm means, i.e. score(i)/dim for every row (O(n*dim))."""
-    return _scores(vectors, query, kind) / vectors.dim
-
-
-def _scores(vectors: VectorSet, query: Query, kind: ObjectiveKind) -> np.ndarray:
-    """Exact score(i) of every row: q . v_i, or -||q - v_i||^2.
-
-    Distances are summed over blocks of rows, so no n x dim difference is
-    ever held; each row's sum is the same as over the whole matrix.
-    """
     _check_dims(vectors, query)
-    if kind is ObjectiveKind.INNER_PRODUCT:
-        return vectors.data @ query.vector
-    if kind is ObjectiveKind.NEG_SQ_DISTANCE:
-        sq = np.empty(vectors.n)
-        for a in range(0, vectors.n, ROW_BLOCK):
-            diff = vectors.data[a : a + ROW_BLOCK] - query.vector
-            sq[a : a + ROW_BLOCK] = np.einsum("ij,ij->i", diff, diff)
-        return -sq
-    raise ValueError(f"unknown objective kind: {kind!r}")
+    return exact_sums(vectors.data, query.vector, kind) / vectors.dim
 
 
 _MASK64 = (1 << 64) - 1

@@ -6,7 +6,12 @@ former ``Arms`` protocol ``sums(rows, t)``: the reward sums of an int array
 ``rows`` that only shrinks across calls.  ``RowsLazySource`` is
 ``LazySource`` in that protocol, with its n-long live mask and sums.  The
 current code must give bit-identical answers.
+
+``oracle_scan`` is an exact scorer that shares nothing with the package's:
+a Python loop over the rows, each summed with ``math.fsum``.
 """
+
+import math
 
 import numpy as np
 
@@ -17,6 +22,23 @@ from bandit_mips.elimination import (
     elimination_schedule,
     round_pull_target,
 )
+
+
+def oracle_scan(matrix, query, kind, rows=None):
+    """Reward sums and absolute sums of ``rows`` (None: every row), one row at a time.
+
+    Each row's float64 rewards f(i, j) are summed by ``math.fsum``, which
+    rounds the sum once; so a float64 sum in any order of the same rewards,
+    or of their products left unrounded by a fused multiply-add, lies within
+    dim * 2^-52 absolute sums of it.
+    """
+    sums, sizes = [], []
+    for i in range(len(matrix)) if rows is None else rows:
+        row = np.asarray(matrix[i], dtype=np.float64)
+        rewards = row * query if kind is ObjectiveKind.INNER_PRODUCT else -((row - query) ** 2)
+        sums.append(math.fsum(rewards))
+        sizes.append(math.fsum(np.abs(rewards)))
+    return np.array(sums), np.array(sizes)
 
 
 def oracle_pull_batch(arms, rows, t):

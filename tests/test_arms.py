@@ -20,7 +20,7 @@ rows in play and, for them, ``running[rows]``, the prior of the next call.
 import numpy as np
 import pytest
 
-from bandit_mips.arms import WINDOW_BLOCK, LazySource, PositionSampler
+from bandit_mips.arms import ROW_BLOCK, WINDOW_BLOCK, LazySource, PositionSampler, exact_sums
 from bandit_mips.baselines import naive_topk
 from bandit_mips.datasets import AdversarialInstance
 from bandit_mips.elimination import (
@@ -31,7 +31,7 @@ from bandit_mips.elimination import (
     round_pull_target,
 )
 from bandit_mips.mips import ObjectiveKind, Query, VectorSet, build_arms, mips_topk, reward_range
-from oracles import RowsLazySource, oracle_topk
+from oracles import RowsLazySource, oracle_scan, oracle_topk
 
 IP = ObjectiveKind.INNER_PRODUCT
 NSD = ObjectiveKind.NEG_SQ_DISTANCE
@@ -223,10 +223,9 @@ def test_a_search_reads_each_position_once(kind, monkeypatch):
     perm, permuted = vs.permuted()
     draw, windows = LazySource.draw, []
 
-    def spy(self, rows, a, b, exact=False):
-        if not exact:
-            windows.append((a, b))
-        return draw(self, rows, a, b, exact)
+    def spy(self, rows, a, b):
+        windows.append((a, b))
+        return draw(self, rows, a, b)
 
     monkeypatch.setattr(LazySource, "draw", spy)
     for frac in (0.4, 0.2, 0.0):
@@ -350,10 +349,9 @@ def spy_on_views(arms):
     views = []
     draw = arms.draw
 
-    def spy(rows, a, b, exact=False):
-        if not exact:
-            views.append(rows is None)
-        return draw(rows, a, b, exact)
+    def spy(rows, a, b):
+        views.append(rows is None)
+        return draw(rows, a, b)
 
     arms.draw = spy
     return views
@@ -560,8 +558,8 @@ def test_searches_leave_the_permuted_copy_unchanged():
         draws = []
         draw = LazySource.draw
 
-        def spy(self, rows, a, b, exact=False):
-            out = draw(self, rows, a, b, exact)
+        def spy(self, rows, a, b):
+            out = draw(self, rows, a, b)
             draws.append(rows is None)
             assert not np.shares_memory(out, self._data)
             return out
@@ -578,3 +576,58 @@ def test_searches_leave_the_permuted_copy_unchanged():
         assert True in draws and False in draws  # both the view and gathered rows
         assert np.array_equal(permuted, before)
         assert vs.permuted()[1] is permuted
+
+
+# --- the exact scorer ----------------------------------------------------------
+
+BLOCK_EDGES = [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 2]
+
+
+@pytest.mark.parametrize("count", BLOCK_EDGES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", [IP, NSD])
+def test_exact_sums_match_a_row_by_row_scan(kind, dtype, count):
+    # every row of a count-row matrix, and count rows gathered from a taller
+    # one in any order and with repeats, against an fsum over each row
+    rng = np.random.default_rng([50, count])
+    dim = 300
+    matrix = rng.standard_normal((count, dim)).astype(dtype)
+    tall = rng.standard_normal((200, dim)).astype(dtype)
+    query = rng.standard_normal(dim)
+    for m, rows in ((matrix, None), (tall, rng.integers(0, 200, count))):
+        got = exact_sums(m, query, kind, rows)
+        want, size = oracle_scan(m, query, kind, rows)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        assert np.all(np.abs(got - want) <= dim * 2.0**-52 * size)
+
+
+@pytest.mark.parametrize("count", BLOCK_EDGES)
+def test_exact_sums_keep_the_bits_of_the_whole_matrix_forms(count):
+    # every row's inner product is one data @ q; distances sum each row as the
+    # whole-matrix einsum does; gathered float32 rows against a float64 query
+    # sum as the mixed-dtype product of their ROW_BLOCK-row block does (a
+    # 1-row block can round otherwise than that row inside a longer product)
+    rng = np.random.default_rng([51, count])
+    dim = 777
+    data, q = rng.standard_normal((count, dim)), rng.standard_normal(dim)
+    assert exact_sums(data, q, IP).tolist() == (data @ q).tolist()
+    diff = data - q
+    assert exact_sums(data, q, NSD).tolist() == (-np.einsum("ij,ij->i", diff, diff)).tolist()
+    rows, f32 = rng.permutation(count), data.astype(np.float32)
+    blocks = [f32[rows[a : a + ROW_BLOCK]] @ q for a in range(0, count, ROW_BLOCK)]
+    assert exact_sums(f32, q, IP, rows).tolist() == np.concatenate([[], *blocks]).tolist()
+
+
+@pytest.mark.parametrize("kind", [IP, NSD])
+def test_exhausted_rows_are_scored_over_the_permuted_copy(kind):
+    # a float32 copy's rows that reach t = N are the scorer's float64 sums
+    rng = np.random.default_rng(52)
+    n, dim = 130, 500
+    vs = VectorSet(rng.standard_normal((n, dim)).astype(np.float32))
+    q = Query(rng.standard_normal(dim))
+    arms = build_arms(vs, q, kind, start=7)
+    assert arms.mean_error > 0.0
+    perm, permuted = vs.permuted()
+    ids = np.sort(rng.choice(n, 70, replace=False))
+    got = arms.sums(ids, dim, 200, arms.sums(ids, 200))
+    assert got.tolist() == exact_sums(permuted, q.vector[perm], kind, ids).tolist()

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bandit_mips.arms import ROW_BLOCK
 from bandit_mips.baselines import HASH_BLOCK, lsh_build, lsh_query, naive_topk
 from bandit_mips.mips import ObjectiveKind, Query, VectorSet, _block_rows, mips_topk
 
@@ -257,6 +258,24 @@ def test_lsh_rerank_is_exact_over_candidates():
         scores = vs.data[res.ids] @ q.vector
         assert scores.tolist() == pytest.approx(sorted(scores, reverse=True))
         assert res.scores.tolist() == pytest.approx(scores.tolist())
+
+
+def test_lsh_query_makes_no_copy_of_the_candidates():
+    # hundreds of candidates are reranked a row block at a time, so the peak
+    # stays within a few blocks; a copy of the candidate rows takes them all
+    rng = np.random.default_rng(9)
+    n, dim = 600, 4000
+    vs = VectorSet(rng.standard_normal((n, dim)))
+    index = lsh_build(vs, a=1, b=4, seed=0)
+    q = Query(rng.standard_normal(dim))
+    tracemalloc.start()
+    try:
+        res = lsh_query(index, vs, q, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.candidates >= 300
+    assert peak < 3 * ROW_BLOCK * dim * 8, (peak, res.candidates * dim * 8)
 
 
 def test_lsh_all_zero_data_rejected():

@@ -302,7 +302,8 @@ def test_mips_topk_trace_reports_range_width_and_set_up(kind):
 
 
 def test_query_must_be_a_non_empty_vector():
-    for vector in (np.ones((2, 2)), np.empty(0)):
+    # a 0-d scalar is not promoted to a one-entry vector
+    for vector in (np.ones((2, 2)), np.empty(0), 1.0, np.float64(2.0), np.array(3.0)):
         with pytest.raises(ValueError, match="^query must be a non-empty 1-D vector$"):
             Query(vector)
 
