@@ -73,20 +73,42 @@ def _float32_mean_error(kind: ObjectiveKind, data_bound: float, query_bound: flo
     """Bound eta on the rounding error of any mean evaluated in float32.
 
     The data entries are float32 values bounded by Mv = ``data_bound``; the
-    float64 query, bounded by Mq = ``query_bound``, is rounded to float32,
-    and each window of at most B = ``WINDOW_BLOCK`` columns is summed in
-    float32 in any order, then added up in float64.  With u = 2^-24 and
-    gamma_B = B u / (1 - B u), a window sum over c columns is off by at most
-    c times
+    float64 query, bounded by Mq = ``query_bound``, is rounded to float32
+    (q~), each window of at most B = ``WINDOW_BLOCK`` columns is evaluated
+    in float32 by ``LazySource.draw``, its sums in any order, and the window
+    sums are added up in float64.  With u = 2^-24, gamma_B = B u / (1 - B u),
+    tau = 2^-149 (float32's least subnormal) and s = Mv + Mq, a window sum
+    over c columns is off by at most c times
 
-        inner_product:    (gamma_B + 3u) Mv Mq     + (Mv + 1) tau
-        neg_sq_distance:  (gamma_B + 5u) (Mv+Mq)^2 + 2 (Mv + Mq + 1) tau
+        inner_product:    (gamma_B + 3u) Mv Mq + (Mv + 1) tau
+        neg_sq_distance:  (gamma_B + 5u) s^2   + (2 s + 3) tau
 
-    where tau = 2^-149, float32's least subnormal, covers the query entries
-    and products that underflow.  A mean is a sum of windows
-    divided by its column count, so the bound holds for every mean; float64
-    rounding is not counted, as it is not for float64 data.  Returns inf
-    where a float32 window could overflow.
+    A distance window is fl(fl(2 P - Q) - R) for the float32 sums P of
+    v q~, Q of v^2 and R of q~^2.  A float32 result is x (1 + e) + d with
+    |e| <= u and |d| <= tau / 2, where d = 0 for sums and differences, and
+    doubling is exact.  Let m = (1 + u) Mq + tau / 2 bound |q~|, so that
+    (Mv + m)^2 bounds 2|v q~| + v^2 + q~^2.  Per column:
+
+    - P, Q and R, each a sum of c rounded terms in any order, are off by
+      gamma_c times their absolute sums plus (1 + gamma_B) tau / 2 each:
+      gamma_B (Mv + m)^2 + 2 (1 + gamma_B) tau for 2 P - Q - R;
+    - the two subtractions add at most (2u + u^2) (|2 P - Q| + R), where
+      the computed |2 P - Q| + R is at most (1 + gamma_B) ((Mv + m)^2 + 2 tau);
+    - rounding q to q~ moves -(v - q)^2 by |q~ - q| |2v - q - q~|, at most
+      (u Mq + tau / 2) (2 s + u Mq + tau / 2).
+
+    As Mv + m <= (1 + u) s + tau / 2, the s^2 terms add up to
+    (gamma_B + 4u + 4u gamma_B + O(u^2)) s^2 <= (gamma_B + 5u) s^2, and the
+    tau terms to (1 + O(gamma_B)) s tau + 2 (1 + gamma_B) (1 + u)^2 tau +
+    O(tau^2) <= (2 s + 3) tau.  The inner-product window is one float32
+    sum of v q~: gamma_B Mv m + (1 + gamma_B) tau / 2 for the sum and
+    u Mv Mq + Mv tau / 2 for rounding q.
+
+    A mean is a sum of windows divided by its column count, so the bound
+    holds for every mean; float64 rounding is not counted, as it is not for
+    float64 data.  Returns inf where a float32 window could overflow; below
+    that (B Mv Mq, or B s^2, at most 2^127) every float32 partial sum, 2 P
+    included, stays finite.
     """
     u, tau = 2.0**-24, 2.0**-149
     gamma = WINDOW_BLOCK * u / (1.0 - WINDOW_BLOCK * u)
@@ -96,7 +118,7 @@ def _float32_mean_error(kind: ObjectiveKind, data_bound: float, query_bound: flo
     else:
         spread = data_bound + query_bound
         scale = spread * spread
-        eta = (gamma + 5.0 * u) * scale + 2.0 * (spread + 1.0) * tau
+        eta = (gamma + 5.0 * u) * scale + (2.0 * spread + 3.0) * tau
     if query_bound > 2.0**127 or WINDOW_BLOCK * scale > 2.0**127:
         return math.inf
     return eta
@@ -155,17 +177,26 @@ class LazySource:
     ``mean_error`` are re-summed by ``exact_sums``, so exhausted means carry no
     float32 rounding.
 
+    A window W is one BLAS product ``W @ q`` for inner products.  A float32
+    distance window is expanded on the block already read, as
+    2 (W @ q) - (the row sums of W * W) - q . q: the same product, one
+    row-wise sum of squares and one scalar, with no difference temporary.
+    Float64 windows keep the direct form -sum (W - q)^2, as ``exact_sums``
+    does: their ``mean_error`` is 0, so their sums must be as exact as
+    float64 sums of the rewards, which the expansion's cancellation is not.
+
     Read rule: a window is evaluated either for every row on the strided
     view of ``data``, then gathered by ``ids``, or for the gathered rows
     ``ids``.  Inner-product windows use the view while ``ids`` holds at
     least a quarter of the rows, as BLAS reads it with its threads faster
-    than it gathers the rows.  Distance windows are single-threaded
-    elementwise work, so they use the view only while ``ids`` holds every
-    row, and gather from the first elimination on.  A BLAS product may sum
-    a row in another order on the view, so an inner-product window sum can
-    differ in its last bits; ``mean_error`` bounds any summation order, so
-    the rule moves answers only within the guarantee.  ``data`` is never
-    written.
+    than it gathers the rows.  Distance windows use the view only while
+    ``ids`` holds every row, and gather from the first elimination on: their
+    sums of squares, or their differences in float64, run on one thread, so
+    on the view they would cost as much for every eliminated row as for a
+    survivor.  A BLAS product may sum a row in another order on the view, so
+    a float32 window sum can differ in its last bits; ``mean_error`` bounds
+    any summation order, so the rule moves answers only within the
+    guarantee.  ``data`` is never written.
     """
 
     def __init__(
@@ -215,4 +246,9 @@ class LazySource:
     def draw(self, rows: np.ndarray | None, a: int, b: int) -> np.ndarray:
         """Reward sums, in the window dtype, of ``rows`` (None: every row) over columns [a, b)."""
         window = self._data[:, a:b] if rows is None else self._data[rows, a:b]
-        return _row_sums(window, self._window_query[a:b], self._kind)
+        query = self._window_query[a:b]
+        if self.mean_error and self._kind is ObjectiveKind.NEG_SQ_DISTANCE:
+            # -sum (w - q)^2 = 2 w.q - w.w - q.q on the block already read,
+            # with no difference temporary; mean_error bounds its rounding
+            return 2.0 * (window @ query) - np.vecdot(window, window) - query @ query
+        return _row_sums(window, query, self._kind)

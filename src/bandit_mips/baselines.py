@@ -35,11 +35,13 @@ HASH_BLOCK = 256
 
 @dataclass(slots=True)
 class ExactResult:
-    """Exact top-K: ids in descending score order, their scores, op count."""
+    """Exact top-K: ids in descending score order, their scores, op count,
+    and every row's exact mean, score / N (``mips.true_means``)."""
 
     topk_ids: list[int]
     topk_scores: np.ndarray
     ops: int
+    means: np.ndarray
 
 
 def naive_topk(
@@ -53,7 +55,9 @@ def naive_topk(
     _check_dims(vectors, query)
     scores = exact_sums(vectors.data, query.vector, kind)
     order, ops = top_ids(scores, k), vectors.n * vectors.dim
-    return ExactResult(topk_ids=order.tolist(), topk_scores=scores[order], ops=ops)
+    return ExactResult(
+        topk_ids=order.tolist(), topk_scores=scores[order], ops=ops, means=scores / vectors.dim
+    )
 
 
 @dataclass

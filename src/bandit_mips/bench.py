@@ -38,7 +38,7 @@ from .fileio import (
     write_results,
 )
 from .metrics import percentile, precision, suboptimality
-from .mips import ObjectiveKind, Query, VectorSet, mips_topk, reward_range, true_means
+from .mips import ObjectiveKind, Query, VectorSet, mips_topk, reward_range
 
 __all__ = [
     "RunRecord",
@@ -228,7 +228,9 @@ def run_compare(
     Curve points aggregate over all queries: mean precision against the
     exact top-K, total naive ops over total spent ops, total naive wall time
     over total spent wall time.  The exhaustive reference pass that times
-    the naive side runs after one untimed warm-up search.
+    the naive side runs after one untimed warm-up search; its one scan per
+    query gives both the exact top-K and the true means that suboptimality
+    is measured against.
     """
     methods = tuple(methods)
     unknown = set(methods) - {NAIVE, ME, LSH}
@@ -257,16 +259,15 @@ def run_compare(
         _check_grid(eps_name, eps_values, "me_deltas", me_deltas)
     ops_naive = vectors.n * vectors.dim
 
-    truth_ids: list[list[int]] = []
+    exact = []  # per query: the exact top-K and every row's true mean
     naive_s = 0.0
     naive_topk(vectors, queries[0], k, kind)  # warm-up, so the timed pass is not cold
     if ME in methods:
         vectors.permuted()  # the bandit's one-time set-up, untimed like the LSH builds
     for query in queries:
         start = time.perf_counter()
-        truth_ids.append(naive_topk(vectors, query, k, kind).topk_ids)
+        exact.append(naive_topk(vectors, query, k, kind))
         naive_s += time.perf_counter() - start
-    means_per_query = [true_means(vectors, query, kind) for query in queries]
 
     # A runner answers one query: (ids, ops, params, epsilon, delta, seed).
     def naive(qi, query):
@@ -333,8 +334,8 @@ def run_compare(
                     delta=delta,
                     seed=run_seed,
                     returned=ids,
-                    precision=precision(ids, truth_ids[qi], k),
-                    suboptimality=suboptimality(ids, means_per_query[qi], k),
+                    precision=precision(ids, exact[qi].topk_ids, k),
+                    suboptimality=suboptimality(ids, exact[qi].means, k),
                     pulls_total=ops,
                     ops_naive=ops_naive,
                     wall_ms=wall_ms,

@@ -24,8 +24,10 @@ n x N reward matrix is ever materialized.
 The permuted copy is float32 whenever float32 holds every entry of
 ``data`` exactly (as it does for data read from the binary format), and
 float64 otherwise.  ``LazySource`` evaluates a float32 copy's windows in
-float32, so every empirical mean may be off by up to its ``mean_error``
-eta (about 6.1e-5 Mv Mq for inner products, with Mv and Mq the largest
+float32, each around one BLAS product (a distance window is expanded as
+2 v.q - v.v - q.q on the rows already read), so every empirical mean may
+be off by up to its ``mean_error`` eta (about 6.1e-5 Mv Mq for inner
+products and 6.1e-5 (Mv + Mq)^2 for distances, with Mv and Mq the largest
 data and query magnitudes), which the search's confidence radius absorbs.
 Exhausted means, and epsilon = 0 answers, stay exact: the one scorer
 ``arms.exact_sums`` sums them in float64 over the permuted copy, and every

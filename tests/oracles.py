@@ -4,8 +4,10 @@
 its ``lexsort`` ``oracle_eliminate`` and ``oracle_pull_batch``, in the
 former ``Arms`` protocol ``sums(rows, t)``: the reward sums of an int array
 ``rows`` that only shrinks across calls.  ``RowsLazySource`` is
-``LazySource`` in that protocol, with its n-long live mask and sums.  The
-current code must give bit-identical answers.
+``LazySource`` in that protocol, with its n-long live mask and sums; it
+evaluates windows with ``LazySource.draw``, whose rounding the float32 tests
+bound, and keeps its own exact re-sum.  The current code must give
+bit-identical answers.
 
 ``oracle_scan`` is an exact scorer that shares nothing with the package's:
 a Python loop over the rows, each summed with ``math.fsum``.
@@ -138,12 +140,14 @@ class RowsLazySource(LazySource):
     def draw(self, rows: np.ndarray | None, a: int, b: int, exact: bool = False) -> np.ndarray:
         """Reward sums of ``rows`` (None: every row) over columns [a, b).
 
-        The sums are in the window dtype, or with ``exact`` in float64 (the
-        float64 query promotes a float32 window, which holds its entries
-        exactly).
+        The sums are ``LazySource.draw``'s, in the window dtype, or with
+        ``exact`` float64 sums of the direct form (the float64 query promotes
+        a float32 window, which holds its entries exactly).
         """
+        if not exact:
+            return super().draw(rows, a, b)
         window = self._data[:, a:b] if rows is None else self._data[rows, a:b]
-        query = (self._query if exact else self._window_query)[a:b]
+        query = self._query[a:b]
         if self._kind is ObjectiveKind.INNER_PRODUCT:
             return window @ query
         diff = window - query

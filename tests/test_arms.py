@@ -17,6 +17,8 @@ rounds holds the search state itself, as the elimination loop does: the
 rows in play and, for them, ``running[rows]``, the prior of the next call.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -439,6 +441,61 @@ def test_float32_underflow_stays_within_mean_error(kind):
         got = arms.sums(rows, t, done, got)
         assert np.all(np.abs(got - want) <= arms.mean_error * t)
         done = t
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**30, 2.0**-60])
+def test_float32_distance_windows_within_mean_error_under_cancellation(scale):
+    # float32-exact rows at the common offset 2^10 with dyadic perturbations
+    # of 2^-8 steps, against a query next to them that float32 must round
+    # (steps of 2^-20): 2 v.q~ and v.v + q~.q~ agree in their leading ~20
+    # bits, so the expanded window keeps only what their rounding leaves.
+    # Gaps are multiples of 2^-20 below 1/2, so the float64 brute force is
+    # exact in any order; all of it scales by powers of two.
+    rng = np.random.default_rng([39, int(np.log2(scale)) + 100])
+    n, dim, offset = 40, 7500, 2.0**10
+    data = (offset + rng.integers(-(2**6), 2**6, (n, dim)) * 2.0**-8) * scale
+    query = (offset + rng.integers(-(2**18), 2**18, dim) * 2.0**-20) * scale
+    vs, q = VectorSet(data, seed=int(rng.integers(2**31))), Query(query)
+    assert vs.permuted()[1].dtype == np.float32
+    inexact = 0
+    for trial in range(2):
+        arms = build_arms(vs, q, NSD, start=int(rng.integers(dim)))
+        assert arms.mean_error > 0.0
+        order = prefix_order(arms, vs)
+        rows, running, t = np.arange(n), np.zeros(n), 0
+        for size in (n, 20, 10, 5, 3, 2, 1):  # halving, as the search does
+            rows = np.sort(rng.choice(rows, size=size, replace=False))
+            done, t = t, t + int(rng.integers(WINDOW_BLOCK // 2, WINDOW_BLOCK + 40))
+            got = arms.sums(rows, t, done, running[rows])
+            running[rows] = got
+            want = brute_sums(vs, q, NSD, rows, order[:t])
+            assert np.all(np.abs(got - want) <= arms.mean_error * t)
+            inexact += int(np.count_nonzero(got != want))
+        got = arms.sums(rows, dim, t, running[rows])
+        assert got.tolist() == brute_sums(vs, q, NSD, rows, np.arange(dim)).tolist()
+    assert inexact > 0  # the windows did round: the bound, not luck, holds them
+
+
+def test_gathered_float32_distance_round_allocates_only_the_block():
+    # a distance window on gathered float32 rows is evaluated on the block as
+    # read: besides it, only vectors of one entry per survivor
+    rng = np.random.default_rng(54)
+    n, dim, s = 400, 3000, 200
+    vs = VectorSet(rng.random((n, dim)).astype(np.float32))
+    q = Query(rng.random(dim))
+    arms = build_arms(vs, q, NSD, start=11)
+    assert arms.mean_error > 0.0
+    ids = np.sort(rng.choice(n, s, replace=False))
+    prior = arms.sums(ids, 5)
+    tracemalloc.start()
+    try:
+        got = arms.sums(ids, 5 + WINDOW_BLOCK, 5, prior)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = s * WINDOW_BLOCK * 4
+    assert peak <= block + 64 * s + 4096, (peak, block)
+    assert np.allclose(got, arms.sums(ids, 5 + WINDOW_BLOCK), rtol=1e-6)
 
 
 def test_inexact_data_gets_a_float64_copy_and_no_rounding_bound():

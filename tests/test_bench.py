@@ -9,7 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bandit_mips import bench, elimination
+from bandit_mips import baselines, bench, elimination, mips
+from bandit_mips.baselines import naive_topk
 from bandit_mips.bench import (
     LSH,
     ME,
@@ -583,3 +584,24 @@ def test_run_query_leaves_every_check_and_exit_to_mips_topk(tmp_path, monkeypatc
     out = run_query(dpath, qpath, 12, epsilon=0.1, delta=0.1)
     assert builds == [1]
     assert out["range_width"] is None and out["setup_ms"] == 0.0
+
+
+def test_compare_scans_each_query_once_for_truth_and_means(small_instance, monkeypatch):
+    # naive-only distance compare of 5 queries: one warm-up scan, one
+    # reference scan per query (its ids and its means) and one timed
+    # exhaustive run per query; a separate true-means pass would add 5
+    vs = small_instance[0]
+    queries = [Query(gen_vectors("uniform", 1, vs.dim, seed=200 + i).data[0]) for i in range(5)]
+    real, scans = baselines.exact_sums, []
+
+    def spy(matrix, query, kind, rows=None):
+        scans.append(rows is None and matrix is vs.data)
+        return real(matrix, query, kind, rows)
+
+    monkeypatch.setattr(baselines, "exact_sums", spy)
+    monkeypatch.setattr(mips, "exact_sums", spy)
+    rep = run_compare(vs, queries, 3, methods=(NAIVE,), kind=ObjectiveKind.NEG_SQ_DISTANCE)
+    assert scans == [True] * 11
+    for rec, query in zip(rep.records, queries):
+        assert rec.suboptimality == 0.0
+        assert rec.returned == naive_topk(vs, query, 3, ObjectiveKind.NEG_SQ_DISTANCE).topk_ids
