@@ -8,11 +8,10 @@ trustworthy.  A round-based halving loop then finds the top-K vectors while
 reading far fewer than n*N coordinates when the accuracy budget allows it.
 """
 
-from . import arms, baselines, bench, bounds, datasets, elimination, fileio, metrics, mips
+from . import arms, baselines, bench, datasets, elimination, fileio, metrics, mips
 from .arms import *
 from .baselines import *
 from .bench import *
-from .bounds import *
 from .datasets import *
 from .elimination import *
 from .fileio import *
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 # Each module declares its own public names; the package exports them all.
 __all__ = [
     *arms.__all__,
-    *bounds.__all__,
     *elimination.__all__,
     *mips.__all__,
     *baselines.__all__,

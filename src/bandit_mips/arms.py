@@ -11,7 +11,7 @@ adversarial instance of ``datasets`` is an arm set of its own: it answers
 ``sums`` in closed form from its ones-then-zeros lists.
 
 ``exact_sums``, the one exact scorer, sums file-order float64 data for the
-exact answers (``naive_topk``, ``true_means``, the LSH rerank) and the
+exact answers (``naive_topk`` and its means, the LSH rerank) and the
 permuted copy, read in float64, for exhausted rows: the reference orders.
 """
 

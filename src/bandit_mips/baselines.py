@@ -36,7 +36,7 @@ HASH_BLOCK = 256
 @dataclass(slots=True)
 class ExactResult:
     """Exact top-K: ids in descending score order, their scores, op count,
-    and every row's exact mean, score / N (``mips.true_means``)."""
+    and every row's exact mean, score / N."""
 
     topk_ids: list[int]
     topk_scores: np.ndarray

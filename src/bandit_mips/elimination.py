@@ -2,18 +2,22 @@
 
 Each round pulls every surviving arm up to a shared cumulative target chosen
 so that, with the round's slice of the confidence budget, empirical means
-separate the keepers from the half being dropped.  The round accuracy and
-confidence follow the fixed schedule
+separate the keepers from the half being dropped.  This module alone turns
+(n, K, eps, delta, range width, N, mean_error) into rounds: ``round_plan``
+splits the budget by the fixed schedule
 
     eps_l = (eps/4) * (3/4)^(l-1),    delta_l = delta / 2^l,
 
-whose sums over all rounds stay within eps and delta.  Every round removes
-ceil((s - K)/2) of the s survivors, so the excess over K at least halves and
-the loop ends after at most ceil(log2 n) + 1 rounds with exactly K arms.
-Per-arm pulls never exceed the list length N: once the target reaches N the
-survivors are measured exactly and later rounds add no pulls.  Survivor
-counts, budgets and targets never depend on the sampled means, so the
-search plans every round before its first pull.
+whose sums over all rounds stay within eps and delta (all Median
+Elimination needs), and ``round_pull_target`` turns each slice into a
+Hoeffding count that ``sample_size`` shrinks for sampling without
+replacement.  Every round removes ceil((s - K)/2) of the s survivors, so the
+excess over K at least halves and the loop ends after at most
+ceil(log2 n) + 1 rounds with exactly K arms.  Per-arm pulls never exceed the
+list length N: once the target reaches N the survivors are measured exactly
+and later rounds add no pulls.  Survivor counts, budgets and targets never
+depend on the sampled means, so the search plans every round before its
+first pull.
 
 The loop reads arms through the ``Arms`` protocol and holds the search
 state, as in Median Elimination: the int array of survivor ids, which
@@ -41,14 +45,12 @@ from typing import Protocol
 
 import numpy as np
 
-from .bounds import hoeffding_count, pull_target
-
 __all__ = [
     "Arms",
     "EliminationConfig",
     "RoundRecord",
     "EliminationTrace",
-    "elimination_schedule",
+    "sample_size",
     "round_pull_target",
     "round_plan",
     "pull_batch",
@@ -89,9 +91,12 @@ def checked_int(
 
     The one check of every integer argument, which ``name`` names in its
     errors: TypeError for a non-integer such as 2.0, "2" or None (Python and
-    numpy integers pass ``operator.index``), ValueError with the value and
-    the range outside [lo, hi], calling hi ``hi_name`` when one is given.
+    numpy integers pass ``operator.index``) and for a bool, which it would
+    pass as 0 or 1; ValueError with the value and the range outside
+    [lo, hi], calling hi ``hi_name`` when one is given.
     """
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not bool")
     try:
         value = operator.index(value)
     except TypeError:
@@ -141,6 +146,7 @@ class EliminationConfig:
         self.k = checked_int(self.k, "k", 1)  # a search over n <= k arms returns them all
         check_epsilon(self.epsilon)
         check_delta(self.delta)
+        _check_real(self.range_width, "range_width")
         if not self.range_width > 0.0:
             raise ValueError("range_width must be positive")
 
@@ -171,17 +177,45 @@ class EliminationTrace:
     setup_ms: float = 0.0  # mips_topk's build_arms time, with a set's first permuted copy
 
 
-def elimination_schedule(epsilon: float, delta: float, round_index: int) -> tuple[float, float]:
-    """Accuracy and confidence assigned to round ``round_index`` (1-based).
+def sample_size(u: float, list_len: int) -> float:
+    """Closed-form real m sufficient for the without-replacement bound.
 
-    Geometric splits: sum of eps_l over all rounds equals epsilon, sum of
-    delta_l equals delta.
+    An arm's rewards live in a fixed list of length N and pulls draw from it
+    without replacement, so the empirical mean of m pulls concentrates
+    strictly faster than the i.i.d. Hoeffding rate once m is a nontrivial
+    fraction of N.  The gain enters the tail bound as a variance-shrinkage
+    factor:
+
+        P(|mean_hat - mean| >= eps) <= 2 exp(-2 m eps^2 / (shrinkage(m, N) (b - a)^2))
+
+    with shrinkage(m, N) = min{1 - (m-1)/N, (1 - m/N)(1 + 1/m)}.  Requiring
+    the exponent to reach a confidence target ln(1/delta) reduces to the
+    scalar inequality
+
+        m / shrinkage(m, N) >= u,    u = ln(1/delta)/2 * ((b - a)/eps)^2,
+
+    where u is exactly the classic with-replacement Hoeffding sample count.
+    Its closed-form solution is
+
+        m(u) = min{ (u + 1) / (1 + u/N),  (u + u/N) / (1 + u/N) }
+
+    Properties (each one is tested; only the tests compute the factor, for
+    a brute-force scan of m = 1..N):
+      - 0 <= m(u) <= N, and m(u) is monotone non-decreasing in u;
+      - any integer m >= ceil(m(u)) satisfies m / shrinkage(m, N) >= u;
+      - ceil(m(u)) exceeds the least such integer by at most 1.
+
+    u = inf is accepted and maps to N (exhaustive sampling, exact mean).
     """
-    if round_index < 1:
-        raise ValueError("round_index starts at 1")
-    eps_l = (epsilon / 4.0) * (0.75 ** (round_index - 1))
-    delta_l = delta / (2.0**round_index)
-    return eps_l, delta_l
+    if not u >= 0.0:
+        raise ValueError("u must be non-negative")
+    if list_len < 2:
+        raise ValueError("list_len must be at least 2")
+    if math.isinf(u):
+        return float(list_len)
+    n = float(list_len)
+    denom = 1.0 + u / n
+    return min((u + 1.0) / denom, (u + u / n) / denom)
 
 
 def round_pull_target(
@@ -203,11 +237,13 @@ def round_pull_target(
 
         u = (range_width^2 / (2 a^2)) * ln(2(s-K) / (delta_l (floor((s-K)/2)+1)))
 
-    which ``sample_size`` then shrinks for the finite list.  An accuracy
-    a <= 0 (eps_l = 0, eps_l/2 underflowing to 0, or no more than the
-    rounding bound) and a one-entry list jump straight to exhaustion
-    (target N, exact means).  The target is at least one pull, also where u
-    underflows to 0 (an accuracy far wider than the range).
+    which ``sample_size`` then shrinks for the finite list.  The round
+    exhausts the list (target N, exact means) when nothing short of N can
+    meet it: an accuracy a <= 0 (eps_l = 0, eps_l/2 underflowing to 0, or
+    no more than the rounding bound), a one-entry list, or a count too
+    large for float64 (range_width / a too large to square, or a per-tail
+    confidence that underflows to 0).  The target is at least one pull,
+    also where u underflows to 0 (an accuracy far wider than the range).
     """
     if survivors <= k:
         raise ValueError("survivors must exceed k")
@@ -216,8 +252,11 @@ def round_pull_target(
         return list_len
     excess = survivors - k
     per_tail_delta = delta_round * (excess // 2 + 1) / (2.0 * excess)
-    u = hoeffding_count(accuracy, per_tail_delta, range_width)
-    return max(pull_target(u, list_len), 1)
+    try:
+        u = math.log(1.0 / per_tail_delta) / 2.0 * (range_width / accuracy) ** 2
+    except (OverflowError, ZeroDivisionError):
+        u = math.inf
+    return min(max(math.ceil(sample_size(u, list_len)), 1), list_len)
 
 
 def round_plan(
@@ -225,16 +264,19 @@ def round_plan(
 ) -> list[RoundRecord]:
     """Every round of a search over n > K arms, before any pull.
 
-    Survivor counts, budgets and targets depend only on (n, K, epsilon,
-    delta, range_width, N, mean_error), never on the sampled means, so the
-    whole schedule is known in advance, and searches that share those
-    values can share one plan.  Targets never decrease.
+    Round l gets the slice eps_l = (eps/4)(3/4)^(l-1), delta_l = delta/2^l
+    of the budget, and ``round_pull_target`` turns the slice into the
+    round's pull count.  Survivor counts, budgets and targets depend only on
+    (n, K, epsilon, delta, range_width, N, mean_error), never on the sampled
+    means, so the whole schedule is known in advance, and searches that
+    share those values can share one plan.  Targets never decrease.
     """
     plan: list[RoundRecord] = []
     survivors, target = n, 0
     while survivors > config.k:
         round_index = len(plan) + 1
-        eps_l, delta_l = elimination_schedule(config.epsilon, config.delta, round_index)
+        eps_l = (config.epsilon / 4.0) * (0.75 ** (round_index - 1))
+        delta_l = config.delta / (2.0**round_index)
         target = max(
             target,
             round_pull_target(

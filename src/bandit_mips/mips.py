@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arms import ROW_BLOCK, LazySource, ObjectiveKind, PositionSampler, check_kind, exact_sums
+from .arms import ROW_BLOCK, LazySource, ObjectiveKind, PositionSampler, check_kind
 from .elimination import (
     EliminationConfig,
     EliminationTrace,
@@ -60,7 +60,6 @@ __all__ = [
     "Query",
     "build_arms",
     "reward_range",
-    "true_means",
     "mips_topk",
 ]
 
@@ -246,12 +245,6 @@ def reward_range(vectors: VectorSet, query: Query, kind: ObjectiveKind) -> tuple
             f"{vectors.coord_bound:g} and {query.coord_bound:g}); rescale the data"
         )
     return lo, hi
-
-
-def true_means(vectors: VectorSet, query: Query, kind: ObjectiveKind) -> np.ndarray:
-    """Exact per-arm means, i.e. score(i)/dim for every row (O(n*dim))."""
-    _check_dims(vectors, query)
-    return exact_sums(vectors.data, query.vector, kind) / vectors.dim
 
 
 _MASK64 = (1 << 64) - 1

@@ -1,8 +1,13 @@
 """Earlier versions of the search, kept verbatim as oracles for the tests.
 
-``oracle_topk`` is the halving loop as it was before the round plan, with
-its ``lexsort`` ``oracle_eliminate`` and ``oracle_pull_batch``, in the
-former ``Arms`` protocol ``sums(rows, t)``: the reward sums of an int array
+``oracle_plan`` is the round schedule as it was computed before one module
+planned a round: the budget split of the former ``elimination_schedule``
+and each round's target from the former ``bounds`` module's Hoeffding count,
+closed-form sample size and clamp, copied here so that it shares no code
+with ``round_plan``.  ``oracle_topk`` is the halving loop as it was before
+the round plan, planning each round with ``oracle_round``, with its
+``lexsort`` ``oracle_eliminate`` and ``oracle_pull_batch``, in the former
+``Arms`` protocol ``sums(rows, t)``: the reward sums of an int array
 ``rows`` that only shrinks across calls.  ``RowsLazySource`` is
 ``LazySource`` in that protocol, with its n-long live mask and sums; it
 evaluates windows with ``LazySource.draw``, whose rounding the float32 tests
@@ -18,12 +23,7 @@ import math
 import numpy as np
 
 from bandit_mips.arms import ROW_BLOCK, WINDOW_BLOCK, LazySource, ObjectiveKind
-from bandit_mips.elimination import (
-    EliminationTrace,
-    RoundRecord,
-    elimination_schedule,
-    round_pull_target,
-)
+from bandit_mips.elimination import EliminationTrace, RoundRecord
 
 
 def oracle_scan(matrix, query, kind, rows=None):
@@ -41,6 +41,42 @@ def oracle_scan(matrix, query, kind, rows=None):
         sums.append(math.fsum(rewards))
         sizes.append(math.fsum(np.abs(rewards)))
     return np.array(sums), np.array(sizes)
+
+
+def oracle_round(round_index, survivors, k, epsilon, delta, width, list_len, mean_error):
+    """Round ``round_index``'s (eps_l, delta_l, target) before targets are made monotone."""
+    eps_l = (epsilon / 4.0) * (0.75 ** (round_index - 1))
+    delta_l = delta / (2.0**round_index)
+    accuracy = eps_l / 2.0 - mean_error
+    if accuracy <= 0.0 or list_len == 1:
+        return eps_l, delta_l, list_len
+    excess = survivors - k
+    per_tail_delta = delta_l * (excess // 2 + 1) / (2.0 * excess)
+    try:
+        ratio_sq = (width / accuracy) ** 2
+    except OverflowError:
+        ratio_sq = math.inf
+    u = math.log(1.0 / per_tail_delta) / 2.0 * ratio_sq
+    if math.isinf(u):
+        m = float(list_len)
+    else:
+        n = float(list_len)
+        m = min((u + 1.0) / (1.0 + u / n), (u + u / n) / (1.0 + u / n))
+    return eps_l, delta_l, max(min(max(math.ceil(m), 0), list_len), 1)
+
+
+def oracle_plan(n, config, list_len, mean_error):
+    """The ``RoundRecord`` list of a search over n > K arms, one round at a time."""
+    plan, survivors, target = [], n, 0
+    while survivors > config.k:
+        eps_l, delta_l, t = oracle_round(
+            len(plan) + 1, survivors, config.k, config.epsilon, config.delta,
+            config.range_width, list_len, mean_error,
+        )
+        target = max(target, t)
+        plan.append(RoundRecord(len(plan) + 1, survivors, eps_l, delta_l, target))
+        survivors -= (survivors - config.k + 1) // 2
+    return plan
 
 
 def oracle_pull_batch(arms, rows, t):
@@ -73,10 +109,10 @@ def oracle_topk(arms, config):
     target = 0
     round_index = 1
     while alive.size > config.k:
-        eps_l, delta_l = elimination_schedule(config.epsilon, config.delta, round_index)
         target_prev = target
-        target = round_pull_target(
-            alive.size, config.k, eps_l, delta_l, config.range_width, list_len, arms.mean_error
+        eps_l, delta_l, target = oracle_round(
+            round_index, alive.size, config.k, config.epsilon, config.delta,
+            config.range_width, list_len, arms.mean_error,
         )
         target = max(target, target_prev)  # increments are never negative
         trace.total_pulls += alive.size * (target - target_prev)

@@ -1,5 +1,5 @@
 """The without-replacement shrinkage factor and the brute-force pull count
-scan that ``bounds.sample_size`` and the round targets are checked against."""
+scan that ``elimination.sample_size`` and the round targets are checked against."""
 
 
 def shrinkage(m: int, list_len: int) -> float:

@@ -19,9 +19,9 @@ import pytest
 from bandit_mips import elimination
 from bandit_mips.baselines import naive_topk
 from bandit_mips.bench import ME, run_compare, run_validate
-from bandit_mips.bounds import pull_target
 from bandit_mips.cli import main
 from bandit_mips.datasets import gen_vectors
+from bandit_mips.elimination import sample_size
 from bandit_mips.mips import ObjectiveKind, Query, VectorSet, build_arms, mips_topk
 from dominance import me_dominates
 from pull_scan import brute_force_min_pulls as brute
@@ -90,15 +90,15 @@ def test_criterion_3_sample_size_oracle():
     """Closed-form pull count vs brute-force minimal m: within +1 on 200
     random (u, N) pairs, exact on the two worked cases."""
 
-    assert min(max(pull_target(1.0, 10), 1), 10) == brute(1.0, 10) == 1
-    assert min(max(pull_target(50.0, 100), 1), 100) == brute(50.0, 100) == 34
+    assert min(max(math.ceil(sample_size(1.0, 10)), 1), 10) == brute(1.0, 10) == 1
+    assert min(max(math.ceil(sample_size(50.0, 100)), 1), 100) == brute(50.0, 100) == 34
 
     rng = np.random.default_rng(2024)
     for _ in range(200):
         n = int(rng.integers(2, 3000))
         u = float(rng.uniform(0.0, 3.0 * n))
         star = brute(u, n)
-        approx = min(max(pull_target(u, n), 1), n)
+        approx = min(max(math.ceil(sample_size(u, n)), 1), n)
         assert star <= approx <= star + 1, (u, n, star, approx)
 
 

@@ -27,7 +27,6 @@ from bandit_mips.baselines import naive_topk
 from bandit_mips.datasets import AdversarialInstance
 from bandit_mips.elimination import (
     EliminationConfig,
-    elimination_schedule,
     median_elimination_topk,
     pull_batch,
     round_pull_target,
@@ -513,12 +512,11 @@ def test_inexact_data_gets_a_float64_copy_and_no_rounding_bound():
             assert build_arms(vs, Query(rng.standard_normal(40)), kind).mean_error == 0.0
 
 
-def round_targets(trace, k, epsilon, delta, width, dim, mean_error):
+def round_targets(trace, k, width, dim, mean_error):
     targets, target = [], 0
     for rec in trace.rounds:
-        eps_l, delta_l = elimination_schedule(epsilon, delta, rec.round_index)
         target = max(target, round_pull_target(
-            rec.survivors, k, eps_l, delta_l, width, dim, mean_error
+            rec.survivors, k, rec.epsilon_round, rec.delta_round, width, dim, mean_error
         ))
         targets.append(target)
     return targets
@@ -538,8 +536,8 @@ def test_round_targets_absorb_mean_error_only_on_float32_copies():
             ids, trace = mips_topk(vs, q, 5, eps, 0.1, seed=3)
             got = [rec.pull_target for rec in trace.rounds]
             # float64 data: exactly the targets of the unwidened radius
-            assert got == round_targets(trace, 5, eps, 0.1, hi - lo, 3000, eta)
-            unwidened = round_targets(trace, 5, eps, 0.1, hi - lo, 3000, 0.0)
+            assert got == round_targets(trace, 5, hi - lo, 3000, eta)
+            unwidened = round_targets(trace, 5, hi - lo, 3000, 0.0)
             assert all(a >= b for a, b in zip(got, unwidened))
 
 

@@ -126,7 +126,7 @@ def test_naive_distance_objective_matches_sort():
 
 @pytest.mark.parametrize("kind", [IP, NSD])
 def test_naive_scores_are_exact_bit_for_bit(kind):
-    # the exact scores, not true_means * dim: (x/N)*N rounds x
+    # the exact scores, not means * dim: (x/N)*N rounds x
     rng = np.random.default_rng(43)
     data = rng.standard_normal((200, 1000))
     for _ in range(10):

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bandit_mips import baselines, bench, elimination, mips
+from bandit_mips import arms, baselines, bench, elimination
 from bandit_mips.baselines import naive_topk
 from bandit_mips.bench import (
     LSH,
@@ -35,10 +35,12 @@ def test_derive_seed_deterministic_and_sensitive():
 
 
 @pytest.mark.parametrize(
-    "parts, index", [((1.5, 2), 0), ((3, 2.0), 1), ((3, 1, "4"), 2), ((None,), 0)]
+    "parts, index",
+    [((1.5, 2), 0), ((3, 2.0), 1), ((3, 1, "4"), 2), ((None,), 0), ((True, 2), 0), ((3, False), 1)],
 )
 def test_derive_seed_rejects_a_non_integer_part(parts, index):
-    # int() used to truncate it: derive_seed(1.5, 2) was derive_seed(1, 2)
+    # int() used to truncate it: derive_seed(1.5, 2) was derive_seed(1, 2),
+    # and derive_seed(True, 2) too
     with pytest.raises(TypeError, match=rf"^derive_seed part {index} must be an integer, not "):
         derive_seed(*parts)
     assert derive_seed(np.int64(3), 1) == derive_seed(3, 1)
@@ -589,7 +591,8 @@ def test_run_query_leaves_every_check_and_exit_to_mips_topk(tmp_path, monkeypatc
 def test_compare_scans_each_query_once_for_truth_and_means(small_instance, monkeypatch):
     # naive-only distance compare of 5 queries: one warm-up scan, one
     # reference scan per query (its ids and its means) and one timed
-    # exhaustive run per query; a separate true-means pass would add 5
+    # exhaustive run per query; a separate true-means pass would add 5.
+    # The spy stands in for the scorer in every module that imports it.
     vs = small_instance[0]
     queries = [Query(gen_vectors("uniform", 1, vs.dim, seed=200 + i).data[0]) for i in range(5)]
     real, scans = baselines.exact_sums, []
@@ -599,7 +602,7 @@ def test_compare_scans_each_query_once_for_truth_and_means(small_instance, monke
         return real(matrix, query, kind, rows)
 
     monkeypatch.setattr(baselines, "exact_sums", spy)
-    monkeypatch.setattr(mips, "exact_sums", spy)
+    monkeypatch.setattr(arms, "exact_sums", spy)
     rep = run_compare(vs, queries, 3, methods=(NAIVE,), kind=ObjectiveKind.NEG_SQ_DISTANCE)
     assert scans == [True] * 11
     for rec, query in zip(rep.records, queries):

@@ -1,8 +1,10 @@
-"""Concentration-bound arithmetic, checked against a brute-force scan oracle.
+"""The without-replacement sample-size bound, checked against a brute-force scan.
 
-The oracle below re-derives the minimal sufficient pull count by scanning
-m = 1..N directly, so the closed form in bandit_mips.bounds is never trusted
-on its own word.
+The oracle in ``pull_scan`` re-derives the minimal sufficient pull count by
+scanning m = 1..N directly, so the closed form of
+``bandit_mips.elimination.sample_size`` is never trusted on its own word.
+The Hoeffding count it shrinks is checked with the round targets, in
+``test_elimination``.
 """
 
 import math
@@ -10,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from bandit_mips.bounds import hoeffding_count, pull_target, sample_size
+from bandit_mips.elimination import sample_size
 from pull_scan import brute_force_min_pulls, shrinkage
 
 
@@ -94,10 +96,10 @@ def test_sample_size_monotone_in_u():
         assert all(0.0 <= m <= n for m in ms)
 
 
-def test_pull_target_clamps():
-    assert pull_target(0.0, 10) == 0
-    assert pull_target(1e308, 10) == 10
-    assert pull_target(50.0, 100) == 34
+def test_sample_size_ceiling_worked_values():
+    assert math.ceil(sample_size(0.0, 10)) == 0
+    assert math.ceil(sample_size(1e308, 10)) == 10
+    assert math.ceil(sample_size(50.0, 100)) == 34
 
 
 def test_closed_form_overshoots_scan_by_at_most_one():
@@ -107,50 +109,5 @@ def test_closed_form_overshoots_scan_by_at_most_one():
         n = int(rng.integers(2, 2000))
         u = float(rng.uniform(0.0, 3.0 * n))
         star = brute_force_min_pulls(u, n)
-        approx = min(max(pull_target(u, n), 1), n)
+        approx = min(max(math.ceil(sample_size(u, n)), 1), n)
         assert star <= approx <= star + 1, (u, n, star, approx)
-
-
-# --- hoeffding_count -------------------------------------------------------
-
-
-def test_hoeffding_count_unit_case():
-    # ln(e) = 1 so u = 1/2
-    assert hoeffding_count(1.0, 1.0 / math.e, 1.0) == pytest.approx(0.5, rel=1e-12)
-
-
-def test_hoeffding_count_epsilon_scaling():
-    assert hoeffding_count(0.5, 1.0 / math.e, 1.0) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_hoeffding_count_typical_cell():
-    u = hoeffding_count(0.1, 0.05, 1.0)
-    assert u == pytest.approx(149.78661367769953, rel=1e-12)
-
-
-def test_hoeffding_count_width_scaling():
-    # u scales as width^2
-    base = hoeffding_count(0.1, 0.1, 1.0)
-    assert hoeffding_count(0.1, 0.1, 3.0) == pytest.approx(9.0 * base, rel=1e-12)
-
-
-def test_hoeffding_count_overflow_is_infinite():
-    # (1 / 1e-300)^2 overflows float64: the count is infinite, which
-    # pull_target maps to exhaustion, instead of an OverflowError
-    assert hoeffding_count(1e-300, 0.1, 1.0) == math.inf
-    assert pull_target(hoeffding_count(1e-300, 0.1, 1.0), 40) == 40
-
-
-def test_hoeffding_count_domain_errors():
-    with pytest.raises(ValueError):
-        hoeffding_count(0.0, 0.1, 1.0)
-    with pytest.raises(ValueError):
-        hoeffding_count(0.1, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        hoeffding_count(0.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        hoeffding_count(0.1, 0.1, 0.0)
-    with pytest.raises(ValueError):
-        hoeffding_count(math.nan, 0.1, 1.0)
-    with pytest.raises(ValueError):
-        hoeffding_count(0.1, 0.1, math.nan)

@@ -13,41 +13,41 @@ from bandit_mips import elimination
 from bandit_mips.datasets import gen_adversarial
 from bandit_mips.elimination import (
     EliminationConfig,
-    elimination_schedule,
     eliminate,
     median_elimination_topk,
     round_plan,
     round_pull_target,
     top_ids,
 )
-from oracles import oracle_eliminate, oracle_topk
+from oracles import oracle_eliminate, oracle_plan, oracle_topk
 from pull_scan import brute_force_min_pulls
 
 
 # --- schedule ---------------------------------------------------------------
 
 
+def plan_budgets(epsilon, delta):
+    """(eps_l, delta_l) of every round of a K = 1 plan over 2^30 arms: 30 rounds."""
+    config = EliminationConfig(k=1, epsilon=epsilon, delta=delta)
+    return [(r.epsilon_round, r.delta_round) for r in round_plan(2**30, config, 1000, 0.0)]
+
+
 def test_schedule_first_round():
-    assert elimination_schedule(0.2, 0.1, 1) == (0.05, 0.05)
+    assert plan_budgets(0.2, 0.1)[0] == (0.05, 0.05)
 
 
 def test_schedule_second_round_values():
-    eps2, del2 = elimination_schedule(0.4, 0.2, 2)
+    eps2, del2 = plan_budgets(0.4, 0.2)[1]
     assert eps2 == pytest.approx(0.075, abs=1e-15)
     assert del2 == pytest.approx(0.05, abs=1e-15)
 
 
-@pytest.mark.parametrize("round_index", [0, -1])
-def test_schedule_rounds_start_at_one(round_index):
-    with pytest.raises(ValueError, match="^round_index starts at 1$"):
-        elimination_schedule(0.4, 0.2, round_index)
-
-
 def test_schedule_partial_sums_stay_below_budget():
     eps, delta = 0.37, 0.21
+    budgets = plan_budgets(eps, delta)
+    assert len(budgets) == 30
     se = sd = 0.0
-    for l in range(1, 31):
-        e, d = elimination_schedule(eps, delta, l)
+    for e, d in budgets:
         se += e
         sd += d
         assert se <= eps + 1e-12
@@ -55,6 +55,57 @@ def test_schedule_partial_sums_stay_below_budget():
     # geometric tails: 30 rounds nearly exhaust both budgets
     assert se == pytest.approx(eps, rel=1e-3)
     assert sd == pytest.approx(delta, rel=1e-6)
+
+
+def plan_configs():
+    """(n, config, N, mean_error): a seeded grid of random plans and their edges.
+
+    Each value is an edge one time in five: epsilon 0, subnormal or too
+    small to square against the width; a width so small that u underflows
+    to 0, or an infinite one; lists of one and two entries; a rounding bound
+    that eats some or all rounds' accuracy.  One n in five is small, so that
+    n <= K comes up too.
+    """
+    rng = np.random.default_rng(46)
+
+    def pick(edges, draw):
+        return edges[int(rng.integers(len(edges)))] if rng.random() < 0.2 else draw()
+
+    for trial in range(3000):
+        n = int(rng.integers(1, 40)) if trial % 5 == 0 else int(rng.integers(1, 5000))
+        k = int(rng.integers(1, max(2, n // (1 + trial % 7)) + 1))
+        epsilon = pick([0.0, 5e-324, 1e-300], lambda: float(rng.uniform(0.0, 2.0)))
+        delta = pick([1e-12, 0.999], lambda: float(rng.uniform(0.001, 0.5)))
+        width = pick([1e-200, math.inf], lambda: float(rng.uniform(0.1, 10.0)))
+        list_len = pick([1, 2], lambda: int(rng.integers(3, 10**6)))
+        mean_error = pick([epsilon / 16.0, epsilon], lambda: 0.0)
+        config = EliminationConfig(k=k, epsilon=epsilon, delta=delta, range_width=width)
+        yield n, config, list_len, mean_error
+
+
+def test_round_plan_keeps_its_invariants_and_matches_the_oracle():
+    rounds = 0
+    for n, config, list_len, mean_error in plan_configs():
+        plan = round_plan(n, config, list_len, mean_error)
+        assert plan == oracle_plan(n, config, list_len, mean_error)
+        if n <= config.k:
+            assert plan == []
+            continue
+        # the budget split: each sum within its budget
+        assert math.fsum(r.epsilon_round for r in plan) <= config.epsilon
+        assert math.fsum(r.delta_round for r in plan) <= config.delta
+        # targets in [1, N], never decreasing
+        targets = [r.pull_target for r in plan]
+        assert all(1 <= t <= list_len for t in targets)
+        assert targets == sorted(targets)
+        # each round drops ceil((s - K)/2) of its s survivors, ending at K
+        sizes = [r.survivors for r in plan] + [config.k]
+        assert sizes[0] == n
+        assert all(b == a - math.ceil((a - config.k) / 2) for a, b in zip(sizes, sizes[1:]))
+        assert [r.round_index for r in plan] == list(range(1, len(plan) + 1))
+        assert len(plan) <= math.ceil(math.log2(n)) + 1
+        rounds += len(plan)
+    assert rounds > 10_000
 
 
 # --- round_pull_target ------------------------------------------------------
@@ -88,6 +139,39 @@ def test_round_target_never_exceeds_list_len():
         list_len = int(rng.integers(2, 5000))
         t = round_pull_target(n_sur, k, eps, dl, width, list_len)
         assert 0 <= t <= list_len
+
+
+@pytest.mark.parametrize(
+    "accuracy, tail_delta, width, u",
+    [
+        (1.0, 1.0 / math.e, 1.0, 0.5),  # the unit case: ln(e) = 1
+        (0.5, 1.0 / math.e, 1.0, 2.0),  # half the accuracy: 4 times u
+        (0.01, 1.0 / math.e, 1.0, 5000.0),
+        (0.01, 1.0 / math.e, 3.0, 45000.0),  # three times the width: 9 times u
+        (0.1, 0.05, 1.0, 149.78661367769953),  # a typical cell
+    ],
+)
+def test_round_target_is_the_hoeffding_count_shrunk(accuracy, tail_delta, width, u):
+    # one excess arm: the per-tail delta is delta_l/2, and
+    # u = ln(1/tail_delta)/2 * (width/accuracy)^2
+    t = round_pull_target(2, 1, 2.0 * accuracy, 2.0 * tail_delta, width, 100_000)
+    star = brute_force_min_pulls(u, 100_000)
+    assert star <= t <= star + 1
+
+
+def test_round_target_overflowing_count_exhausts():
+    # (1 / 1e-300)^2 overflows float64: the count is infinite and the round
+    # exhausts, instead of raising OverflowError
+    assert round_pull_target(10, 2, 2e-300, 0.1, 1.0, 40) == 40
+
+
+def test_round_target_underflowing_delta_exhausts():
+    # on a subnormal delta the per-tail share of delta_l = delta/2^l
+    # underflows to 0: no count short of N gives certainty, so the round
+    # exhausts
+    assert round_pull_target(10, 2, 0.1, 5e-324, 1.0, 300) == 300
+    plan = round_plan(64, EliminationConfig(k=1, epsilon=0.1, delta=5e-324), 300, 0.0)
+    assert [r.pull_target for r in plan] == [300] * 6
 
 
 def test_round_target_zero_epsilon_exhausts():
@@ -307,8 +391,12 @@ def test_config_validation():
         EliminationConfig(k=1, epsilon=0.1, delta=0.1, range_width=0.0)
     with pytest.raises(ValueError):
         EliminationConfig(k=1, epsilon=0.1, delta=0.1, range_width=math.nan)
+    for width in ("1", True, None):
+        with pytest.raises(TypeError, match="^range_width must be a real number, not "):
+            EliminationConfig(k=1, epsilon=0.1, delta=0.1, range_width=width)
     # an infinite width stays accepted: every round exhausts, which is sound
-    EliminationConfig(k=1, epsilon=0.1, delta=0.1, range_width=math.inf)
+    config = EliminationConfig(k=1, epsilon=0.1, delta=0.1, range_width=math.inf)
+    assert [r.pull_target for r in round_plan(8, config, 50, 0.0)] == [50] * 3
 
 
 def k_callers():
@@ -340,7 +428,7 @@ def k_callers():
     }
 
 
-@pytest.mark.parametrize("k", [2.0, 2.5, "2", None])
+@pytest.mark.parametrize("k", [2.0, 2.5, "2", None, True, False])
 @pytest.mark.parametrize("caller", sorted(k_callers()))
 def test_a_non_integer_k_is_a_type_error_naming_k(caller, k):
     with pytest.raises(TypeError, match="k must be an integer"):
@@ -416,7 +504,7 @@ def int_callers():
     [
         (caller, value)
         for caller in sorted(int_callers())
-        for value in (2.0, 2.5, "2", None)
+        for value in (2.0, 2.5, "2", None, True, False)
         if (caller, value) != ("lsh_query.b_use", None)  # b_use None reads every table
     ],
 )

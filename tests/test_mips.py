@@ -16,11 +16,15 @@ from bandit_mips.mips import (
     build_arms,
     mips_topk,
     reward_range,
-    true_means,
 )
 
 IP = ObjectiveKind.INNER_PRODUCT
 NSD = ObjectiveKind.NEG_SQ_DISTANCE
+
+
+def exact_means(vectors, query, kind):
+    """Every row's exact mean, score / N, as ``naive_topk`` reports it."""
+    return naive_topk(vectors, query, 1, kind).means
 
 
 def test_build_arms_inner_product_rewards():
@@ -33,7 +37,7 @@ def test_build_arms_inner_product_rewards():
     got = [arms.sums(ids, t)[0] for t in (1, 2, 3)]
     assert got == pytest.approx(np.cumsum(vs.data[0, order]).tolist())
     assert got[-1] == pytest.approx(6.0)
-    assert true_means(vs, q, IP)[0] == pytest.approx(2.0)
+    assert exact_means(vs, q, IP)[0] == pytest.approx(2.0)
 
 
 def test_build_arms_identical_vector_zero_distance():
@@ -42,14 +46,14 @@ def test_build_arms_identical_vector_zero_distance():
     arms = build_arms(vs, q, NSD)
     ids = np.array([0])
     assert [arms.sums(ids, t)[0] for t in (1, 2, 3)] == [0.0, 0.0, 0.0]
-    assert true_means(vs, q, NSD)[0] == 0.0
+    assert exact_means(vs, q, NSD)[0] == 0.0
 
 
-def test_true_means_match_naive_oracle():
+def test_exact_means_match_naive_oracle():
     rng = np.random.default_rng(31)
     vs = VectorSet(rng.standard_normal((5, 4)))
     q = Query(rng.standard_normal(4))
-    means = true_means(vs, q, IP)
+    means = exact_means(vs, q, IP)
     # brute force, one arm at a time
     for i in range(5):
         assert means[i] == pytest.approx(float(vs.data[i] @ q.vector) / 4, rel=1e-12)
@@ -61,7 +65,7 @@ def test_lazy_source_means_match_brute_force():
     q = Query(rng.standard_normal(125))
     for kind in (IP, NSD):
         means = build_arms(vs, q, kind, start=2).sums(np.arange(8), 125) / 125
-        for got, want in zip(means, true_means(vs, q, kind)):
+        for got, want in zip(means, exact_means(vs, q, kind)):
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
@@ -99,7 +103,7 @@ def test_argmax_invariance_distance_objective():
     rng = np.random.default_rng(34)
     vs = VectorSet(rng.standard_normal((20, 6)))
     q = Query(rng.standard_normal(6))
-    by_mean = np.argsort(-true_means(vs, q, NSD), kind="stable")
+    by_mean = np.argsort(-exact_means(vs, q, NSD), kind="stable")
     dists = np.linalg.norm(vs.data - q.vector, axis=1)
     by_dist = np.argsort(dists, kind="stable")
     assert by_mean.tolist() == by_dist.tolist()
@@ -129,21 +133,21 @@ def test_permuted_copy_built_on_first_bandit_query():
     vs = VectorSet(data)
     q = Query(rng.standard_normal(50))
     naive_topk(vs, q, 3)
-    true_means(vs, q, NSD)
+    exact_means(vs, q, NSD)
     assert vs._permuted is None  # no second n x N array before a bandit query
     mips_topk(vs, q, 3, epsilon=0.1, delta=0.1)
     assert vs._permuted is not None
     assert np.array_equal(vs.data, data)  # the caller's order is kept
 
 
-def test_true_means_distance_matches_whole_matrix_form():
+def test_exact_means_distance_matches_whole_matrix_form():
     # the row-blocked scan gives the same bits as the one-shot difference
     rng = np.random.default_rng(39)
     for data in (rng.random((200, 301)), rng.standard_normal((129, 40))):
         vs, q = VectorSet(data), Query(rng.standard_normal(data.shape[1]))
         diff = data - q.vector
         whole = -np.einsum("ij,ij->i", diff, diff) / data.shape[1]
-        assert np.array_equal(true_means(vs, q, NSD), whole)
+        assert np.array_equal(exact_means(vs, q, NSD), whole)
 
 
 def test_mips_topk_dim_one_exhausts():
@@ -308,7 +312,7 @@ def test_query_must_be_a_non_empty_vector():
             Query(vector)
 
 
-@pytest.mark.parametrize("call", [reward_range, true_means])
+@pytest.mark.parametrize("call", [reward_range, exact_means])
 def test_an_unknown_objective_is_named(call):
     vs, q = VectorSet(np.ones((2, 3))), Query(np.ones(3))
     with pytest.raises(ValueError, match="^unknown objective kind: 'ip'$"):
