@@ -10,9 +10,9 @@ order that makes those reads uniform without-replacement samples.  The
 adversarial instance of ``datasets`` is an arm set of its own: it answers
 ``sums`` in closed form from its ones-then-zeros lists.
 
-``exact_sums``, the one exact scorer, sums file-order float64 data for the
-exact answers (``naive_topk`` and its means, the LSH rerank) and the
-permuted copy, read in float64, for exhausted rows: the reference orders.
+``exact_sums``, the one exact scorer, sums the file-order float64 data
+against the query, the one reference order of every exact answer:
+``naive_topk`` and its means, the LSH rerank and exhausted float32 rows.
 """
 
 from __future__ import annotations
@@ -41,6 +41,12 @@ def check_kind(kind) -> None:
     """Raise ValueError unless ``kind`` is an ``ObjectiveKind``."""
     if not isinstance(kind, ObjectiveKind):
         raise ValueError(f"unknown objective kind: {kind!r}")
+
+
+def check_dims(vectors, query) -> None:
+    """Raise ValueError unless the ``VectorSet`` and the ``Query`` share a dimension."""
+    if vectors.dim != query.dim:
+        raise ValueError(f"dimension mismatch: data {vectors.dim}, query {query.dim}")
 
 
 def _row_sums(block: np.ndarray, query: np.ndarray, kind: ObjectiveKind) -> np.ndarray:
@@ -155,27 +161,28 @@ class PositionSampler:
 
 
 class LazySource:
-    """The rows of ``data`` as arms, rewards computed on demand.
+    """The rows of the ``VectorSet`` ``vectors`` as the arms of a ``Query``.
 
     Arm i's reward at column j is ``data[i, j] * query[j]``, or with
-    ``NEG_SQ_DISTANCE`` ``-(data[i, j] - query[j])^2``.  Every arm reads the
-    columns in the cyclic order start, start + 1, ..., so a round's new
-    pulls for all arms in play are one contiguous column window (two where
-    it wraps), evaluated in blocks of at most ``WINDOW_BLOCK`` columns.  The
-    reads are uniform without-replacement samples when the columns are in
-    uniformly random order (``mips.build_arms`` permutes them).  The object
-    keeps no search state: ``sums`` reads only the windows of the new pulls
-    and returns a new array.
+    ``NEG_SQ_DISTANCE`` ``-(data[i, j] - query[j])^2``, for the set's permuted
+    copy ``data`` (``VectorSet.permuted``) and the query permuted alike.
+    Every arm reads the columns in the cyclic order start, start + 1, ...,
+    so a round's new pulls for all arms in play are one contiguous column
+    window (two where it wraps), evaluated in blocks of at most
+    ``WINDOW_BLOCK`` columns.  The columns are in uniformly random order, so
+    the reads are uniform without-replacement samples.  The object keeps no
+    search state: ``sums`` reads only the windows of the new pulls and
+    returns a new array.
 
-    ``data`` is a float64 or float32 matrix and ``query`` a float64 vector,
-    as ``mips.build_arms`` passes them.  On float32 data the windows are
-    evaluated in float32 against the query rounded to float32, and
-    ``mean_error`` is ``_float32_mean_error`` of ``coord_bound`` and
-    ``query_bound`` (the largest |entry| of ``data`` and of ``query``);
-    where that bound is infinite the windows are evaluated in float64
-    instead, and ``mean_error`` is 0.  Rows that reach t = N with a nonzero
-    ``mean_error`` are re-summed by ``exact_sums``, so exhausted means carry no
-    float32 rounding.
+    On a float32 copy the windows are evaluated in float32 against the query
+    rounded to float32, and ``mean_error`` is ``_float32_mean_error`` of the
+    largest |entry| of the set and of the query; where that bound is
+    infinite the windows are evaluated in float64 instead, and
+    ``mean_error`` is 0.  Rows that reach t = N with a nonzero
+    ``mean_error`` are re-summed by ``exact_sums`` from the set's file-order
+    rows against the unpermuted query, ``naive_topk``'s reference order, so
+    exhausted means carry no float32 rounding; when every row exhausts at
+    once the call is ``naive_topk``'s own scan.
 
     A window W is one BLAS product ``W @ q`` for inner products.  A float32
     distance window is expanded on the block already read, as
@@ -196,29 +203,23 @@ class LazySource:
     survivor.  A BLAS product may sum a row in another order on the view, so
     a float32 window sum can differ in its last bits; ``mean_error`` bounds
     any summation order, so the rule moves answers only within the
-    guarantee.  ``data`` is never written.
+    guarantee.  No matrix is ever written.
     """
 
-    def __init__(
-        self,
-        data: np.ndarray,
-        query: np.ndarray,
-        kind: ObjectiveKind,
-        start: int,
-        coord_bound: float,
-        query_bound: float,
-    ):
-        if data.ndim != 2 or query.shape != data.shape[1:]:
-            raise ValueError(f"query shape {query.shape} does not fit data {data.shape}")
+    def __init__(self, vectors, query, kind: ObjectiveKind, start: int):
         check_kind(kind)
-        self._data, self._query, self._kind = data, query, kind
-        self._window_query = query
+        check_dims(vectors, query)
+        perm, self._data = vectors.permuted()
+        # file-order rows and query, for exact sums; the permuted query for windows
+        self._rows, self._query, self._kind = vectors.data, query.vector, kind
+        self._window_query = query.vector[perm]
         self.mean_error = 0.0
-        if data.dtype == np.float32:
-            eta = _float32_mean_error(kind, coord_bound, query_bound)
+        if self._data.dtype == np.float32:
+            eta = _float32_mean_error(kind, vectors.coord_bound, query.coord_bound)
             if math.isfinite(eta):
-                self.mean_error, self._window_query = eta, query.astype(np.float32)
-        self.n, self.list_len = data.shape
+                self.mean_error = eta
+                self._window_query = self._window_query.astype(np.float32)
+        self.n, self.list_len = self._data.shape
         self.start = start % self.list_len
 
     def sums(
@@ -232,7 +233,9 @@ class LazySource:
         """
         check_pulls(done, t, self.list_len)
         if self.mean_error and done < t == self.list_len:
-            return exact_sums(self._data, self._query, self._kind, ids)
+            every = ids.size == self.n  # as in round 1: naive_topk's scan, rows=None
+            sums = exact_sums(self._rows, self._query, self._kind, None if every else ids)
+            return sums[ids] if every else sums
         sums = np.zeros(ids.size) if done == 0 else prior.copy()
         ip = self._kind is ObjectiveKind.INNER_PRODUCT  # the read rule of the class docstring
         on_view = 4 * ids.size >= self.n if ip else ids.size == self.n

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arms import exact_sums
+from .arms import check_dims, exact_sums
 from .elimination import checked_int, top_ids
-from .mips import ObjectiveKind, Query, VectorSet, _block_rows, _check_dims
+from .mips import ObjectiveKind, Query, VectorSet, _block_rows
 
 __all__ = ["ExactResult", "naive_topk", "LshIndex", "LshResult", "lsh_build", "lsh_query"]
 
@@ -52,7 +52,7 @@ def naive_topk(
 ) -> ExactResult:
     """Score all n rows exactly, return the K best (score ties keep the smaller id)."""
     k = checked_int(k, "k", 1, vectors.n, "n")
-    _check_dims(vectors, query)
+    check_dims(vectors, query)
     scores = exact_sums(vectors.data, query.vector, kind)
     order, ops = top_ids(scores, k), vectors.n * vectors.dim
     return ExactResult(
@@ -164,7 +164,7 @@ def lsh_query(
     raises TypeError, as k does.  Padding fills with the smallest ids not
     already present and sets the flag.
     """
-    _check_dims(vectors, query)
+    check_dims(vectors, query)
     if index.n != vectors.n or index.dim != vectors.dim:
         raise ValueError("index was built over a different vector set")
     k = checked_int(k, "k", 1, index.n, "n")

@@ -243,7 +243,8 @@ def round_pull_target(
     no more than the rounding bound), a one-entry list, or a count too
     large for float64 (range_width / a too large to square, or a per-tail
     confidence that underflows to 0).  The target is at least one pull,
-    also where u underflows to 0 (an accuracy far wider than the range).
+    also where u underflows to 0 (an accuracy far wider than the range),
+    even with a per-tail confidence so small that its inverse overflows.
     """
     if survivors <= k:
         raise ValueError("survivors must exceed k")
@@ -253,7 +254,9 @@ def round_pull_target(
     excess = survivors - k
     per_tail_delta = delta_round * (excess // 2 + 1) / (2.0 * excess)
     try:
-        u = math.log(1.0 / per_tail_delta) / 2.0 * (range_width / accuracy) ** 2
+        inverse = 1.0 / per_tail_delta  # -log only where this overflows, keeping u's bits
+        log_term = math.log(inverse) if inverse < math.inf else -math.log(per_tail_delta)
+        u = log_term / 2.0 * (range_width / accuracy) ** 2
     except (OverflowError, ZeroDivisionError):
         u = math.inf
     return min(max(math.ceil(sample_size(u, list_len)), 1), list_len)

@@ -23,12 +23,15 @@ def suboptimality(returned: Iterable[int], true_means: Sequence[float], k: int) 
     """Gap between the K-th best true mean overall and within the returned set.
 
     Zero iff the returned set is as good as an exact top-K in the K-th-best
-    sense; never negative.
+    sense; never negative.  An id outside [0, n) is a ValueError naming it.
     """
     returned = list(returned)
     if len(set(returned)) != k:
         raise ValueError("returned must hold exactly k distinct ids")
     means = np.asarray(true_means, dtype=np.float64)
+    for i in returned:
+        if not 0 <= i < means.size:
+            raise ValueError(f"returned id {i} outside [0, {means.size})")
     kth_best = np.partition(means, means.size - k)[means.size - k]
     # the K-th highest of exactly K returned means is their minimum
     kth_returned = means[returned].min()

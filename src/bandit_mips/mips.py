@@ -29,10 +29,10 @@ float32, each around one BLAS product (a distance window is expanded as
 be off by up to its ``mean_error`` eta (about 6.1e-5 Mv Mq for inner
 products and 6.1e-5 (Mv + Mq)^2 for distances, with Mv and Mq the largest
 data and query magnitudes), which the search's confidence radius absorbs.
-Exhausted means, and epsilon = 0 answers, stay exact: the one scorer
-``arms.exact_sums`` sums them in float64 over the permuted copy, and every
-exact answer outside the search over the file-order float64 ``data``, the
-reference order.  On 1000 x 10^4 float32-exact data the copy takes 40 MB
+Exhausted means stay exact: the one scorer ``arms.exact_sums`` re-sums
+them from the file-order float64 ``data``, the reference order of every
+exact answer, so an epsilon = 0 search returns ``naive_topk``'s ids and
+means bit for bit.  On 1000 x 10^4 float32-exact data the copy takes 40 MB
 instead of 80 MB.
 """
 
@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arms import ROW_BLOCK, LazySource, ObjectiveKind, PositionSampler, check_kind
+from .arms import ROW_BLOCK, LazySource, ObjectiveKind, PositionSampler, check_dims, check_kind
 from .elimination import (
     EliminationConfig,
     EliminationTrace,
@@ -195,11 +195,6 @@ class Query:
         return self.vector.size
 
 
-def _check_dims(vectors: VectorSet, query: Query) -> None:
-    if vectors.dim != query.dim:
-        raise ValueError(f"dimension mismatch: data {vectors.dim}, query {query.dim}")
-
-
 def build_arms(
     vectors: VectorSet,
     query: Query,
@@ -211,12 +206,7 @@ def build_arms(
     Arm i's t-th pull reads column ``pi[(start + t - 1) % N]`` of row i.  The
     query is permuted once; the set's permuted copy is built on first use.
     """
-    _check_dims(vectors, query)
-    start = checked_int(start, "start")
-    perm, permuted = vectors.permuted()
-    return LazySource(
-        permuted, query.vector[perm], kind, start, vectors.coord_bound, query.coord_bound
-    )
+    return LazySource(vectors, query, kind, checked_int(start, "start"))
 
 
 def reward_range(vectors: VectorSet, query: Query, kind: ObjectiveKind) -> tuple[float, float]:
@@ -228,7 +218,7 @@ def reward_range(vectors: VectorSet, query: Query, kind: ObjectiveKind) -> tuple
     are 0-optimal.  An interval whose width times N overflows float64, so
     that reward sums could, raises a ValueError.
     """
-    _check_dims(vectors, query)
+    check_dims(vectors, query)
     check_kind(kind)
     if kind is ObjectiveKind.INNER_PRODUCT:
         half = vectors.coord_bound * query.coord_bound

@@ -11,8 +11,9 @@ the round plan, planning each round with ``oracle_round``, with its
 ``rows`` that only shrinks across calls.  ``RowsLazySource`` is
 ``LazySource`` in that protocol, with its n-long live mask and sums; it
 evaluates windows with ``LazySource.draw``, whose rounding the float32 tests
-bound, and keeps its own exact re-sum.  The current code must give
-bit-identical answers.
+bound, and keeps its own exact re-sum of the file-order rows: the whole
+matrix at once when every row exhausts, else blocks of gathered rows.  The
+current code must give bit-identical answers.
 
 ``oracle_scan`` is an exact scorer that shares nothing with the package's:
 a Python loop over the rows, each summed with ``math.fsum``.
@@ -150,9 +151,12 @@ class RowsLazySource(LazySource):
             raise ValueError("rows must be a subset of the rows of the previous call")
         done = self._pulls
         if self.mean_error and done < t == self.list_len:
-            for i in range(0, rows.size, ROW_BLOCK):
-                block = rows[i : i + ROW_BLOCK]
-                self._sums[block] = self.draw(block, 0, self.list_len, exact=True)
+            if rows.size == self.n:  # every row: one scan of the whole matrix
+                self._sums = self.draw(None, 0, self.list_len, exact=True)
+            else:
+                for i in range(0, rows.size, ROW_BLOCK):
+                    block = rows[i : i + ROW_BLOCK]
+                    self._sums[block] = self.draw(block, 0, self.list_len, exact=True)
             done = t
         # The read rule of the class docstring.  On the view every row's sum
         # advances, dead rows' too; those are never asked about again.
@@ -177,12 +181,12 @@ class RowsLazySource(LazySource):
         """Reward sums of ``rows`` (None: every row) over columns [a, b).
 
         The sums are ``LazySource.draw``'s, in the window dtype, or with
-        ``exact`` float64 sums of the direct form (the float64 query promotes
-        a float32 window, which holds its entries exactly).
+        ``exact`` float64 sums of the direct form over the file-order rows
+        against the unpermuted query.
         """
         if not exact:
             return super().draw(rows, a, b)
-        window = self._data[:, a:b] if rows is None else self._data[rows, a:b]
+        window = self._rows[:, a:b] if rows is None else self._rows[rows, a:b]
         query = self._query[a:b]
         if self._kind is ObjectiveKind.INNER_PRODUCT:
             return window @ query

@@ -22,7 +22,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bandit_mips.arms import ROW_BLOCK, WINDOW_BLOCK, LazySource, PositionSampler, exact_sums
+from bandit_mips.arms import (
+    ROW_BLOCK,
+    WINDOW_BLOCK,
+    LazySource,
+    PositionSampler,
+    _float32_mean_error,
+    exact_sums,
+)
 from bandit_mips.baselines import naive_topk
 from bandit_mips.datasets import AdversarialInstance
 from bandit_mips.elimination import (
@@ -221,7 +228,6 @@ def test_a_search_reads_each_position_once(kind, monkeypatch):
     rng = np.random.default_rng(40)
     n, dim = 200, 3000
     vs = VectorSet(rng.standard_normal((n, dim)), seed=12)
-    perm, permuted = vs.permuted()
     draw, windows = LazySource.draw, []
 
     def spy(self, rows, a, b):
@@ -233,7 +239,7 @@ def test_a_search_reads_each_position_once(kind, monkeypatch):
         q = Query(rng.standard_normal(dim))
         lo, hi = reward_range(vs, q, kind)
         config = EliminationConfig(k=5, epsilon=frac * (hi - lo), delta=0.1, range_width=hi - lo)
-        arms = LazySource(permuted, q.vector[perm], kind, dim - 40, vs.coord_bound, q.coord_bound)
+        arms = LazySource(vs, q, kind, dim - 40)
         windows.clear()
         _, trace = median_elimination_topk(arms, config)
         assert windows[:2] == [(dim - 40, dim), (0, windows[1][1])]
@@ -262,12 +268,12 @@ def test_lazy_source_rejects_wrong_shape_rewards():
     with pytest.raises(ValueError):
         build_arms(vs, Query(np.ones(3)), IP)
     with pytest.raises(ValueError):
-        LazySource(np.ones((2, 10)), np.ones(3), IP, 0, 1.0, 1.0)
+        LazySource(vs, Query(np.ones(3)), IP, 0)
 
 
 def test_lazy_source_rejects_an_unknown_objective():
     with pytest.raises(ValueError, match="^unknown objective kind: 'ip'$"):
-        LazySource(np.ones((2, 3)), np.ones(3), "ip", 0, 1.0, 1.0)
+        LazySource(VectorSet(np.ones((2, 3))), Query(np.ones(3)), "ip", 0)
 
 
 def test_position_sampler_uniformity_smoke():
@@ -406,10 +412,10 @@ def test_float32_means_within_mean_error_random_data(kind):
     q = Query(rng.standard_normal(dim) * 3.0)
     arms = build_arms(vs, q, kind, start=int(rng.integers(dim)))
     assert arms.mean_error > 0.0
-    # the bounds build_arms hands over are the largest |entry| of copy and query
-    perm, copy = vs.permuted()
-    bounds = float(np.abs(copy).max()), float(np.abs(q.vector).max())
-    assert arms.mean_error == LazySource(copy, q.vector[perm], kind, 0, *bounds).mean_error
+    # the bounds LazySource takes from the set and the query are the largest
+    # |entry| of copy and query
+    bounds = float(np.abs(vs.permuted()[1]).max()), float(np.abs(q.vector).max())
+    assert arms.mean_error == _float32_mean_error(kind, *bounds)
     order = prefix_order(arms, vs)
     rows, running, t = np.arange(n), np.zeros(n), 0
     while t < dim - 1:
@@ -576,7 +582,6 @@ def test_engine_matches_the_rows_protocol_oracle():
     # round 1 exhausts there
     searches = 0
     for vs, queries, k in engine_cases():
-        perm, permuted = vs.permuted()
         for q in queries:
             for kind in (IP, NSD):
                 lo, hi = reward_range(vs, q, kind)
@@ -584,7 +589,7 @@ def test_engine_matches_the_rows_protocol_oracle():
                     config = EliminationConfig(k=k, epsilon=frac * (hi - lo), delta=0.1,
                                                range_width=hi - lo)
                     start = (searches * 7919) % vs.dim
-                    args = (permuted, q.vector[perm], kind, start, vs.coord_bound, q.coord_bound)
+                    args = (vs, q, kind, start)
                     ids, trace = median_elimination_topk(LazySource(*args), config)
                     want_ids, want = oracle_topk(RowsLazySource(*args), config)
                     assert ids == want_ids
@@ -674,15 +679,38 @@ def test_exact_sums_keep_the_bits_of_the_whole_matrix_forms(count):
 
 
 @pytest.mark.parametrize("kind", [IP, NSD])
-def test_exhausted_rows_are_scored_over_the_permuted_copy(kind):
-    # a float32 copy's rows that reach t = N are the scorer's float64 sums
+def test_exhausted_rows_are_scored_over_the_file_order_rows(kind):
+    # a float32 copy's gathered rows that reach t = N in a later round are
+    # the scorer's float64 sums of the file-order rows against the query
     rng = np.random.default_rng(52)
     n, dim = 130, 500
     vs = VectorSet(rng.standard_normal((n, dim)).astype(np.float32))
     q = Query(rng.standard_normal(dim))
     arms = build_arms(vs, q, kind, start=7)
     assert arms.mean_error > 0.0
-    perm, permuted = vs.permuted()
     ids = np.sort(rng.choice(n, 70, replace=False))
     got = arms.sums(ids, dim, 200, arms.sums(ids, 200))
-    assert got.tolist() == exact_sums(permuted, q.vector[perm], kind, ids).tolist()
+    assert got.tolist() == exact_sums(vs.data, q.vector, kind, ids).tolist()
+    # every row at once, in any order, is naive_topk's one scan
+    every = rng.permutation(n)
+    assert arms.sums(every, dim).tolist() == exact_sums(vs.data, q.vector, kind)[every].tolist()
+
+
+@pytest.mark.parametrize("kind", [IP, NSD])
+@pytest.mark.parametrize("seed", [60, 61, 62, 63])
+def test_exact_search_on_float32_copies_is_the_naive_scan(kind, seed):
+    # epsilon 0, and a first round whose eps_1/2 does not exceed eta, exhaust
+    # every row in round 1: ids and means are naive_topk's, bit for bit
+    rng = np.random.default_rng(seed)
+    n, dim, k = 300, 4000, 7
+    data = rng.standard_normal((n, dim)).astype(np.float32).astype(np.float64)
+    vs, q = VectorSet(data, seed=seed), Query(rng.standard_normal(dim))
+    assert vs.permuted()[1].dtype == np.float32
+    truth = naive_topk(vs, q, k, kind)
+    eta = build_arms(vs, q, kind).mean_error
+    assert eta > 0.0
+    for eps in (0.0, 8.0 * eta):
+        ids, trace = mips_topk(vs, q, k, eps, 0.1, seed=seed, kind=kind)
+        assert trace.rounds[0].pull_target == dim
+        assert ids == truth.topk_ids
+        assert [m.hex() for m in trace.returned_means] == [m.hex() for m in truth.means[ids]]

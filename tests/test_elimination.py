@@ -165,6 +165,17 @@ def test_round_target_overflowing_count_exhausts():
     assert round_pull_target(10, 2, 2e-300, 0.1, 1.0, 40) == 40
 
 
+def test_round_target_with_an_overflowing_inverse_confidence():
+    # a per-tail delta below 1/DBL_MAX: 1/delta' overflows, but ln(1/delta')
+    # is finite, about 714 here, and so is the count it gives
+    star = brute_force_min_pulls(310.0 * math.log(10.0) / 2.0, 100_000)
+    assert star <= round_pull_target(2, 1, 2.0, 2e-310, 1.0, 100_000) <= star + 1
+    # where (width/accuracy)^2 also underflows to 0 the count is 0, not
+    # inf * 0 = NaN: one pull a round
+    plan = round_plan(10, EliminationConfig(1, 1.0, 1e-310, 1e-200), 100, 0.0)
+    assert [r.pull_target for r in plan] == [1] * len(plan)
+
+
 def test_round_target_underflowing_delta_exhausts():
     # on a subnormal delta the per-tail share of delta_l = delta/2^l
     # underflows to 0: no count short of N gives certainty, so the round

@@ -34,6 +34,13 @@ def test_suboptimality_worst_choice():
     assert suboptimality([1], [0.9, 0.4], 1) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_suboptimality_rejects_an_id_outside_the_means(bad):
+    # -1 would wrap to the best arm, and 3 index past the end
+    with pytest.raises(ValueError, match=f"^returned id {bad} outside \\[0, 3\\)$"):
+        suboptimality([bad], [0.0, 1.0, 2.0], 1)
+
+
 def test_suboptimality_nonnegative_random():
     rng = np.random.default_rng(61)
     for _ in range(200):
