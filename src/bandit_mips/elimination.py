@@ -4,11 +4,11 @@ Each round pulls every surviving arm up to a shared cumulative target chosen
 so that, with the round's slice of the confidence budget, empirical means
 separate the keepers from the half being dropped.  This module alone turns
 (n, K, eps, delta, range width, N, mean_error) into rounds: ``round_plan``
-splits the budget by the fixed schedule
+counts the R rounds first and splits the budget by the fixed schedule
 
-    eps_l = (eps/4) * (3/4)^(l-1),    delta_l = delta / 2^l,
+    eps_l = eps * (1/4) (3/4)^(l-1) / (1 - (3/4)^R),    delta_l = delta / 2^l,
 
-whose sums over all rounds stay within eps and delta (all Median
+whose sums over all rounds are eps and stay within delta (all Median
 Elimination needs), and ``round_pull_target`` turns each slice into a
 Hoeffding count that ``sample_size`` shrinks for sampling without
 replacement.  Every round removes ceil((s - K)/2) of the s survivors, so the
@@ -267,18 +267,35 @@ def round_plan(
 ) -> list[RoundRecord]:
     """Every round of a search over n > K arms, before any pull.
 
-    Round l gets the slice eps_l = (eps/4)(3/4)^(l-1), delta_l = delta/2^l
+    With R the number of rounds, round l of R gets the slice
+
+        eps_l = eps (1/4)(3/4)^(l-1) / (1 - (3/4)^R),    delta_l = delta/2^l
+
     of the budget, and ``round_pull_target`` turns the slice into the
-    round's pull count.  Survivor counts, budgets and targets depend only on
-    (n, K, epsilon, delta, range_width, N, mean_error), never on the sampled
-    means, so the whole schedule is known in advance, and searches that
-    share those values can share one plan.  Targets never decrease.
+    round's pull count.  Median Elimination's argument needs only that the
+    eps_l sum to at most eps and the delta_l to at most delta over rounds
+    fixed before the first pull.  R is fixed by then, so the eps_l can sum
+    to eps itself; the unnormalised (eps/4)(3/4)^(l-1) left (3/4)^R of eps
+    unspent and paid for it with pulls.  eps_l is the difference of the
+    rounded eps spent through rounds l and l - 1 (eps itself through round
+    R).  From round 2 on, the two lie within a factor 7/4 of each other, so
+    each difference is exact and the eps_l sum to exactly eps in floating
+    point.  For n <= K there are no rounds and the plan is empty.  Survivor
+    counts, budgets and targets depend only on (n, K, epsilon, delta,
+    range_width, N, mean_error), never on the sampled means, so the whole
+    schedule is known in advance, and searches that share those values can
+    share one plan.  Targets never decrease.
     """
+    sizes = [n]  # survivors of each round, then K
+    while sizes[-1] > config.k:
+        sizes.append(sizes[-1] - (sizes[-1] - config.k + 1) // 2)
+    rounds = len(sizes) - 1
     plan: list[RoundRecord] = []
-    survivors, target = n, 0
-    while survivors > config.k:
-        round_index = len(plan) + 1
-        eps_l = (config.epsilon / 4.0) * (0.75 ** (round_index - 1))
+    spent, target = 0.0, 0
+    for round_index, survivors in enumerate(sizes[:-1], 1):
+        # eps spent through this round: the ratio is 1.0 exactly at the last
+        budget = config.epsilon * ((1.0 - 0.75**round_index) / (1.0 - 0.75**rounds))
+        eps_l, spent = budget - spent, budget
         delta_l = config.delta / (2.0**round_index)
         target = max(
             target,
@@ -287,7 +304,6 @@ def round_plan(
             ),
         )
         plan.append(RoundRecord(round_index, survivors, eps_l, delta_l, target))
-        survivors -= (survivors - config.k + 1) // 2
     return plan
 
 

@@ -1,19 +1,21 @@
 """Earlier versions of the search, kept verbatim as oracles for the tests.
 
 ``oracle_plan`` is the round schedule as it was computed before one module
-planned a round: the budget split of the former ``elimination_schedule``
-and each round's target from the former ``bounds`` module's Hoeffding count,
-closed-form sample size and clamp, copied here so that it shares no code
-with ``round_plan``.  ``oracle_topk`` is the halving loop as it was before
-the round plan, planning each round with ``oracle_round``, with its
-``lexsort`` ``oracle_eliminate`` and ``oracle_pull_batch``, in the former
-``Arms`` protocol ``sums(rows, t)``: the reward sums of an int array
-``rows`` that only shrinks across calls.  ``RowsLazySource`` is
-``LazySource`` in that protocol, with its n-long live mask and sums; it
-evaluates windows with ``LazySource.draw``, whose rounding the float32 tests
-bound, and keeps its own exact re-sum of the file-order rows: the whole
-matrix at once when every row exhausts, else blocks of gathered rows.  The
-current code must give bit-identical answers.
+planned a round: each round's target from the former ``bounds`` module's
+Hoeffding count, closed-form sample size and clamp, copied here so that it
+shares no code with ``round_plan``.  Its budget split is ``oracle_split``,
+which spends all of eps over the rounds; ``oracle_partial_split``, the
+former ``elimination_schedule``'s, left (3/4)^R of it unspent and stays as
+the plan whose targets ``round_plan``'s may not exceed.  ``oracle_topk`` is
+the halving loop as it was before the round plan, planning each round with
+``oracle_round``, with its ``lexsort`` ``oracle_eliminate`` and
+``oracle_pull_batch``, in the former ``Arms`` protocol ``sums(rows, t)``:
+the reward sums of an int array ``rows`` that only shrinks across calls.
+``RowsLazySource`` is ``LazySource`` in that protocol, with its n-long live
+mask and sums; it evaluates windows with ``LazySource.draw``, whose rounding
+the float32 tests bound, and keeps its own exact re-sum of the file-order
+rows: the whole matrix at once when every row exhausts, else blocks of
+gathered rows.  The current code must give bit-identical answers.
 
 ``oracle_scan`` is an exact scorer that shares nothing with the package's:
 a Python loop over the rows, each summed with ``math.fsum``.
@@ -44,10 +46,39 @@ def oracle_scan(matrix, query, kind, rows=None):
     return np.array(sums), np.array(sizes)
 
 
-def oracle_round(round_index, survivors, k, epsilon, delta, width, list_len, mean_error):
+def oracle_rounds(n, k):
+    """The number of halving rounds from n arms down to k."""
+    rounds = 0
+    while n > k:
+        n -= (n - k + 1) // 2
+        rounds += 1
+    return rounds
+
+
+def oracle_split(round_index, rounds, epsilon, delta):
+    """Round ``round_index`` of ``rounds``' (eps_l, delta_l), spending all of eps.
+
+    The eps spent through round l is eps (1 - (3/4)^l) / (1 - (3/4)^R),
+    eps itself at l = R, and eps_l is the difference of two such values.
+    """
+
+    def spent(l):
+        return epsilon if l == rounds else epsilon * ((1.0 - 0.75**l) / (1.0 - 0.75**rounds))
+
+    return spent(round_index) - spent(round_index - 1), delta / (2.0**round_index)
+
+
+def oracle_partial_split(round_index, rounds, epsilon, delta):
+    """The split before it spent all of eps: (eps/4)(3/4)^(l-1) sums to eps (1 - (3/4)^R)."""
+    return (epsilon / 4.0) * (0.75 ** (round_index - 1)), delta / (2.0**round_index)
+
+
+def oracle_round(
+    round_index, rounds, survivors, k, epsilon, delta, width, list_len, mean_error,
+    split=oracle_split,
+):
     """Round ``round_index``'s (eps_l, delta_l, target) before targets are made monotone."""
-    eps_l = (epsilon / 4.0) * (0.75 ** (round_index - 1))
-    delta_l = delta / (2.0**round_index)
+    eps_l, delta_l = split(round_index, rounds, epsilon, delta)
     accuracy = eps_l / 2.0 - mean_error
     if accuracy <= 0.0 or list_len == 1:
         return eps_l, delta_l, list_len
@@ -66,13 +97,14 @@ def oracle_round(round_index, survivors, k, epsilon, delta, width, list_len, mea
     return eps_l, delta_l, max(min(max(math.ceil(m), 0), list_len), 1)
 
 
-def oracle_plan(n, config, list_len, mean_error):
+def oracle_plan(n, config, list_len, mean_error, split=oracle_split):
     """The ``RoundRecord`` list of a search over n > K arms, one round at a time."""
     plan, survivors, target = [], n, 0
+    rounds = oracle_rounds(n, config.k)
     while survivors > config.k:
         eps_l, delta_l, t = oracle_round(
-            len(plan) + 1, survivors, config.k, config.epsilon, config.delta,
-            config.range_width, list_len, mean_error,
+            len(plan) + 1, rounds, survivors, config.k, config.epsilon, config.delta,
+            config.range_width, list_len, mean_error, split,
         )
         target = max(target, t)
         plan.append(RoundRecord(len(plan) + 1, survivors, eps_l, delta_l, target))
@@ -109,10 +141,11 @@ def oracle_topk(arms, config):
     alive = np.arange(n)
     target = 0
     round_index = 1
+    rounds = oracle_rounds(n, config.k)
     while alive.size > config.k:
         target_prev = target
         eps_l, delta_l, target = oracle_round(
-            round_index, alive.size, config.k, config.epsilon, config.delta,
+            round_index, rounds, alive.size, config.k, config.epsilon, config.delta,
             config.range_width, list_len, arms.mean_error,
         )
         target = max(target, target_prev)  # increments are never negative

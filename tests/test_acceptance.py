@@ -62,7 +62,8 @@ def test_criterion_1_pac_validation_grid(validate_report):
 def test_criterion_1_gate_fails_on_halved_pull_targets(monkeypatch):
     """Negative control for criterion 1: with every round's pull target
     halved, the unchanged grid (seed 0) must fail.  Measured: dividing the
-    targets by 2 fails 14 of 24 cells, by 1.2 fails 4, by 1.1 fails none."""
+    targets by 2 fails 14 of 24 cells, by 1.2 fails 4, by 1.1 fails none;
+    on a 0.01 grid of divisors, 1.13 is the smallest that fails a cell."""
     honest = elimination.round_pull_target
 
     def halved(*args, **kwargs):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -19,7 +20,7 @@ from bandit_mips.elimination import (
     round_pull_target,
     top_ids,
 )
-from oracles import oracle_eliminate, oracle_plan, oracle_topk
+from oracles import oracle_eliminate, oracle_partial_split, oracle_plan, oracle_topk
 from pull_scan import brute_force_min_pulls
 
 
@@ -32,13 +33,19 @@ def plan_budgets(epsilon, delta):
     return [(r.epsilon_round, r.delta_round) for r in round_plan(2**30, config, 1000, 0.0)]
 
 
+# the 30 rounds' eps_l = (eps/4)(3/4)^(l-1) would sum to eps (1 - (3/4)^30)
+SPENT_30 = 1.0 - 0.75**30
+
+
 def test_schedule_first_round():
-    assert plan_budgets(0.2, 0.1)[0] == (0.05, 0.05)
+    eps1, del1 = plan_budgets(0.2, 0.1)[0]
+    assert eps1 == pytest.approx(0.05 / SPENT_30, rel=1e-15)
+    assert del1 == 0.05
 
 
 def test_schedule_second_round_values():
     eps2, del2 = plan_budgets(0.4, 0.2)[1]
-    assert eps2 == pytest.approx(0.075, abs=1e-15)
+    assert eps2 == pytest.approx(0.075 / SPENT_30, rel=1e-15)
     assert del2 == pytest.approx(0.05, abs=1e-15)
 
 
@@ -46,15 +53,12 @@ def test_schedule_partial_sums_stay_below_budget():
     eps, delta = 0.37, 0.21
     budgets = plan_budgets(eps, delta)
     assert len(budgets) == 30
-    se = sd = 0.0
-    for e, d in budgets:
-        se += e
-        sd += d
-        assert se <= eps + 1e-12
-        assert sd <= delta + 1e-12
-    # geometric tails: 30 rounds nearly exhaust both budgets
-    assert se == pytest.approx(eps, rel=1e-3)
-    assert sd == pytest.approx(delta, rel=1e-6)
+    for l in range(1, 31):
+        assert math.fsum(e for e, _ in budgets[:l]) <= eps
+        assert math.fsum(d for _, d in budgets[:l]) <= delta
+    # every round's share of eps is spent, and all but 2^-30 of delta
+    assert math.fsum(e for e, _ in budgets) == eps
+    assert math.fsum(d for _, d in budgets) == pytest.approx(delta, rel=1e-6)
 
 
 def plan_configs():
@@ -91,9 +95,15 @@ def test_round_plan_keeps_its_invariants_and_matches_the_oracle():
         if n <= config.k:
             assert plan == []
             continue
-        # the budget split: each sum within its budget
-        assert math.fsum(r.epsilon_round for r in plan) <= config.epsilon
+        # the budget split: each sum within its budget, and all of a normal eps spent
+        spent = math.fsum(r.epsilon_round for r in plan)
+        assert spent <= config.epsilon
+        if config.epsilon >= sys.float_info.min:
+            assert spent >= config.epsilon * (1.0 - 1e-12)
         assert math.fsum(r.delta_round for r in plan) <= config.delta
+        # spending more of eps never raises a round's target
+        partial = oracle_plan(n, config, list_len, mean_error, oracle_partial_split)
+        assert all(r.pull_target <= p.pull_target for r, p in zip(plan, partial))
         # targets in [1, N], never decreasing
         targets = [r.pull_target for r in plan]
         assert all(1 <= t <= list_len for t in targets)
