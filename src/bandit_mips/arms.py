@@ -12,7 +12,7 @@ adversarial instance of ``datasets`` is an arm set of its own: it answers
 
 ``exact_sums``, the one exact scorer, sums the file-order float64 data
 against the query, the one reference order of every exact answer:
-``naive_topk`` and its means, the LSH rerank and exhausted float32 rows.
+``naive_topk`` and its means, the LSH rerank and exhausted search rows.
 """
 
 from __future__ import annotations
@@ -49,14 +49,6 @@ def check_dims(vectors, query) -> None:
         raise ValueError(f"dimension mismatch: data {vectors.dim}, query {query.dim}")
 
 
-def _row_sums(block: np.ndarray, query: np.ndarray, kind: ObjectiveKind) -> np.ndarray:
-    """Sum of f(i, j) over the columns of each row of ``block``."""
-    if kind is ObjectiveKind.INNER_PRODUCT:
-        return block @ query
-    diff = block - query
-    return -np.einsum("ij,ij->i", diff, diff)
-
-
 def exact_sums(
     matrix: np.ndarray, query: np.ndarray, kind: ObjectiveKind, rows: np.ndarray | None = None
 ) -> np.ndarray:
@@ -71,61 +63,71 @@ def exact_sums(
     out = np.empty(len(matrix) if rows is None else rows.size)
     for a in range(0, out.size, ROW_BLOCK):
         block = matrix[a : a + ROW_BLOCK] if rows is None else matrix[rows[a : a + ROW_BLOCK]]
-        out[a : a + ROW_BLOCK] = _row_sums(block, query, kind)
+        if kind is ObjectiveKind.INNER_PRODUCT:
+            out[a : a + ROW_BLOCK] = block @ query
+        else:
+            diff = block - query
+            out[a : a + ROW_BLOCK] = -np.einsum("ij,ij->i", diff, diff)
     return out
 
 
-def _float32_mean_error(kind: ObjectiveKind, data_bound: float, query_bound: float) -> float:
+def _float32_mean_error(kind: ObjectiveKind, mv: float, mq: float, rho: float) -> float:
     """Bound eta on the rounding error of any mean evaluated in float32.
 
-    The data entries are float32 values bounded by Mv = ``data_bound``; the
-    float64 query, bounded by Mq = ``query_bound``, is rounded to float32
-    (q~), each window of at most B = ``WINDOW_BLOCK`` columns is evaluated
-    in float32 by ``LazySource.draw``, its sums in any order, and the window
+    In the units of ``LazySource``'s scaled copy and query, the data v are
+    bounded by Mv = ``mv`` and held as float32 entries c with |c - v| <= rho,
+    so a = Mv + rho bounds |c|; the float64 query, bounded by Mq = ``mq``, is
+    rounded to float32 (q~).  Each window of at most B = ``WINDOW_BLOCK``
+    columns is evaluated in float32, its sums in any order, and the window
     sums are added up in float64.  With u = 2^-24, gamma_B = B u / (1 - B u),
-    tau = 2^-149 (float32's least subnormal) and s = Mv + Mq, a window sum
+    tau = 2^-149 (float32's least subnormal) and s = a + Mq, a window sum
     over c columns is off by at most c times
 
-        inner_product:    (gamma_B + 3u) Mv Mq + (Mv + 1) tau
-        neg_sq_distance:  (gamma_B + 5u) s^2   + (2 s + 3) tau
+        inner_product:    (gamma_B + 3u) a Mq + (a + 1) tau + rho Mq
+        neg_sq_distance:  (gamma_B + 5u) s^2  + (2 s + 3) tau + 2 rho s
 
     A distance window is fl(fl(2 P - Q) - R) for the float32 sums P of
-    v q~, Q of v^2 and R of q~^2.  A float32 result is x (1 + e) + d with
+    c q~, Q of c^2 and R of q~^2.  A float32 result is x (1 + e) + d with
     |e| <= u and |d| <= tau / 2, where d = 0 for sums and differences, and
     doubling is exact.  Let m = (1 + u) Mq + tau / 2 bound |q~|, so that
-    (Mv + m)^2 bounds 2|v q~| + v^2 + q~^2.  Per column:
+    (a + m)^2 bounds 2|c q~| + c^2 + q~^2.  Per column:
 
     - P, Q and R, each a sum of c rounded terms in any order, are off by
       gamma_c times their absolute sums plus (1 + gamma_B) tau / 2 each:
-      gamma_B (Mv + m)^2 + 2 (1 + gamma_B) tau for 2 P - Q - R;
+      gamma_B (a + m)^2 + 2 (1 + gamma_B) tau for 2 P - Q - R;
     - the two subtractions add at most (2u + u^2) (|2 P - Q| + R), where
-      the computed |2 P - Q| + R is at most (1 + gamma_B) ((Mv + m)^2 + 2 tau);
-    - rounding q to q~ moves -(v - q)^2 by |q~ - q| |2v - q - q~|, at most
-      (u Mq + tau / 2) (2 s + u Mq + tau / 2).
+      the computed |2 P - Q| + R is at most (1 + gamma_B) ((a + m)^2 + 2 tau);
+    - rounding q to q~ moves -(c - q)^2 by |q~ - q| |2c - q - q~|, at most
+      (u Mq + tau / 2) (2 s + u Mq + tau / 2);
+    - c for v moves -(c - q)^2 by |c - v| |c + v - 2q| <= 2 rho s.
 
-    As Mv + m <= (1 + u) s + tau / 2, the s^2 terms add up to
+    As a + m <= (1 + u) s + tau / 2, the s^2 terms add up to
     (gamma_B + 4u + 4u gamma_B + O(u^2)) s^2 <= (gamma_B + 5u) s^2, and the
     tau terms to (1 + O(gamma_B)) s tau + 2 (1 + gamma_B) (1 + u)^2 tau +
-    O(tau^2) <= (2 s + 3) tau.  The inner-product window is one float32
-    sum of v q~: gamma_B Mv m + (1 + gamma_B) tau / 2 for the sum and
-    u Mv Mq + Mv tau / 2 for rounding q.
+    O(tau^2) <= (2 s + 3) tau.  The inner-product window is one float32 sum
+    of c q~: gamma_B a m + (1 + gamma_B) tau / 2 for the sum, u a Mq + a tau / 2
+    for rounding q and rho Mq for c.  The tau terms cover every entry,
+    product and sum that the scaling leaves below float32's normal range.
 
     A mean is a sum of windows divided by its column count, so the bound
     holds for every mean; float64 rounding is not counted, as it is not for
-    float64 data.  Returns inf where a float32 window could overflow; below
-    that (B Mv Mq, or B s^2, at most 2^127) every float32 partial sum, 2 P
-    included, stays finite.
+    the exact sums.  Returns inf where a float32 window could overflow;
+    below that (B a Mq, or B s^2, at most 2^127) every float32 partial sum,
+    2 P included, stays finite.  As ``LazySource`` scales, a and, for inner
+    products, Mq are below 2, so only a distance query some 2^58 times the
+    set's bound gets inf.
     """
     u, tau = 2.0**-24, 2.0**-149
     gamma = WINDOW_BLOCK * u / (1.0 - WINDOW_BLOCK * u)
+    a = mv + rho
     if kind is ObjectiveKind.INNER_PRODUCT:
-        scale = data_bound * query_bound
-        eta = (gamma + 3.0 * u) * scale + (data_bound + 1.0) * tau
+        scale = a * mq
+        eta = (gamma + 3.0 * u) * scale + (a + 1.0) * tau + rho * mq
     else:
-        spread = data_bound + query_bound
+        spread = a + mq
         scale = spread * spread
-        eta = (gamma + 5.0 * u) * scale + (2.0 * spread + 3.0) * tau
-    if query_bound > 2.0**127 or WINDOW_BLOCK * scale > 2.0**127:
+        eta = (gamma + 5.0 * u) * scale + (2.0 * spread + 3.0) * tau + 2.0 * rho * spread
+    if WINDOW_BLOCK * scale > 2.0**127:
         return math.inf
     return eta
 
@@ -174,23 +176,24 @@ class LazySource:
     search state: ``sums`` reads only the windows of the new pulls and
     returns a new array.
 
-    On a float32 copy the windows are evaluated in float32 against the query
-    rounded to float32, and ``mean_error`` is ``_float32_mean_error`` of the
-    largest |entry| of the set and of the query; where that bound is
-    infinite the windows are evaluated in float64 instead, and
-    ``mean_error`` is 0.  Rows that reach t = N with a nonzero
-    ``mean_error`` are re-summed by ``exact_sums`` from the set's file-order
-    rows against the unpermuted query, ``naive_topk``'s reference order, so
-    exhausted means carry no float32 rounding; when every row exhausts at
-    once the call is ``naive_topk``'s own scan.
+    Windows are evaluated in float32 on the copy, the data scaled by 2^-e,
+    against the query scaled by 2^-g and rounded to float32: g = e for
+    distances, and for inner products g = frexp(Mq)[1], Mq the largest
+    |query entry|.  Window sums are scaled back by 2^(e + g) in float64.
+    Powers of two commute with float32 rounding inside its normal range, so
+    a set float32 holds exactly sums as it would unscaled.  ``mean_error``
+    is ``_float32_mean_error`` of the scaled bounds and of the copy's
+    rounding, scaled back alike; where it is inf (a distance query so far
+    beyond the set that a window could overflow) round 1 exhausts.  Rows
+    that reach t = N are re-summed by ``exact_sums`` from the set's
+    file-order rows against the unpermuted query, ``naive_topk``'s reference
+    order, so exhausted means carry no float32 rounding; when every row
+    exhausts at once the call is ``naive_topk``'s own scan.
 
-    A window W is one BLAS product ``W @ q`` for inner products.  A float32
-    distance window is expanded on the block already read, as
-    2 (W @ q) - (the row sums of W * W) - q . q: the same product, one
-    row-wise sum of squares and one scalar, with no difference temporary.
-    Float64 windows keep the direct form -sum (W - q)^2, as ``exact_sums``
-    does: their ``mean_error`` is 0, so their sums must be as exact as
-    float64 sums of the rewards, which the expansion's cancellation is not.
+    A window W is one BLAS product ``W @ q`` for inner products.  A distance
+    window is expanded on the block already read, as 2 (W @ q) - (the row
+    sums of W * W) - q . q: the same product, one row-wise sum of squares
+    and one scalar, with no difference temporary.
 
     Read rule: a window is evaluated either for every row on the strided
     view of ``data``, then gathered by ``ids``, or for the gathered rows
@@ -198,27 +201,28 @@ class LazySource:
     least a quarter of the rows, as BLAS reads it with its threads faster
     than it gathers the rows.  Distance windows use the view only while
     ``ids`` holds every row, and gather from the first elimination on: their
-    sums of squares, or their differences in float64, run on one thread, so
-    on the view they would cost as much for every eliminated row as for a
-    survivor.  A BLAS product may sum a row in another order on the view, so
-    a float32 window sum can differ in its last bits; ``mean_error`` bounds
-    any summation order, so the rule moves answers only within the
-    guarantee.  No matrix is ever written.
+    sums of squares run on one thread, so on the view they would cost as
+    much for every eliminated row as for a survivor.  A BLAS product may sum
+    a row in another order on the view, so a window sum can differ in its
+    last bits; ``mean_error`` bounds any summation order, so the rule moves
+    answers only within the guarantee.  No matrix is ever written.
     """
 
     def __init__(self, vectors, query, kind: ObjectiveKind, start: int):
         check_kind(kind)
         check_dims(vectors, query)
-        perm, self._data = vectors.permuted()
+        perm, self._data, rounding = vectors.permuted()
         # file-order rows and query, for exact sums; the permuted query for windows
         self._rows, self._query, self._kind = vectors.data, query.vector, kind
-        self._window_query = query.vector[perm]
-        self.mean_error = 0.0
-        if self._data.dtype == np.float32:
-            eta = _float32_mean_error(kind, vectors.coord_bound, query.coord_bound)
-            if math.isfinite(eta):
-                self.mean_error = eta
-                self._window_query = self._window_query.astype(np.float32)
+        e = math.frexp(vectors.coord_bound)[1]
+        g = math.frexp(query.coord_bound)[1] if kind is ObjectiveKind.INNER_PRODUCT else e
+        self._shift = e + g
+        # float32 overflows only where mean_error is inf, so no window is read
+        with np.errstate(over="ignore"):
+            self._window_query = np.ldexp(query.vector[perm], -g).astype(np.float32)
+            bounds = math.ldexp(vectors.coord_bound, -e), float(np.ldexp(query.coord_bound, -g))
+            eta = _float32_mean_error(kind, *bounds, rounding)
+            self.mean_error = float(np.ldexp(eta, self._shift))
         self.n, self.list_len = self._data.shape
         self.start = start % self.list_len
 
@@ -232,7 +236,7 @@ class LazySource:
         ``done..t-1``.
         """
         check_pulls(done, t, self.list_len)
-        if self.mean_error and done < t == self.list_len:
+        if done < t == self.list_len:
             every = ids.size == self.n  # as in round 1: naive_topk's scan, rows=None
             sums = exact_sums(self._rows, self._query, self._kind, None if every else ids)
             return sums[ids] if every else sums
@@ -247,11 +251,12 @@ class LazySource:
         return sums
 
     def draw(self, rows: np.ndarray | None, a: int, b: int) -> np.ndarray:
-        """Reward sums, in the window dtype, of ``rows`` (None: every row) over columns [a, b)."""
+        """Float64 reward sums of ``rows`` (None: every row) over columns [a, b)."""
         window = self._data[:, a:b] if rows is None else self._data[rows, a:b]
         query = self._window_query[a:b]
-        if self.mean_error and self._kind is ObjectiveKind.NEG_SQ_DISTANCE:
+        sums = window @ query
+        if self._kind is ObjectiveKind.NEG_SQ_DISTANCE:
             # -sum (w - q)^2 = 2 w.q - w.w - q.q on the block already read,
             # with no difference temporary; mean_error bounds its rounding
-            return 2.0 * (window @ query) - np.vecdot(window, window) - query @ query
-        return _row_sums(window, query, self._kind)
+            sums = 2.0 * sums - np.vecdot(window, window) - query @ query
+        return np.ldexp(sums, self._shift, dtype=np.float64)

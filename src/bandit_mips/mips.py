@@ -21,19 +21,19 @@ permuted copy (two where it wraps around), read on the strided view of the
 copy or from the survivors' gathered rows by ``LazySource``'s read rule.  No
 n x N reward matrix is ever materialized.
 
-The permuted copy is float32 whenever float32 holds every entry of
-``data`` exactly (as it does for data read from the binary format), and
-float64 otherwise.  ``LazySource`` evaluates a float32 copy's windows in
+The permuted copy is float32, scaled by a power of two that brings every
+entry below 1 in magnitude.  ``LazySource`` evaluates its windows in
 float32, each around one BLAS product (a distance window is expanded as
 2 v.q - v.v - q.q on the rows already read), so every empirical mean may
 be off by up to its ``mean_error`` eta (about 6.1e-5 Mv Mq for inner
 products and 6.1e-5 (Mv + Mq)^2 for distances, with Mv and Mq the largest
-data and query magnitudes), which the search's confidence radius absorbs.
+data and query magnitudes, plus the copy's measured rounding where float32
+does not hold ``data``), which the search's confidence radius absorbs.
 Exhausted means stay exact: the one scorer ``arms.exact_sums`` re-sums
 them from the file-order float64 ``data``, the reference order of every
 exact answer, so an epsilon = 0 search returns ``naive_topk``'s ids and
-means bit for bit.  On 1000 x 10^4 float32-exact data the copy takes 40 MB
-instead of 80 MB.
+means bit for bit.  On 1000 x 10^4 data the copy takes 40 MB, half of
+``data``.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class VectorSet:
     data: np.ndarray
     coord_bound: float = field(default=0.0, init=False)
     seed: int = 0
-    _permuted: tuple[np.ndarray, np.ndarray] | None = field(
+    _permuted: tuple[np.ndarray, np.ndarray, float] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -126,16 +126,23 @@ class VectorSet:
     def dim(self) -> int:
         return self.data.shape[1]
 
-    def permuted(self) -> tuple[np.ndarray, np.ndarray]:
-        """(pi, data[:, pi]), drawn from ``seed`` and cached on first use.
+    def permuted(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(pi, copy, rho), drawn from ``seed`` and cached on first use.
 
-        The copy is built in row blocks as float32, and in float64 instead
-        once a block shows that float32 does not hold ``data`` exactly, so
-        no float64 temporary of the copy's size exists beside a float32 one.
+        The copy is data[:, pi] * 2^-e in float32, e = frexp(coord_bound)[1],
+        rounded a row block at a time with no float64 temporary of its size;
+        rho is its largest rounding error, 0 where float32 holds it exactly.
         """
         if self._permuted is None:
             perm = PositionSampler(self.dim, self.seed).draw(self.dim)
-            self._permuted = (perm, _permuted_copy(self.data, perm))
+            copy, rho = np.empty(self.data.shape, dtype=np.float32), 0.0
+            exponent = math.frexp(self.coord_bound)[1]
+            for a in range(0, self.n, ROW_BLOCK):
+                block = np.take(self.data[a : a + ROW_BLOCK], perm, axis=1)
+                copy[a : a + ROW_BLOCK] = np.ldexp(block, -exponent, out=block)
+                block -= copy[a : a + ROW_BLOCK]  # exact: each entry's float32 rounding error
+                rho = max(rho, float(np.abs(block, out=block).max()))
+            self._permuted = (perm, copy, rho)
         return self._permuted
 
 
@@ -161,20 +168,6 @@ def _load_rows(
             raise ValueError("data entries must be finite")
         bound = max(bound, abs(lo), abs(hi))
     return bound
-
-
-def _permuted_copy(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    copy = np.empty(data.shape, dtype=np.float32)
-    for a in range(0, data.shape[0], ROW_BLOCK):
-        block = np.take(data[a : a + ROW_BLOCK], perm, axis=1)
-        with np.errstate(over="ignore"):
-            copy[a : a + ROW_BLOCK] = block
-        if not np.array_equal(copy[a : a + ROW_BLOCK], block):
-            break
-    else:
-        return copy
-    del copy
-    return np.take(data, perm, axis=1)
 
 
 @dataclass

@@ -183,7 +183,7 @@ class RowsLazySource(LazySource):
         if not self._live[rows].all():
             raise ValueError("rows must be a subset of the rows of the previous call")
         done = self._pulls
-        if self.mean_error and done < t == self.list_len:
+        if done < t == self.list_len:
             if rows.size == self.n:  # every row: one scan of the whole matrix
                 self._sums = self.draw(None, 0, self.list_len, exact=True)
             else:
@@ -213,7 +213,7 @@ class RowsLazySource(LazySource):
     def draw(self, rows: np.ndarray | None, a: int, b: int, exact: bool = False) -> np.ndarray:
         """Reward sums of ``rows`` (None: every row) over columns [a, b).
 
-        The sums are ``LazySource.draw``'s, in the window dtype, or with
+        The sums are ``LazySource.draw``'s float64 window sums, or with
         ``exact`` float64 sums of the direct form over the file-order rows
         against the unpermuted query.
         """

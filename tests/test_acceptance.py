@@ -143,9 +143,9 @@ def test_criterion_5_exhaustion_exactness():
 
     Arms read their lists in the order of the pi prefix, so the multiset
     check runs on one-hot data: with rows diag(values) and an all-ones
-    query, arm i's only nonzero reward sits at column i, the arms whose sums
-    change in a batch are the columns that batch read, and each final sum is
-    values[i] exactly."""
+    query, arm i's only nonzero reward sits at column i, the arms a batch
+    first makes nonzero are the columns that batch read, and each final sum
+    is values[i] exactly."""
     rng = np.random.default_rng(88)
     for arm_id in range(1000):
         length = int(rng.integers(1, 30))
@@ -163,12 +163,17 @@ def test_criterion_5_exhaustion_exactness():
         while t < length:
             batch = int(rng.integers(1, length - t + 1))
             now = arms.sums(ids, t + batch, t, before)
-            # this batch read exactly the next positions of the pi prefix
-            assert sorted(np.flatnonzero(now != before).tolist()) == sorted(
+            # this batch read exactly the next positions of the pi prefix.
+            # Windows round values float32 does not hold, and the batch that
+            # reaches t = N re-sums every row exactly, so only that batch may
+            # move rows read before.
+            assert sorted(np.flatnonzero((now != 0) & (before == 0)).tolist()) == sorted(
                 order[t : t + batch].tolist()
             )
+            if t + batch < length:
+                assert np.array_equal(now[before != 0], before[before != 0])
             before, t = now, t + batch
-        assert sorted(now.tolist()) == sorted(values.tolist())  # exact: no arithmetic applied
+        assert sorted(now.tolist()) == sorted(values.tolist())  # exact: re-summed at t = N
 
         twin = build_arms(VectorSet(values[None, :], seed=seed), ones,
                           ObjectiveKind.INNER_PRODUCT, start)

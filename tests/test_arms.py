@@ -17,7 +17,9 @@ rounds holds the search state itself, as the elimination loop does: the
 rows in play and, for them, ``running[rows]``, the prior of the next call.
 """
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -52,14 +54,21 @@ def one_hot_arms(values, seed=0, start=0):
 
 
 def columns_read(arms, splits):
-    """Pull all rows through the batch sizes ``splits``; the columns each batch read."""
+    """Pull all rows through the batch sizes ``splits``; the columns each batch read.
+
+    A batch read the columns of the rows it first made nonzero.  Windows
+    round what float32 does not hold, and the batch that reaches t = N
+    re-sums every row exactly, so only that batch may move a row read before.
+    """
     ids, before = np.arange(arms.n), np.zeros(arms.n)
     t = 0
     batches = []
     for count in splits:
         now = arms.sums(ids, t + count, t, before)
         t += count
-        batches.append(np.flatnonzero(now != before).tolist())
+        batches.append(np.flatnonzero((now != 0) & (before == 0)).tolist())
+        if t < arms.list_len:
+            assert np.array_equal(now[before != 0], before[before != 0])
         before = now
     return batches, before
 
@@ -97,7 +106,7 @@ def test_full_draw_recovers_multiset():
         batches, final = columns_read(arms, splits)
         assert [len(b) for b in batches] == splits
         assert sorted(c for b in batches for c in b) == list(range(40))
-        assert sorted(final.tolist()) == sorted(values.tolist())  # exact: only zeros added
+        assert sorted(final.tolist()) == sorted(values.tolist())  # exact: re-summed at t = N
 
 
 def test_full_draw_multiset_across_window_blocks():
@@ -216,7 +225,8 @@ def test_per_arm_determinism_is_schedule_independent():
         got_a = a.sums(np.array([2]), 2900, 1100, second[1:])
         b = build_arms(vs, q, kind, start=2500)
         got_b = b.sums(np.arange(3), 2900)[2:]
-        assert got_a == pytest.approx(got_b, rel=1e-9)
+        # each is within mean_error * t of the exact sum, whatever its windows
+        assert abs(got_a - got_b)[0] <= 2.0 * a.mean_error * 2900
 
 
 @pytest.mark.parametrize("kind", [IP, NSD])
@@ -242,6 +252,9 @@ def test_a_search_reads_each_position_once(kind, monkeypatch):
         arms = LazySource(vs, q, kind, dim - 40)
         windows.clear()
         _, trace = median_elimination_topk(arms, config)
+        if frac == 0.0:  # round 1 reaches N: the exact scorer sums every row
+            assert trace.max_arm_pulls == dim and windows == []
+            continue
         assert windows[:2] == [(dim - 40, dim), (0, windows[1][1])]
         assert sum(b - a for a, b in windows) == trace.max_arm_pulls
         cols = np.concatenate([np.arange(a, b) for a, b in windows])
@@ -287,9 +300,13 @@ def test_position_sampler_uniformity_smoke():
 def test_permutation_is_a_function_of_the_seed():
     rng = np.random.default_rng(22)
     data = rng.standard_normal((5, 300))
-    perm, permuted = VectorSet(data, seed=3).permuted()
+    vs = VectorSet(data, seed=3)
+    perm, permuted, rounding = vs.permuted()
     assert sorted(perm.tolist()) == list(range(300))
-    assert np.array_equal(permuted, data[:, perm])
+    # the float32 copy of the permuted data, scaled below 1 by a power of two
+    scaled = np.ldexp(data[:, perm], -math.frexp(vs.coord_bound)[1])
+    assert np.array_equal(permuted, scaled.astype(np.float32))
+    assert 0.0 < rounding == np.abs(permuted - scaled).max() <= 2.0**-25
     other = VectorSet(rng.standard_normal((9, 300)), seed=3)
     assert np.array_equal(other.permuted()[0], perm)  # other data, same seed: same pi
     assert not np.array_equal(VectorSet(data, seed=4).permuted()[0], perm)
@@ -316,7 +333,7 @@ def test_sums_match_brute_force_however_rounds_split():
                     want = block @ q.vector[cols]
                 else:
                     want = -((block - q.vector[cols]) ** 2).sum(axis=1)
-                assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * dim)
+                assert np.all(np.abs(got - want) <= arms.mean_error * t)
                 rows = np.sort(rng.choice(rows, size=max(1, rows.size // 2), replace=False))
 
 
@@ -380,9 +397,8 @@ def test_float32_means_within_mean_error_and_exact_at_exhaustion(kind, data_shif
     assert vs.permuted()[1].dtype == np.float32
     for trial in range(3):
         arms = build_arms(vs, q, kind, start=int(rng.integers(dim)))
-        # float32 windows unless they could overflow: then float64, exact
-        overflows = data_shift == 60 and (kind is NSD or query_shift == 60)
-        assert (arms.mean_error == 0.0) == overflows
+        # scaled by powers of two, no window here could overflow float32
+        assert 0.0 < arms.mean_error < math.inf
         order = prefix_order(arms, vs)
         views = spy_on_views(arms)
         rows, running, t = np.arange(n), np.zeros(n), 0
@@ -412,10 +428,12 @@ def test_float32_means_within_mean_error_random_data(kind):
     q = Query(rng.standard_normal(dim) * 3.0)
     arms = build_arms(vs, q, kind, start=int(rng.integers(dim)))
     assert arms.mean_error > 0.0
-    # the bounds LazySource takes from the set and the query are the largest
-    # |entry| of copy and query
-    bounds = float(np.abs(vs.permuted()[1]).max()), float(np.abs(q.vector).max())
-    assert arms.mean_error == _float32_mean_error(kind, *bounds)
+    # the bounds LazySource takes from the set and the query are their
+    # largest |entry|; float32 holds the scaled data exactly, and scaling by
+    # powers of two leaves the bound as it is unscaled, bit for bit
+    assert vs.permuted()[2] == 0.0
+    bounds = float(np.abs(vs.data).max()), float(np.abs(q.vector).max())
+    assert arms.mean_error == _float32_mean_error(kind, *bounds, 0.0)
     order = prefix_order(arms, vs)
     rows, running, t = np.arange(n), np.zeros(n), 0
     while t < dim - 1:
@@ -430,15 +448,19 @@ def test_float32_means_within_mean_error_random_data(kind):
 
 @pytest.mark.parametrize("kind", [IP, NSD])
 def test_float32_underflow_stays_within_mean_error(kind):
-    # float32 subnormal data: products and squared gaps fall below float32's
-    # least subnormal, where only the bound's underflow term covers them
+    # a set spanning 2^166 in magnitude: one entry of 1 sets the scale, and
+    # the rest, at 2^-160 steps, fall below float32's least subnormal even
+    # scaled, as do their products and squared gaps, where the copy's
+    # rounding and the bound's underflow terms cover them
     rng = np.random.default_rng(36)
     n, dim = 8, 1500
-    vs = VectorSet(rng.integers(-(2**6), 2**6, (n, dim)) * 2.0**-149)
-    scale = 1.0 if kind is IP else 2.0**-143
+    data = rng.integers(-(2**6), 2**6, (n, dim)) * 2.0**-160
+    data[3, 7] = 1.0
+    vs = VectorSet(data)
+    scale = 1.0 if kind is IP else 2.0**-154
     q = Query(rng.standard_normal(dim) * scale)
     arms = build_arms(vs, q, kind, start=int(rng.integers(dim)))
-    assert arms.mean_error > 0.0
+    assert 0.0 < vs.permuted()[2] <= 2.0**-150 and arms.mean_error > 0.0
     order = prefix_order(arms, vs)
     rows, got, done = np.arange(n), None, 0
     for t in (100, 1200, dim - 1):
@@ -503,19 +525,57 @@ def test_gathered_float32_distance_round_allocates_only_the_block():
     assert np.allclose(got, arms.sums(ids, 5 + WINDOW_BLOCK), rtol=1e-6)
 
 
-def test_inexact_data_gets_a_float64_copy_and_no_rounding_bound():
+@pytest.mark.parametrize("kind", [IP, NSD])
+def test_inexact_data_means_within_mean_error(kind):
+    # one entry float32 cannot hold, in the last row block, beyond its range
+    # or below its least subnormal, on sets and mixed-sign queries scaled
+    # alike by powers of two: the copy is float32 and a finite eta bounds
+    # every window mean.  A scaled set whose reward sums overflow float64 is
+    # rejected by reward_range, as the search rejects it.
     rng = np.random.default_rng(33)
-    exact = rng.standard_normal((150, 40)).astype(np.float32).astype(np.float64)
-    assert VectorSet(exact).permuted()[1].dtype == np.float32
-    # one entry float32 cannot hold, in the last row block or beyond its range
+    n, dim = 150, 40
+    exact = rng.standard_normal((n, dim)).astype(np.float32).astype(np.float64)
     for i, value in ((149, 1.0 + 2.0**-30), (0, 1e39), (80, 1e-46)):
-        data = exact.copy()
-        data[i, 7] = value
-        vs = VectorSet(data, seed=2)
-        perm, copy = vs.permuted()
-        assert copy.dtype == np.float64 and np.array_equal(copy, data[:, perm])
-        for kind in (IP, NSD):
-            assert build_arms(vs, Query(rng.standard_normal(40)), kind).mean_error == 0.0
+        for scale in (1.0, 2.0**60, 2.0**-60, 2.0**500, 2.0**-500):
+            data = exact.copy()
+            data[i, 7] = value
+            vs = VectorSet(data * scale, seed=2)
+            q = Query(rng.standard_normal(dim) * scale)
+            try:
+                reward_range(vs, q, kind)
+            except ValueError:
+                continue
+            assert vs.permuted()[1].dtype == np.float32 and vs.permuted()[2] > 0.0
+            arms = build_arms(vs, q, kind, start=int(rng.integers(dim)))
+            assert 0.0 < arms.mean_error < math.inf
+            order = prefix_order(arms, vs)
+            rows, running, t = np.arange(n), np.zeros(n), 0
+            for size in (n, 100, 30, 7):
+                rows = np.sort(rng.choice(rows, size=size, replace=False))
+                done, t = t, t + 9
+                running[rows] = arms.sums(rows, t, done, running[rows])
+                want = brute_sums(vs, q, kind, rows, order[:t])
+                assert np.all(np.abs(running[rows] / t - want / t) <= arms.mean_error)
+
+
+@pytest.mark.parametrize("ratio", [2.0**60, 2.0**200])
+def test_distance_query_past_float32_range_exhausts_in_round_1(ratio):
+    # a distance query 2^60 times the set's bound could overflow a float32
+    # window, and at 2^200 its scaled copy overflows float32 itself: eta is
+    # inf, round 1 reads every column, and the exact scan answers, warning
+    # about nothing
+    rng = np.random.default_rng(41)
+    vs = VectorSet(rng.standard_normal((50, 300)) / ratio)
+    q = Query(rng.standard_normal(300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert build_arms(vs, q, NSD).mean_error == math.inf
+        lo, hi = reward_range(vs, q, NSD)
+        ids, trace = mips_topk(vs, q, 4, 0.4 * (hi - lo), 0.1, seed=3, kind=NSD)
+    truth = naive_topk(vs, q, 4, NSD)
+    assert trace.rounds[0].pull_target == 300
+    assert ids == truth.topk_ids
+    assert [m.hex() for m in trace.returned_means] == [m.hex() for m in truth.means[ids]]
 
 
 def round_targets(trace, k, width, dim, mean_error):
@@ -528,7 +588,7 @@ def round_targets(trace, k, width, dim, mean_error):
     return targets
 
 
-def test_round_targets_absorb_mean_error_only_on_float32_copies():
+def test_round_targets_absorb_mean_error():
     rng = np.random.default_rng(34)
     data64 = rng.standard_normal((200, 3000))
     q = Query(rng.standard_normal(3000))
@@ -536,12 +596,11 @@ def test_round_targets_absorb_mean_error_only_on_float32_copies():
         vs = VectorSet(data)
         lo, hi = reward_range(vs, q, IP)
         eta = build_arms(vs, q, IP).mean_error
-        assert (eta > 0.0) == (data.dtype == np.float32)
+        assert eta > 0.0  # float32 windows on every set
         for frac in (0.05, 0.4):
             eps = frac * (hi - lo)
             ids, trace = mips_topk(vs, q, 5, eps, 0.1, seed=3)
             got = [rec.pull_target for rec in trace.rounds]
-            # float64 data: exactly the targets of the unwidened radius
             assert got == round_targets(trace, 5, hi - lo, 3000, eta)
             unwidened = round_targets(trace, 5, hi - lo, 3000, 0.0)
             assert all(a >= b for a, b in zip(got, unwidened))
@@ -564,8 +623,8 @@ def test_float32_radius_too_small_for_the_bound_exhausts_exactly():
 
 
 def engine_cases():
-    """(vectors, queries, k) on float32-exact and float64 data, n of 120 and
-    600; every search halves through a quarter of n."""
+    """(vectors, queries, k) on float32-exact and inexact float64 data, n of
+    120 and 600; every search halves through a quarter of n."""
     rng = np.random.default_rng(37)
     for n, dim, queries in ((120, 2500, 10), (600, 1300, 3)):
         for exact32 in (True, False):
@@ -573,13 +632,13 @@ def engine_cases():
             if exact32:
                 data = data.astype(np.float32).astype(np.float64)
             vs = VectorSet(data, seed=int(rng.integers(2**31)))
-            assert (vs.permuted()[1].dtype == np.float32) == exact32
+            assert vs.permuted()[1].dtype == np.float32
+            assert (vs.permuted()[2] == 0.0) == exact32
             yield vs, [Query(rng.standard_normal(dim)) for _ in range(queries)], 5
 
 
 def test_engine_matches_the_rows_protocol_oracle():
-    # eps/w = 1e-7 puts eps_1/2 = eps/8 below eta on float32 copies, so
-    # round 1 exhausts there
+    # eps/w = 1e-7 puts eps_1/2 = eps/8 below eta, so round 1 exhausts
     searches = 0
     for vs, queries, k in engine_cases():
         for q in queries:
@@ -611,8 +670,8 @@ def test_searches_leave_the_permuted_copy_unchanged():
     for dtype in (np.float32, np.float64):
         data = rng.random((80, 1500))
         vs = VectorSet(data.astype(dtype).astype(np.float64) if dtype is np.float32 else data)
-        perm, permuted = vs.permuted()
-        assert permuted.dtype == dtype
+        perm, permuted, _ = vs.permuted()
+        assert permuted.dtype == np.float32
         before = permuted.copy()
         permuted.flags.writeable = False
         draws = []
@@ -680,8 +739,8 @@ def test_exact_sums_keep_the_bits_of_the_whole_matrix_forms(count):
 
 @pytest.mark.parametrize("kind", [IP, NSD])
 def test_exhausted_rows_are_scored_over_the_file_order_rows(kind):
-    # a float32 copy's gathered rows that reach t = N in a later round are
-    # the scorer's float64 sums of the file-order rows against the query
+    # gathered rows that reach t = N in a later round are the scorer's
+    # float64 sums of the file-order rows against the query
     rng = np.random.default_rng(52)
     n, dim = 130, 500
     vs = VectorSet(rng.standard_normal((n, dim)).astype(np.float32))
@@ -696,16 +755,20 @@ def test_exhausted_rows_are_scored_over_the_file_order_rows(kind):
     assert arms.sums(every, dim).tolist() == exact_sums(vs.data, q.vector, kind)[every].tolist()
 
 
+@pytest.mark.parametrize("exact32", [True, False])
 @pytest.mark.parametrize("kind", [IP, NSD])
 @pytest.mark.parametrize("seed", [60, 61, 62, 63])
-def test_exact_search_on_float32_copies_is_the_naive_scan(kind, seed):
+def test_exact_search_is_the_naive_scan(kind, seed, exact32):
     # epsilon 0, and a first round whose eps_1/2 does not exceed eta, exhaust
-    # every row in round 1: ids and means are naive_topk's, bit for bit
+    # every row in round 1: ids and means are naive_topk's, bit for bit, on
+    # float32-exact and on inexact float64 data alike
     rng = np.random.default_rng(seed)
     n, dim, k = 300, 4000, 7
-    data = rng.standard_normal((n, dim)).astype(np.float32).astype(np.float64)
+    data = rng.standard_normal((n, dim))
+    if exact32:
+        data = data.astype(np.float32).astype(np.float64)
     vs, q = VectorSet(data, seed=seed), Query(rng.standard_normal(dim))
-    assert vs.permuted()[1].dtype == np.float32
+    assert (vs.permuted()[2] == 0.0) == exact32
     truth = naive_topk(vs, q, k, kind)
     eta = build_arms(vs, q, kind).mean_error
     assert eta > 0.0
