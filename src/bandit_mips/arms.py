@@ -27,9 +27,12 @@ __all__ = ["ObjectiveKind", "WINDOW_BLOCK", "PositionSampler", "LazySource"]
 # Widest column window evaluated at once; bounds the temporary of a round to
 # survivors x WINDOW_BLOCK floats.
 WINDOW_BLOCK = 1024
-# Rows per block of ``exact_sums`` and of building a permuted copy; bounds
-# their temporaries to that many rows x N floats.
 ROW_BLOCK = 64
+
+
+def row_block(dim: int) -> int:
+    """Rows a block of ``exact_sums`` and of a permuted copy's build: ROW_BLOCK, or 2^16 / dim."""
+    return min(ROW_BLOCK, max(1, (1 << 16) // dim))
 
 
 class ObjectiveKind(enum.Enum):
@@ -55,19 +58,20 @@ def exact_sums(
     """Float64 reward sums over all columns of ``rows`` (None: every row) of ``matrix``.
 
     Inner products of every row are one ``matrix @ query``; distances and
-    gathered rows go in ``ROW_BLOCK``-row blocks, each with its own temporary.
+    gathered rows go in ``row_block``-row blocks, each with its own temporary.
     """
     check_kind(kind)
     if rows is None and kind is ObjectiveKind.INNER_PRODUCT:
         return matrix @ query
-    out = np.empty(len(matrix) if rows is None else rows.size)
-    for a in range(0, out.size, ROW_BLOCK):
-        block = matrix[a : a + ROW_BLOCK] if rows is None else matrix[rows[a : a + ROW_BLOCK]]
+    out, step = np.empty(len(matrix) if rows is None else rows.size), row_block(matrix.shape[1])
+    for a in range(0, out.size, step):
+        block = matrix[a : a + step] if rows is None else matrix[rows[a : a + step]]
         if kind is ObjectiveKind.INNER_PRODUCT:
-            out[a : a + ROW_BLOCK] = block @ query
+            out[a : a + step] = block @ query
         else:
             diff = block - query
-            out[a : a + ROW_BLOCK] = -np.einsum("ij,ij->i", diff, diff)
+            out[a : a + step] = -np.einsum("ij,ij->i", diff, diff)
+            del diff  # freed before the next block's difference is made
     return out
 
 
@@ -179,16 +183,16 @@ class LazySource:
     Windows are evaluated in float32 on the copy, the data scaled by 2^-e,
     against the query scaled by 2^-g and rounded to float32: g = e for
     distances, and for inner products g = frexp(Mq)[1], Mq the largest
-    |query entry|.  Window sums are scaled back by 2^(e + g) in float64.
-    Powers of two commute with float32 rounding inside its normal range, so
-    a set float32 holds exactly sums as it would unscaled.  ``mean_error``
-    is ``_float32_mean_error`` of the scaled bounds and of the copy's
-    rounding, scaled back alike; where it is inf (a distance query so far
-    beyond the set that a window could overflow) round 1 exhausts.  Rows
-    that reach t = N are re-summed by ``exact_sums`` from the set's
-    file-order rows against the unpermuted query, ``naive_topk``'s reference
-    order, so exhausted means carry no float32 rounding; when every row
-    exhausts at once the call is ``naive_topk``'s own scan.
+    |query entry|.  A call adds up its window sums in float64 and scales
+    them back by 2^(e + g) once, which commutes with every rounding in the
+    normal range: with rho = 0 the sums are those of the data unscaled.
+    ``mean_error`` is ``_float32_mean_error`` of the scaled bounds and rho,
+    scaled back alike; where it is inf (a distance query so far beyond the
+    set that a window could overflow) round 1 exhausts.  Rows that reach
+    t = N are re-summed by ``exact_sums`` from the set's file-order rows
+    against the unpermuted query, ``naive_topk``'s reference order, so
+    exhausted means carry no float32 rounding; when every row exhausts at
+    once the call is ``naive_topk``'s own scan.
 
     A window W is one BLAS product ``W @ q`` for inner products.  A distance
     window is expanded on the block already read, as 2 (W @ q) - (the row
@@ -214,15 +218,17 @@ class LazySource:
         perm, self._data, rounding = vectors.permuted()
         # file-order rows and query, for exact sums; the permuted query for windows
         self._rows, self._query, self._kind = vectors.data, query.vector, kind
-        e = math.frexp(vectors.coord_bound)[1]
-        g = math.frexp(query.coord_bound)[1] if kind is ObjectiveKind.INNER_PRODUCT else e
-        self._shift = e + g
-        # float32 overflows only where mean_error is inf, so no window is read
-        with np.errstate(over="ignore"):
-            self._window_query = np.ldexp(query.vector[perm], -g).astype(np.float32)
-            bounds = math.ldexp(vectors.coord_bound, -e), float(np.ldexp(query.coord_bound, -g))
-            eta = _float32_mean_error(kind, *bounds, rounding)
-            self.mean_error = float(np.ldexp(eta, self._shift))
+        e, f = math.frexp(vectors.coord_bound)[1], math.frexp(query.coord_bound)[1]
+        g = f if kind is ObjectiveKind.INNER_PRODUCT else e
+        self._shift = shift = e + g
+        # the scaled bounds, and eta scaled back: inf where they pass float64
+        mq = math.ldexp(query.coord_bound, -g) if f - g <= 1024 else math.inf
+        eta = _float32_mean_error(kind, math.ldexp(vectors.coord_bound, -e), mq, rounding)
+        self.mean_error = math.ldexp(eta, shift) if math.frexp(eta)[1] + shift <= 1024 else math.inf
+        # float32 can overflow only where eta is inf, and then no window is read
+        scaled = query.vector[perm] if math.isfinite(eta) else np.zeros_like(query.vector)
+        np.multiply(scaled, 2.0**-g, out=scaled) if g > -1024 else np.ldexp(scaled, -g, out=scaled)
+        self._window_query = scaled.astype(np.float32)  # both scalings above are exact
         self.n, self.list_len = self._data.shape
         self.start = start % self.list_len
 
@@ -236,11 +242,13 @@ class LazySource:
         ``done..t-1``.
         """
         check_pulls(done, t, self.list_len)
-        if done < t == self.list_len:
+        if done == t:  # no new pulls: exact sums of exhausted rows are not rescaled
+            return np.zeros(ids.size) if done == 0 else prior.copy()
+        if t == self.list_len:
             every = ids.size == self.n  # as in round 1: naive_topk's scan, rows=None
             sums = exact_sums(self._rows, self._query, self._kind, None if every else ids)
             return sums[ids] if every else sums
-        sums = np.zeros(ids.size) if done == 0 else prior.copy()
+        sums = np.zeros(ids.size) if done == 0 else np.ldexp(prior, -self._shift)
         ip = self._kind is ObjectiveKind.INNER_PRODUCT  # the read rule of the class docstring
         on_view = 4 * ids.size >= self.n if ip else ids.size == self.n
         while done < t:
@@ -248,15 +256,14 @@ class LazySource:
             b = min(a + t - done, self.list_len, a + WINDOW_BLOCK)
             sums += self.draw(None, a, b)[ids] if on_view else self.draw(ids, a, b)
             done += b - a
-        return sums
+        return np.ldexp(sums, self._shift, out=sums)
 
     def draw(self, rows: np.ndarray | None, a: int, b: int) -> np.ndarray:
-        """Float64 reward sums of ``rows`` (None: every row) over columns [a, b)."""
+        """Float32 reward sums, times 2^-(e + g), of ``rows`` (None: every row) over [a, b)."""
         window = self._data[:, a:b] if rows is None else self._data[rows, a:b]
         query = self._window_query[a:b]
-        sums = window @ query
-        if self._kind is ObjectiveKind.NEG_SQ_DISTANCE:
-            # -sum (w - q)^2 = 2 w.q - w.w - q.q on the block already read,
-            # with no difference temporary; mean_error bounds its rounding
-            sums = 2.0 * sums - np.vecdot(window, window) - query @ query
-        return np.ldexp(sums, self._shift, dtype=np.float64)
+        if self._kind is ObjectiveKind.INNER_PRODUCT:
+            return window @ query
+        # -sum (w - q)^2 = 2 w.q - w.w - q.q on the block already read,
+        # with no difference temporary; mean_error bounds its rounding
+        return 2.0 * (window @ query) - np.vecdot(window, window) - query @ query

@@ -28,7 +28,7 @@ float32, each around one BLAS product (a distance window is expanded as
 be off by up to its ``mean_error`` eta (about 6.1e-5 Mv Mq for inner
 products and 6.1e-5 (Mv + Mq)^2 for distances, with Mv and Mq the largest
 data and query magnitudes, plus the copy's measured rounding where float32
-does not hold ``data``), which the search's confidence radius absorbs.
+does not hold the scaled data), which the search's confidence radius absorbs.
 Exhausted means stay exact: the one scorer ``arms.exact_sums`` re-sums
 them from the file-order float64 ``data``, the reference order of every
 exact answer, so an epsilon = 0 search returns ``naive_topk``'s ids and
@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arms import ROW_BLOCK, LazySource, ObjectiveKind, PositionSampler, check_dims, check_kind
+from .arms import LazySource, ObjectiveKind, PositionSampler, check_dims, check_kind, row_block
 from .elimination import (
     EliminationConfig,
     EliminationTrace,
@@ -131,16 +131,16 @@ class VectorSet:
 
         The copy is data[:, pi] * 2^-e in float32, e = frexp(coord_bound)[1],
         rounded a row block at a time with no float64 temporary of its size;
-        rho is its largest rounding error, 0 where float32 holds it exactly.
+        rho is its largest rounding error, 0 where float32 holds every scaled entry.
         """
         if self._permuted is None:
             perm = PositionSampler(self.dim, self.seed).draw(self.dim)
             copy, rho = np.empty(self.data.shape, dtype=np.float32), 0.0
-            exponent = math.frexp(self.coord_bound)[1]
-            for a in range(0, self.n, ROW_BLOCK):
-                block = np.take(self.data[a : a + ROW_BLOCK], perm, axis=1)
-                copy[a : a + ROW_BLOCK] = np.ldexp(block, -exponent, out=block)
-                block -= copy[a : a + ROW_BLOCK]  # exact: each entry's float32 rounding error
+            exponent, step = math.frexp(self.coord_bound)[1], row_block(self.dim)
+            for a in range(0, self.n, step):
+                block = np.take(self.data[a : a + step], perm, axis=1)
+                copy[a : a + step] = np.ldexp(block, -exponent, out=block)
+                block -= copy[a : a + step]  # exact: each entry's float32 rounding error
                 rho = max(rho, float(np.abs(block, out=block).max()))
             self._permuted = (perm, copy, rho)
         return self._permuted

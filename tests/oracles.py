@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from bandit_mips.arms import ROW_BLOCK, WINDOW_BLOCK, LazySource, ObjectiveKind
+from bandit_mips.arms import WINDOW_BLOCK, LazySource, ObjectiveKind, row_block
 from bandit_mips.elimination import EliminationTrace, RoundRecord
 
 
@@ -187,8 +187,9 @@ class RowsLazySource(LazySource):
             if rows.size == self.n:  # every row: one scan of the whole matrix
                 self._sums = self.draw(None, 0, self.list_len, exact=True)
             else:
-                for i in range(0, rows.size, ROW_BLOCK):
-                    block = rows[i : i + ROW_BLOCK]
+                step = row_block(self.list_len)
+                for i in range(0, rows.size, step):
+                    block = rows[i : i + step]
                     self._sums[block] = self.draw(block, 0, self.list_len, exact=True)
             done = t
         # The read rule of the class docstring.  On the view every row's sum
@@ -213,12 +214,12 @@ class RowsLazySource(LazySource):
     def draw(self, rows: np.ndarray | None, a: int, b: int, exact: bool = False) -> np.ndarray:
         """Reward sums of ``rows`` (None: every row) over columns [a, b).
 
-        The sums are ``LazySource.draw``'s float64 window sums, or with
-        ``exact`` float64 sums of the direct form over the file-order rows
-        against the unpermuted query.
+        The sums are ``LazySource.draw``'s float32 window sums scaled back
+        in float64, or with ``exact`` float64 sums of the direct form over
+        the file-order rows against the unpermuted query.
         """
         if not exact:
-            return super().draw(rows, a, b)
+            return np.ldexp(super().draw(rows, a, b), self._shift, dtype=np.float64)
         window = self._rows[:, a:b] if rows is None else self._rows[rows, a:b]
         query = self._query[a:b]
         if self._kind is ObjectiveKind.INNER_PRODUCT:

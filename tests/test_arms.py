@@ -31,6 +31,7 @@ from bandit_mips.arms import (
     PositionSampler,
     _float32_mean_error,
     exact_sums,
+    row_block,
 )
 from bandit_mips.baselines import naive_topk
 from bandit_mips.datasets import AdversarialInstance
@@ -531,7 +532,8 @@ def test_inexact_data_means_within_mean_error(kind):
     # or below its least subnormal, on sets and mixed-sign queries scaled
     # alike by powers of two: the copy is float32 and a finite eta bounds
     # every window mean.  A scaled set whose reward sums overflow float64 is
-    # rejected by reward_range, as the search rejects it.
+    # rejected by reward_range, as the search rejects it; its arms still
+    # build, with no error or warning.
     rng = np.random.default_rng(33)
     n, dim = 150, 40
     exact = rng.standard_normal((n, dim)).astype(np.float32).astype(np.float64)
@@ -544,6 +546,7 @@ def test_inexact_data_means_within_mean_error(kind):
             try:
                 reward_range(vs, q, kind)
             except ValueError:
+                build_arms(vs, q, kind)
                 continue
             assert vs.permuted()[1].dtype == np.float32 and vs.permuted()[2] > 0.0
             arms = build_arms(vs, q, kind, start=int(rng.integers(dim)))
@@ -558,14 +561,15 @@ def test_inexact_data_means_within_mean_error(kind):
                 assert np.all(np.abs(running[rows] / t - want / t) <= arms.mean_error)
 
 
-@pytest.mark.parametrize("ratio", [2.0**60, 2.0**200])
-def test_distance_query_past_float32_range_exhausts_in_round_1(ratio):
+@pytest.mark.parametrize("log2_ratio", [60, 200, 1060])
+def test_distance_query_past_float32_range_exhausts_in_round_1(log2_ratio):
     # a distance query 2^60 times the set's bound could overflow a float32
     # window, and at 2^200 its scaled copy overflows float32 itself: eta is
     # inf, round 1 reads every column, and the exact scan answers, warning
-    # about nothing
+    # about nothing; at 2^1060 (subnormal data, a scale of 2^-2114) the
+    # later rounds keep the exact sums without rescaling them
     rng = np.random.default_rng(41)
-    vs = VectorSet(rng.standard_normal((50, 300)) / ratio)
+    vs = VectorSet(np.ldexp(rng.standard_normal((50, 300)), -log2_ratio))
     q = Query(rng.standard_normal(300))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -724,17 +728,20 @@ def test_exact_sums_match_a_row_by_row_scan(kind, dtype, count):
 def test_exact_sums_keep_the_bits_of_the_whole_matrix_forms(count):
     # every row's inner product is one data @ q; distances sum each row as the
     # whole-matrix einsum does; gathered float32 rows against a float64 query
-    # sum as the mixed-dtype product of their ROW_BLOCK-row block does (a
-    # 1-row block can round otherwise than that row inside a longer product)
+    # sum as the mixed-dtype product of their row_block-row block does (a
+    # 1-row block can round otherwise than that row inside a longer product);
+    # rows of 5000 entries go in blocks of fewer than ROW_BLOCK rows
     rng = np.random.default_rng([51, count])
-    dim = 777
-    data, q = rng.standard_normal((count, dim)), rng.standard_normal(dim)
-    assert exact_sums(data, q, IP).tolist() == (data @ q).tolist()
-    diff = data - q
-    assert exact_sums(data, q, NSD).tolist() == (-np.einsum("ij,ij->i", diff, diff)).tolist()
-    rows, f32 = rng.permutation(count), data.astype(np.float32)
-    blocks = [f32[rows[a : a + ROW_BLOCK]] @ q for a in range(0, count, ROW_BLOCK)]
-    assert exact_sums(f32, q, IP, rows).tolist() == np.concatenate([[], *blocks]).tolist()
+    for dim in (777, 5000):
+        data, q = rng.standard_normal((count, dim)), rng.standard_normal(dim)
+        assert exact_sums(data, q, IP).tolist() == (data @ q).tolist()
+        diff = data - q
+        want = -np.einsum("ij,ij->i", diff, diff)
+        assert exact_sums(data, q, NSD).tolist() == want.tolist()
+        rows, f32, step = rng.permutation(count), data.astype(np.float32), row_block(dim)
+        blocks = [f32[rows[a : a + step]] @ q for a in range(0, count, step)]
+        assert exact_sums(f32, q, IP, rows).tolist() == np.concatenate([[], *blocks]).tolist()
+    assert row_block(777) == ROW_BLOCK and row_block(5000) < ROW_BLOCK
 
 
 @pytest.mark.parametrize("kind", [IP, NSD])

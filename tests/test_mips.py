@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from bandit_mips.arms import ROW_BLOCK
 from bandit_mips.baselines import naive_topk
 from bandit_mips.mips import (
     ObjectiveKind,
@@ -113,20 +112,18 @@ def test_argmax_invariance_distance_objective():
 def test_no_reward_matrix_materialization():
     """Coarse allocation bound: a query whose first round reads every
     coordinate of every arm (epsilon 0) must not allocate anything near the
-    n*N product matrix (10 MB here) beyond the cached permuted copy.  The
-    exact scorer that answers it sums distances in blocks of ROW_BLOCK rows,
-    so n spans twenty blocks."""
+    n*N product matrix (8 MB here) beyond the cached permuted copy."""
     rng = np.random.default_rng(35)
-    vs = VectorSet(rng.standard_normal((20 * ROW_BLOCK, 1_000)))
+    vs = VectorSet(rng.standard_normal((100, 10_000)))
     vs.permuted()  # the one n*N copy, built on first use and kept
-    q = Query(rng.standard_normal(1_000))
+    q = Query(rng.standard_normal(10_000))
     for kind in (IP, NSD):
         tracemalloc.start()
         base = tracemalloc.get_traced_memory()[0]
         ids, trace = mips_topk(vs, q, 3, epsilon=0.0, delta=0.1, seed=1, kind=kind)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert trace.rounds[0].pull_target == 1_000  # round 1 exhausts
+        assert trace.rounds[0].pull_target == 10_000  # round 1 exhausts
         assert peak - base < 2_000_000  # well under n * N * 8 bytes
 
 
