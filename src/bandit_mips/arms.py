@@ -25,14 +25,20 @@ import numpy as np
 __all__ = ["ObjectiveKind", "WINDOW_BLOCK", "PositionSampler", "LazySource"]
 
 # Widest column window evaluated at once; bounds the temporary of a round to
-# survivors x WINDOW_BLOCK floats.
+# survivors x WINDOW_BLOCK floats.  It enters eta (``_float32_mean_error``),
+# so it stays apart from ``row_block``.
 WINDOW_BLOCK = 1024
-ROW_BLOCK = 64
 
 
 def row_block(dim: int) -> int:
-    """Rows a block of ``exact_sums`` and of a permuted copy's build: ROW_BLOCK, or 2^16 / dim."""
-    return min(ROW_BLOCK, max(1, (1 << 16) // dim))
+    """Rows a block of every pass over a set's rows of ``dim`` entries: 2^16 / dim.
+
+    The passes are the read and bound, the permuted copy, ``exact_sums`` and
+    LSH's row norms.  2^16 entries keep a block's largest temporary at 512 kB
+    in float64, so it is still in cache when it is reduced; narrow rows go in
+    tall blocks, so the per-block overhead stays small beside the work.
+    """
+    return max(1, (1 << 16) // dim)
 
 
 class ObjectiveKind(enum.Enum):
@@ -227,8 +233,7 @@ class LazySource:
         self.mean_error = math.ldexp(eta, shift) if math.frexp(eta)[1] + shift <= 1024 else math.inf
         # float32 can overflow only where eta is inf, and then no window is read
         scaled = query.vector[perm] if math.isfinite(eta) else np.zeros_like(query.vector)
-        np.multiply(scaled, 2.0**-g, out=scaled) if g > -1024 else np.ldexp(scaled, -g, out=scaled)
-        self._window_query = scaled.astype(np.float32)  # both scalings above are exact
+        self._window_query = np.ldexp(scaled, -g, out=scaled).astype(np.float32)  # exact scaling
         self.n, self.list_len = self._data.shape
         self.start = start % self.list_len
 

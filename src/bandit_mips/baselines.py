@@ -22,14 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arms import check_dims, exact_sums
+from .arms import check_dims, exact_sums, row_block
 from .elimination import checked_int, top_ids
-from .mips import ObjectiveKind, Query, VectorSet, _block_rows
+from .mips import ObjectiveKind, Query, VectorSet
 
 __all__ = ["ExactResult", "naive_topk", "LshIndex", "LshResult", "lsh_build", "lsh_query"]
 
 # Rows per hashing product: tall enough for BLAS to run near its peak, short
-# enough that the (rows, b*a) projections stay a small temporary.
+# enough that the (rows, b*a) projections stay a small temporary.  It sizes a
+# GEMM over a view of the rows, not a copy of them, so it stays apart from
+# ``arms.row_block``.
 HASH_BLOCK = 256
 
 
@@ -121,7 +123,7 @@ def lsh_build(vectors: VectorSet, a: int, b: int, seed: int = 0) -> LshIndex:
     a, b = checked_int(a, "a", 1, 63), checked_int(b, "b", 1)
     seed = checked_int(seed, "seed", 0)
     data, n, dim = vectors.data, vectors.n, vectors.dim
-    step = _block_rows(dim)
+    step = row_block(dim)
     norms = np.empty(n)
     with np.errstate(over="ignore"):
         for r in range(0, n, step):

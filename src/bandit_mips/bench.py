@@ -144,8 +144,6 @@ def run_validate(
             subopts: list[float] = []
             for r in range(runs):
                 instance_seed = derive_seed(seed, 1, ei, di, r)
-                # Recorded for the results file; the fixed-order lists draw no randomness.
-                algorithm_seed = derive_seed(seed, 2, ei, di, r)
                 instance = gen_adversarial(n, list_len, instance_seed)
                 start = time.perf_counter()
                 ids, trace = median_elimination_topk(instance.sources(), config, plan)
@@ -159,7 +157,6 @@ def run_validate(
                             "n": n,
                             "list_len": list_len,
                             "instance_seed": instance_seed,
-                            "algorithm_seed": algorithm_seed,
                             "rounds": len(trace.rounds),
                             "max_arm_pulls": trace.max_arm_pulls,
                         },

@@ -9,10 +9,10 @@ CSV holds any finite float64; binary entries must fit in float32.
 
 A binary file is read in one pass: the header and the file size are
 checked before anything of the data's size is allocated, then the rows go
-through one reused float32 buffer of about 2 MB into the float64 matrix,
-a block at a time, each block bounded and checked for non-finite entries
-as it lands.  The read holds the float64 matrix and one block, never the
-file's bytes.
+through one reused float32 buffer of ``arms.row_block`` rows (256 kB, or
+one longer row) into the float64 matrix, a block at a time, each block
+bounded and checked for non-finite entries as it lands.  The read holds
+the float64 matrix and one block, never the file's bytes.
 
 Results are JSON Lines, one run per line; comparison curves are CSV with a
 fixed header.  Writers emit keys in a fixed order so identical runs produce
@@ -30,7 +30,8 @@ from typing import BinaryIO, Iterable
 
 import numpy as np
 
-from .mips import Query, VectorSet, _block_rows
+from .arms import row_block
+from .mips import Query, VectorSet
 
 __all__ = [
     "DatasetFormatError",
@@ -122,7 +123,7 @@ def _read_binary(fh: BinaryIO, head: bytes, path: Path) -> VectorSet:
         raise DatasetFormatError(
             f"{path}: payload is {size} bytes, expected {expected} for {n}x{dim}"
         )
-    block = np.empty((min(_block_rows(dim), n), dim), dtype="<f4")
+    block = np.empty((min(row_block(dim), n), dim), dtype="<f4")
 
     def fill(rows: np.ndarray, a: int) -> np.ndarray:
         chunk = block[: len(rows)]

@@ -63,18 +63,6 @@ __all__ = [
     "mips_topk",
 ]
 
-# Entries per block of a one-pass load (bounding a ``VectorSet``, reading a
-# dataset file, taking row norms for LSH): 2 MB as float32, 4 MB as float64,
-# so a block is still in cache when it is bounded or reduced.  Narrow rows go
-# in tall blocks, which keeps the per-block overhead small beside the work.
-_LOAD_BLOCK = 1 << 19
-
-
-def _block_rows(dim: int) -> int:
-    """Rows per block of a one-pass load of rows of ``dim`` entries."""
-    return max(1, _LOAD_BLOCK // dim)
-
-
 @dataclass
 class VectorSet:
     """n dense vectors of a common dimension, float64, plus |entry| bound.
@@ -158,7 +146,7 @@ def _load_rows(
     pass over ``out``.  ``fill`` None bounds rows that are in place already.
     Raises ValueError at the first block with a NaN or an infinite entry.
     """
-    bound, step = 0.0, _block_rows(out.shape[1])
+    bound, step = 0.0, row_block(out.shape[1])
     for a in range(0, out.shape[0], step):
         rows = out[a : a + step]
         block = rows if fill is None else fill(rows, a)

@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from bandit_mips.arms import (
-    ROW_BLOCK,
     WINDOW_BLOCK,
     LazySource,
     PositionSampler,
@@ -533,16 +532,22 @@ def test_inexact_data_means_within_mean_error(kind):
     # alike by powers of two: the copy is float32 and a finite eta bounds
     # every window mean.  A scaled set whose reward sums overflow float64 is
     # rejected by reward_range, as the search rejects it; its arms still
-    # build, with no error or warning.
+    # build, with no error or warning.  One inner-product query alone is
+    # scaled by 2^-1040: its bound lies below 2^-1022, so its power-of-two
+    # scale 2^-g is past float64's range and only ldexp applies it.
     rng = np.random.default_rng(33)
     n, dim = 150, 40
     exact = rng.standard_normal((n, dim)).astype(np.float32).astype(np.float64)
+    scales = [(s, s) for s in (1.0, 2.0**60, 2.0**-60, 2.0**500, 2.0**-500)]
+    if kind is IP:
+        scales.append((1.0, 2.0**-1040))
     for i, value in ((149, 1.0 + 2.0**-30), (0, 1e39), (80, 1e-46)):
-        for scale in (1.0, 2.0**60, 2.0**-60, 2.0**500, 2.0**-500):
+        for scale, q_scale in scales:
             data = exact.copy()
             data[i, 7] = value
             vs = VectorSet(data * scale, seed=2)
-            q = Query(rng.standard_normal(dim) * scale)
+            q = Query(rng.standard_normal(dim) * q_scale)
+            assert q_scale > 2.0**-1000 or q.coord_bound < 2.0**-1022
             try:
                 reward_range(vs, q, kind)
             except ValueError:
@@ -703,7 +708,10 @@ def test_searches_leave_the_permuted_copy_unchanged():
 
 # --- the exact scorer ----------------------------------------------------------
 
-BLOCK_EDGES = [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 2]
+# row counts on the edges of the row blocks of EDGE_DIM-entry rows
+EDGE_DIM = 777
+STEP = row_block(EDGE_DIM)
+BLOCK_EDGES = [0, 1, STEP - 1, STEP, STEP + 1, 2 * STEP + 2]
 
 
 @pytest.mark.parametrize("count", BLOCK_EDGES)
@@ -713,7 +721,7 @@ def test_exact_sums_match_a_row_by_row_scan(kind, dtype, count):
     # every row of a count-row matrix, and count rows gathered from a taller
     # one in any order and with repeats, against an fsum over each row
     rng = np.random.default_rng([50, count])
-    dim = 300
+    dim = EDGE_DIM
     matrix = rng.standard_normal((count, dim)).astype(dtype)
     tall = rng.standard_normal((200, dim)).astype(dtype)
     query = rng.standard_normal(dim)
@@ -730,9 +738,9 @@ def test_exact_sums_keep_the_bits_of_the_whole_matrix_forms(count):
     # whole-matrix einsum does; gathered float32 rows against a float64 query
     # sum as the mixed-dtype product of their row_block-row block does (a
     # 1-row block can round otherwise than that row inside a longer product);
-    # rows of 5000 entries go in blocks of fewer than ROW_BLOCK rows
+    # rows of 5000 entries go in shorter blocks than rows of EDGE_DIM
     rng = np.random.default_rng([51, count])
-    for dim in (777, 5000):
+    for dim in (EDGE_DIM, 5000):
         data, q = rng.standard_normal((count, dim)), rng.standard_normal(dim)
         assert exact_sums(data, q, IP).tolist() == (data @ q).tolist()
         diff = data - q
@@ -741,7 +749,7 @@ def test_exact_sums_keep_the_bits_of_the_whole_matrix_forms(count):
         rows, f32, step = rng.permutation(count), data.astype(np.float32), row_block(dim)
         blocks = [f32[rows[a : a + step]] @ q for a in range(0, count, step)]
         assert exact_sums(f32, q, IP, rows).tolist() == np.concatenate([[], *blocks]).tolist()
-    assert row_block(777) == ROW_BLOCK and row_block(5000) < ROW_BLOCK
+    assert row_block(5000) < STEP
 
 
 @pytest.mark.parametrize("kind", [IP, NSD])

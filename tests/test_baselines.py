@@ -11,9 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from bandit_mips.arms import ROW_BLOCK
+from bandit_mips.arms import row_block
 from bandit_mips.baselines import HASH_BLOCK, lsh_build, lsh_query, naive_topk
-from bandit_mips.mips import ObjectiveKind, Query, VectorSet, _block_rows, mips_topk
+from bandit_mips.mips import ObjectiveKind, Query, VectorSet, mips_topk
 
 IP = ObjectiveKind.INNER_PRODUCT
 NSD = ObjectiveKind.NEG_SQ_DISTANCE
@@ -275,7 +275,7 @@ def test_lsh_query_makes_no_copy_of_the_candidates():
     finally:
         tracemalloc.stop()
     assert res.candidates >= 300
-    assert peak < 3 * ROW_BLOCK * dim * 8, (peak, res.candidates * dim * 8)
+    assert peak < 3 * row_block(dim) * dim * 8, (peak, res.candidates * dim * 8)
 
 
 def test_lsh_all_zero_data_rejected():
@@ -336,8 +336,8 @@ def scaled_gaussian_rows(n, dim, seed):
 def test_lsh_block_lift_matches_full_matrix_lift(n):
     # lsh_build takes norms and hashes a row block at a time, never lifting
     # a row; n straddles the boundaries of both kinds of block
-    dim = 8191
-    assert _block_rows(dim) == 64
+    dim = 1023
+    assert row_block(dim) == 64
     assert HASH_BLOCK == 256
     assert_full_matrix_lift(scaled_gaussian_rows(n, dim, 100 + n))
 
@@ -350,8 +350,8 @@ def test_lsh_full_matrix_lift_at_extreme_row_scales(row_scale):
 
 
 def test_lsh_build_holds_no_lifted_copy():
-    # the largest temporary is one norm block of _LOAD_BLOCK entries, under
-    # half of these 300 rows; a lifted copy would be more than all of them
+    # the largest temporary is one norm block of row_block rows, under half
+    # of these 300 rows; a lifted copy would be more than all of them
     data = np.random.default_rng(8).standard_normal((300, 4000))
     vs = VectorSet(data)
     tracemalloc.start()

@@ -167,7 +167,7 @@ def test_validate_jsonl_is_byte_identical(tmp_path):
     out = tmp_path / "v.jsonl"
     run_validate([0.1, 0.3, 0.5], [0.05, 0.2], n=500, list_len=5000, runs=20, seed=7, out=out)
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "bf9c2e4cf811980f65afd1fc97d6cb21fd91a3f1cf3c7fdabc9c26a720ba5649"
+    assert digest == "027bcca1c0e558981191f36297f5f207ec48bba770010015430995a16733960b"
 
 
 # --- run_compare -------------------------------------------------------------

@@ -20,12 +20,17 @@ from bandit_mips.fileio import (
     write_dataset,
     write_results,
 )
-from bandit_mips.mips import Query, VectorSet, _block_rows
+from bandit_mips.arms import row_block
+from bandit_mips.mips import Query, VectorSet
+
+# a narrow set: three 4096-row blocks of 16 entries and a partial one
+NARROW = (3 * 4096 + 5, 16)
 
 
-def test_binary_round_trip_bit_identical(tmp_path):
+@pytest.mark.parametrize("shape", [(6, 9), NARROW])
+def test_binary_round_trip_bit_identical(tmp_path, shape):
     rng = np.random.default_rng(51)
-    vs = VectorSet(rng.standard_normal((6, 9)).astype(np.float32).astype(np.float64))
+    vs = VectorSet(rng.standard_normal(shape).astype(np.float32).astype(np.float64))
     p = tmp_path / "d.bin"
     write_dataset(p, vs)
     back = read_dataset(p)
@@ -130,10 +135,10 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_binary_read_holds_only_the_float64_matrix(tmp_path):
+@pytest.mark.parametrize("n, dim", [(300, 8192), NARROW])
+def test_binary_read_holds_only_the_float64_matrix(tmp_path, n, dim):
     # the rows go through one float32 block buffer into the float64 matrix;
     # holding the file's bytes beside the matrix would take 12 n N bytes
-    n, dim = 300, 8192
     rng = np.random.default_rng(53)
     vs = VectorSet(rng.standard_normal((n, dim)).astype(np.float32))
     p = tmp_path / "d.bin"
@@ -141,7 +146,7 @@ def test_binary_read_holds_only_the_float64_matrix(tmp_path):
     peak, back = _traced_peak(lambda: read_dataset(p))
     assert np.array_equal(back.data, vs.data)
     assert back.coord_bound == vs.coord_bound
-    assert peak <= 8 * n * dim + 2 * (_block_rows(dim) * dim * 4) + 256 * 1024
+    assert peak <= 8 * n * dim + 2 * (row_block(dim) * dim * 4) + 256 * 1024
 
 
 def _payload_cases():
@@ -170,10 +175,10 @@ def test_payload_size_checked_before_allocation(tmp_path, case):
     assert peak < 256 * 1024
 
 
+@pytest.mark.parametrize("dim", [8192, NARROW[1]])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_nonfinite_in_last_partial_row_block_rejected(tmp_path, bad):
-    dim = 8192
-    n = 2 * _block_rows(dim) + 3
+def test_nonfinite_in_last_partial_row_block_rejected(tmp_path, bad, dim):
+    n = 3 * row_block(dim) + 3
     data = np.ones((n, dim), dtype="<f4")
     data[-1, 2] = bad
     p = tmp_path / "d.bin"

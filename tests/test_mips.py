@@ -6,12 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
+from bandit_mips.arms import row_block
 from bandit_mips.baselines import naive_topk
 from bandit_mips.mips import (
     ObjectiveKind,
     Query,
     VectorSet,
-    _block_rows,
     _start_offset,
     build_arms,
     mips_topk,
@@ -374,13 +374,14 @@ def _vectorset_inputs(n, dim):
     }
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("n, dim", [(1, 1024), (63, 1024), (64, 1024), (65, 1024), (130, 1024),
+                                    (3 * 4096 + 5, 16)])
 @pytest.mark.parametrize("kind", ["float32", "int64", "fortran", "strided"])
-def test_vectorset_converts_blockwise_like_whole_matrix(n, kind):
+def test_vectorset_converts_blockwise_like_whole_matrix(n, dim, kind):
     # the matrix and bound are built a row block at a time; both must be
-    # bit for bit those of converting the whole input at once
-    dim = 8192
-    assert _block_rows(dim) == 64  # n straddles the block boundaries
+    # bit for bit those of converting the whole input at once; narrow rows
+    # go in tall blocks, and the last set spans three and a partial one
+    assert row_block(dim) == {1024: 64, 16: 4096}[dim]  # n straddles the block boundaries
     x = _vectorset_inputs(n, dim)[kind]
     want = np.ascontiguousarray(np.asarray(x, np.float64))
     vs = VectorSet(x)
