@@ -64,20 +64,23 @@ def exact_sums(
     """Float64 reward sums over all columns of ``rows`` (None: every row) of ``matrix``.
 
     Inner products of every row are one ``matrix @ query``; distances and
-    gathered rows go in ``row_block``-row blocks, each with its own temporary.
+    gathered rows go in ``row_block``-row blocks.  Overflow raises ValueError.
     """
     check_kind(kind)
-    if rows is None and kind is ObjectiveKind.INNER_PRODUCT:
-        return matrix @ query
-    out, step = np.empty(len(matrix) if rows is None else rows.size), row_block(matrix.shape[1])
-    for a in range(0, out.size, step):
-        block = matrix[a : a + step] if rows is None else matrix[rows[a : a + step]]
-        if kind is ObjectiveKind.INNER_PRODUCT:
-            out[a : a + step] = block @ query
-        else:
-            diff = block - query
-            out[a : a + step] = -np.einsum("ij,ij->i", diff, diff)
-            del diff  # freed before the next block's difference is made
+    ip = kind is ObjectiveKind.INNER_PRODUCT
+    out = np.empty(len(matrix) if rows is None else rows.size)
+    step = max(out.size, 1) if rows is None and ip else row_block(matrix.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, out.size, step):
+            block = matrix[a : a + step] if rows is None else matrix[rows[a : a + step]]
+            if ip:
+                out[a : a + step] = block @ query
+            else:
+                diff = block - query
+                out[a : a + step] = -np.einsum("ij,ij->i", diff, diff)
+                del diff  # freed before the next block's difference is made
+    if not np.isfinite(out).all():
+        raise ValueError("an exact score overflows float64: rescale the data")
     return out
 
 

@@ -20,11 +20,12 @@ depend on the sampled means, so the search plans every round before its
 first pull.
 
 The loop reads arms through the ``Arms`` protocol and holds the search
-state, as in Median Elimination: the int array of survivor ids, which
-breaks ties and names the answer, their running sums and their common pull
-count.  Each round extends the sums to the round's target, then compacts
-ids and sums by the keep mask ``eliminate`` returns: a selection for
-real-valued sums, a sort for integer ones.  An arm set whose sums
+state, as in Median Elimination: the increasing int array of survivor ids,
+their running sums and their common pull count.  Each round compacts ids
+and sums by the keep mask ``eliminate`` returns for the previous round,
+then extends the sums to its own target; the last round's cut is the
+answer's ``top_ids``.  Every cut ranks by ``top_ids``' rule, ties to the
+smaller position and so to the smaller id.  An arm set whose sums
 carry rounding error declares a bound ``mean_error`` on it, and each round
 asks the sampled means for eps_l/2 - mean_error per tail, so that the
 computed means still lie within eps_l/2 of the true ones.
@@ -320,38 +321,36 @@ def pull_batch(
     return arms.sums(ids, t, done, prior)
 
 
-def eliminate(rows: np.ndarray, sums: np.ndarray, t: int, k: int) -> np.ndarray:
-    """Keep mask over ``rows``: drop the ceil((s - k)/2) least means ``sums/t``.
+def eliminate(sums: np.ndarray, t: int, k: int) -> np.ndarray:
+    """Keep mask of the s - ceil((s - k)/2) best means ``sums/t``, by ``top_ids``' rule.
 
-    Ties on the mean drop the larger row id first, the ``top_ids`` order
-    reversed, making the outcome a pure function of (means, ids).  Applying
-    the mask keeps the input order.  Float sums, which do not tie, take one
-    ``np.partition``; integer sums, tied in large groups, one ``lexsort``.
+    Ties on the mean keep the smaller position.  Integer sums, tied in large
+    groups, are ranked by ``top_ids`` itself; float sums, which do not tie,
+    take one ``np.partition``, and the first positions at its pivot fill the
+    places left.
     """
-    s = rows.size
+    s = sums.size
     if s <= k:
         raise ValueError("survivors must exceed k")
     means = sums / t
     drop_count = (s - k + 1) // 2
     if sums.dtype.kind != "f":
-        drop = np.lexsort((-rows, means))[:drop_count]  # ascending mean, then descending id
-        keep = np.ones(s, dtype=bool)
-        keep[drop] = False
+        keep = np.zeros(s, dtype=bool)
+        keep[top_ids(means, s - drop_count)] = True
         return keep
     pivot = np.partition(means, drop_count - 1)[drop_count - 1]
     keep = means > pivot
     spare = s - drop_count - np.count_nonzero(keep)  # places left for means at the pivot
     if spare:
-        tied = np.flatnonzero(means == pivot)
-        keep[tied[np.argsort(rows[tied])[:spare]]] = True
+        keep[np.flatnonzero(means == pivot)[:spare]] = True
     return keep
 
 
 def top_ids(scores: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k best ``scores``, best first; ties keep the smaller position.
 
-    The ranking rule of every answer: the search's returned order, the
-    exhaustive and LSH baselines' ids and the validation grid's truth.
+    The ranking rule of every answer and of ``eliminate``'s cuts: the
+    search's order, the baselines' ids and the validation grid's truth.
     Scores listed in increasing id order thus rank tied ids smaller first.
     """
     return np.lexsort((np.arange(len(scores)), -scores))[:k]
@@ -396,12 +395,12 @@ def median_elimination_topk(
     trace.rounds = list(plan)
     alive, sums, target = np.arange(n), None, 0
     for record in trace.rounds:
-        t = record.pull_target
-        trace.total_pulls += record.survivors * (t - target)
-        sums = pull_batch(arms, alive, t, target, sums)
-        target = t
-        keep = eliminate(alive, sums, t, config.k)
-        alive, sums = alive[keep], sums[keep]
+        if sums is not None:  # cut the previous round; the last one's cut is the answer's
+            keep = eliminate(sums, target, config.k)
+            alive, sums = alive[keep], sums[keep]
+        trace.total_pulls += record.survivors * (record.pull_target - target)
+        sums = pull_batch(arms, alive, record.pull_target, target, sums)
+        target = record.pull_target
 
     means = sums / target
     trace.max_arm_pulls = target

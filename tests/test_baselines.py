@@ -401,6 +401,47 @@ def test_lsh_query_rejects_overflowing_query_norm():
             lsh_query(index, vs, query, 3)
 
 
+# finite entries whose exact scores overflow float64: row 1's inner product
+# and both big rows' distances are inf, and row 0's inner product is
+# inf - inf; row 1 is still nearer the query than row 0
+OVERFLOWING_ROWS = np.array([[1e300, -1e300], [1e300, 1e300], [1.0, 2.0]])
+OVERFLOWING_QUERY = Query(np.array([1e10, 1e10]))
+
+
+@pytest.mark.parametrize("kind", [IP, NSD])
+def test_naive_topk_rejects_overflowing_scores(kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows float64: rescale"):
+            naive_topk(VectorSet(OVERFLOWING_ROWS), OVERFLOWING_QUERY, 2, kind)
+
+
+def test_lsh_query_rejects_overflowing_candidate_scores():
+    # lsh_build rejects these rows, whose norms overflow; an index of the
+    # rows scaled down by 2^-1000 hashes them alike, and reranking its
+    # candidates against the rows themselves overflows
+    scaled = VectorSet(np.ldexp(OVERFLOWING_ROWS, -1000))
+    index = lsh_build(scaled, a=1, b=8)
+    assert lsh_query(index, scaled, OVERFLOWING_QUERY, 2).candidates == 3
+    vs = VectorSet(OVERFLOWING_ROWS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows float64: rescale"):
+            lsh_query(index, vs, OVERFLOWING_QUERY, 2)
+
+
+@pytest.mark.parametrize("kind", [IP, NSD])
+def test_naive_topk_answers_near_the_float64_limit(kind):
+    # entries and query at 1e150: products of 1e300, and distances of 4e300
+    # a column, sum to finite scores
+    data = np.array([[1e150, 1e150], [1e150, -1e150], [-1e150, -1e150]])
+    res = naive_topk(VectorSet(data), Query(np.array([1e150, 1e150])), 3, kind)
+    assert res.topk_ids == [0, 1, 2]
+    assert np.isfinite(res.topk_scores).all()
+    want = [2e300, 0.0, -2e300] if kind is IP else [0.0, -4e300, -8e300]
+    assert res.topk_scores.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12 * 8e300)
+
+
 def per_table_union(data, q, planes, b_use):
     """Independent oracle: rows sharing the query's key in any of the first
     b_use tables, one table at a time, keys as Python-int bit sums."""

@@ -22,6 +22,7 @@ from bandit_mips.elimination import (
     sample_size,
     top_ids,
 )
+from bandit_mips.mips import ObjectiveKind, Query, VectorSet, mips_topk, reward_range
 from oracles import oracle_eliminate, oracle_partial_split, oracle_plan, oracle_topk
 from pull_scan import brute_force_min_pulls, shrinkage
 
@@ -310,7 +311,7 @@ def test_round_target_requires_excess():
 
 def kept_ids(means, k, ids=None):
     ids = np.arange(len(means)) if ids is None else np.asarray(ids)
-    keep = eliminate(ids, np.asarray(means, dtype=float), 1, k)
+    keep = eliminate(np.asarray(means, dtype=float), 1, k)
     return ids[keep].tolist()
 
 
@@ -323,11 +324,14 @@ def test_eliminate_drops_smallest_means():
     assert kept_ids([0.9, 0.1, 0.8, 0.2, 0.7], 1) == [0, 2, 4]
 
 
-def test_eliminate_tie_drops_larger_id_first():
-    # means 0.5 and 0.5 tie; the larger arm id goes first
+def test_eliminate_tie_drops_larger_position_first():
+    # means 0.5 and 0.5 tie; the larger position goes first
     assert sorted(kept_ids([0.9, 0.5, 0.5, 0.1], 1)) == [0, 1]
-    # ids, not positions, break the tie
-    assert sorted(kept_ids([0.9, 0.5, 0.5, 0.1], 1, ids=[3, 8, 2, 5])) == [2, 3]
+    # positions, not the ids they hold, break the tie: the loop lists its
+    # survivors in increasing id order, so there the smaller id stays
+    means = np.array([0.9, 0.5, 0.5, 0.1])
+    assert kept_ids(means, 1, ids=[3, 8, 2, 5]) == [3, 8]
+    assert eliminate(means, 1, 1).tolist() == oracle_eliminate(np.arange(4), means, 1).tolist()
 
 
 def test_eliminate_single_removal_keeps_tied_pair():
@@ -338,7 +342,7 @@ def test_eliminate_single_removal_keeps_tied_pair():
 def test_eliminate_preserves_input_order_and_state():
     ids = np.array([7, 3, 9, 1])
     means = np.array([0.3, 0.9, 0.5, 0.8])
-    keep = eliminate(ids, means, 1, 2)
+    keep = eliminate(means, 1, 2)
     assert ids[keep].tolist() == [3, 9, 1]
     assert means[keep].tolist() == [0.9, 0.5, 0.8]
     assert ids.tolist() == [7, 3, 9, 1] and means.tolist() == [0.3, 0.9, 0.5, 0.8]
@@ -346,7 +350,7 @@ def test_eliminate_preserves_input_order_and_state():
 
 def test_eliminate_requires_more_than_k():
     with pytest.raises(ValueError):
-        eliminate(np.arange(2), np.array([0.1, 0.2]), 1, 2)
+        eliminate(np.array([0.1, 0.2]), 1, 2)
 
 
 # --- median_elimination_topk -------------------------------------------------
@@ -808,9 +812,9 @@ def test_topk_matches_the_oracle_loop():
     assert cases == 60
 
 
-def test_eliminate_matches_the_oracle_for_ids_in_any_order():
-    # small sets, and 511 to 1000 survivors; means tied in groups (+0.0
-    # beside -0.0) or all distinct
+def test_eliminate_matches_the_oracle_by_position():
+    # small sets, and 511 to 1000 survivors; sums over t pulls tied in
+    # groups (float with +0.0 beside -0.0, or integer) or all distinct
     rng = np.random.default_rng(42)
     sizes = set()
     for trial in range(420):
@@ -819,63 +823,62 @@ def test_eliminate_matches_the_oracle_for_ids_in_any_order():
         else:
             s = (511, 512, 513, 1000)[trial % 4]
         k = int(rng.integers(1, s))
-        rows = rng.permutation(max(200, 2 * s))[:s]
-        if rng.random() < 0.5:
-            rows = np.sort(rows)
+        t = int(rng.integers(1, 10_000))
         if trial < 300 or trial % 8 < 4:
-            means = rng.integers(-2, 3, s) * 0.5
-            means[means == 0.0] *= rng.choice([1.0, -1.0], np.count_nonzero(means == 0.0))
+            sums = rng.integers(-2, 3, s) * t
+            if trial % 2:
+                sums = sums * 0.5
+                sums[sums == 0.0] *= rng.choice([1.0, -1.0], np.count_nonzero(sums == 0.0))
         else:
-            means = rng.standard_normal(s)
-        given = rows.copy(), means.copy()
-        assert eliminate(rows, means, 1, k).tolist() == oracle_eliminate(rows, means, k).tolist()
-        # the inputs are left as they were, -0.0 included
-        assert rows.tolist() == given[0].tolist()
-        assert [repr(m) for m in means] == [repr(m) for m in given[1]]
+            sums = rng.standard_normal(s) * t
+        given = sums.copy()
+        want = oracle_eliminate(np.arange(s), sums / t, k)
+        assert eliminate(sums, t, k).tolist() == want.tolist()
+        # the input is left as it was, -0.0 included
+        assert [repr(x) for x in sums] == [repr(x) for x in given]
         sizes.add(s)
     assert {511, 512, 513, 1000} <= sizes
 
 
 def test_eliminate_keeps_the_top_ids_of_increasing_ids():
-    # one ranking rule: for ids in increasing order the kept arms are the
-    # s - ceil((s - k)/2) best means with ties to the smaller id, at every
-    # size from 2 to 1000, on means tied in groups (+0.0 beside -0.0) and
-    # on distinct means
+    # one ranking rule: the kept positions are the s - ceil((s - k)/2) best
+    # means with ties to the smaller position, at every size from 2 to 1000,
+    # on means tied in groups (+0.0 beside -0.0) and on distinct means
     rng = np.random.default_rng(43)
     for s in range(2, 1001):
         k = int(rng.integers(1, s))
-        rows = np.sort(rng.permutation(2 * s)[:s])
         tied = rng.integers(-2, 3, s) * 0.5
         tied[tied == 0.0] *= rng.choice([1.0, -1.0], np.count_nonzero(tied == 0.0))
         for means in (tied, rng.standard_normal(s)):
             kept = s - (s - k + 1) // 2
             want = np.sort(top_ids(means, kept))
-            assert np.flatnonzero(eliminate(rows, means, 1, k)).tolist() == want.tolist()
+            keep = eliminate(means, 1, k)
+            assert np.flatnonzero(keep).tolist() == want.tolist()
+            assert keep.tolist() == oracle_eliminate(np.arange(s), means, k).tolist()
 
 
 class NumpyWithout:
-    """numpy as ``elimination`` sees it, with one function that raises."""
+    """numpy as ``elimination`` sees it, with the functions ``banned`` raising."""
 
-    def __init__(self, banned):
+    def __init__(self, *banned):
         self.banned = banned
 
     def __getattr__(self, name):
-        if name == self.banned:
+        if name in self.banned:
             raise AssertionError(f"eliminate called np.{name}")
         return getattr(np, name)
 
 
 def test_eliminate_float_sums_match_the_oracle_with_ties_at_the_pivot(monkeypatch):
-    # every size from 2 to 1000, ids in any order, sums over t pulls; copies
-    # of the pivot mean are injected, and in half the trials the pivot is
-    # shifted to 0.0 and its copies are +0.0 or -0.0.  Float sums take the
-    # partition path and never sort.
-    monkeypatch.setattr(elimination, "np", NumpyWithout("lexsort"))
+    # every size from 2 to 1000, sums over t pulls; copies of the pivot mean
+    # are injected, and in half the trials the pivot is shifted to 0.0 and
+    # its copies are +0.0 or -0.0.  Float sums take the partition path and
+    # never sort, not even the tied positions.
+    monkeypatch.setattr(elimination, "np", NumpyWithout("lexsort", "argsort"))
     rng = np.random.default_rng(44)
     for s in range(2, 1001):
         k = int(rng.integers(1, s))
         t = int(rng.integers(1, 10_000))
-        rows = rng.permutation(2 * s)[:s]
         means = rng.standard_normal(s)
         drop_count = (s - k + 1) // 2
         pivot = np.sort(means)[drop_count - 1]
@@ -886,16 +889,15 @@ def test_eliminate_float_sums_match_the_oracle_with_ties_at_the_pivot(monkeypatc
         else:
             means[ties] = pivot
         sums = means * t
-        given = rows.copy(), sums.copy()
-        want = oracle_eliminate(rows, sums / t, k)
-        assert eliminate(rows, sums, t, k).tolist() == want.tolist()
-        assert rows.tolist() == given[0].tolist()
-        assert [repr(x) for x in sums] == [repr(x) for x in given[1]]
+        given = sums.copy()
+        want = oracle_eliminate(np.arange(s), sums / t, k)
+        assert eliminate(sums, t, k).tolist() == want.tolist()
+        assert [repr(x) for x in sums] == [repr(x) for x in given]
 
 
 def test_eliminate_tie_heavy_integer_sums_take_the_sort_path(monkeypatch):
     # sums built like the adversarial ones, min(ones, t) over ones-first
-    # lists, tie in large groups; they are ranked by one lexsort
+    # lists, tie in large groups; they are ranked by one call to top_ids
     monkeypatch.setattr(elimination, "np", NumpyWithout("partition"))
     rng = np.random.default_rng(45)
     for trial in range(200):
@@ -905,11 +907,10 @@ def test_eliminate_tie_heavy_integer_sums_take_the_sort_path(monkeypatch):
         t = int(rng.integers(1, list_len + 1))
         sums = np.minimum(ones, t)
         k = int(rng.integers(1, s))
-        rows = rng.permutation(2 * s)[:s]
-        if trial % 2:
-            rows = np.sort(rows)
-        want = oracle_eliminate(rows, sums / t, k)
-        assert eliminate(rows, sums, t, k).tolist() == want.tolist()
+        keep = eliminate(sums, t, k)
+        assert keep.tolist() == oracle_eliminate(np.arange(s), sums / t, k).tolist()
+        kept = top_ids(sums / t, s - (s - k + 1) // 2)
+        assert np.flatnonzero(keep).tolist() == np.sort(kept).tolist()
     # and through the loop, on adversarial instances of the validation grid's shape
     for seed, epsilon in enumerate((0.6, 0.3, 0.1, 0.0)):
         instance = gen_adversarial(500, 5000, seed)
@@ -918,3 +919,80 @@ def test_eliminate_tie_heavy_integer_sums_take_the_sort_path(monkeypatch):
         want_ids, want = oracle_topk(instance, config)
         assert ids == want_ids and trace.returned_means == want.returned_means
         assert trace.rounds == want.rounds and trace.total_pulls == want.total_pulls
+
+
+# --- the loop's invariant: survivors in increasing id order -----------------
+
+
+def spy_on_the_loop(monkeypatch):
+    """Lists of the ids of every ``pull_batch`` call and of every ``eliminate`` call."""
+    pulled, cuts = [], []
+    pull, cut = elimination.pull_batch, elimination.eliminate
+
+    def pull_spy(arms, ids, t, done, prior):
+        pulled.append(ids.copy())
+        return pull(arms, ids, t, done, prior)
+
+    def cut_spy(sums, t, k):
+        cuts.append(t)
+        return cut(sums, t, k)
+
+    monkeypatch.setattr(elimination, "pull_batch", pull_spy)
+    monkeypatch.setattr(elimination, "eliminate", cut_spy)
+    return pulled, cuts
+
+
+def assert_rounds_pull_increasing_ids(trace, pulled, cuts):
+    # eliminate ranks by position, so ties go to the smaller id only while
+    # every round lists its survivors in increasing id order; a search of R
+    # rounds cuts R - 1 times, the last cut being the answer's top_ids
+    assert len(pulled) == len(trace.rounds) and len(cuts) == len(trace.rounds) - 1
+    for record, ids in zip(trace.rounds, pulled):
+        assert ids.size == record.survivors
+        assert (np.diff(ids) > 0).all()
+    del pulled[:], cuts[:]
+
+
+def test_mips_rounds_pull_increasing_ids(monkeypatch):
+    # eps/w = 0 exhausts in round 1; the later rounds add no pulls
+    pulled, cuts = spy_on_the_loop(monkeypatch)
+    rng = np.random.default_rng(46)
+    vs = VectorSet(rng.standard_normal((300, 1200)))
+    q = Query(rng.standard_normal(1200))
+    for kind in ObjectiveKind:
+        lo, hi = reward_range(vs, q, kind)
+        for frac in (1.6, 0.2, 0.0):
+            ids, trace = mips_topk(vs, q, 5, frac * (hi - lo), 0.1, seed=7, kind=kind)
+            assert len(trace.rounds) == 9  # 300 survivors halve to 5
+            assert_rounds_pull_increasing_ids(trace, pulled, cuts)
+
+
+def test_adversarial_rounds_pull_increasing_ids(monkeypatch):
+    pulled, cuts = spy_on_the_loop(monkeypatch)
+    for seed, epsilon in enumerate((0.6, 0.1, 0.0)):
+        instance = gen_adversarial(500, 5000, seed)
+        config = EliminationConfig(k=3, epsilon=epsilon, delta=0.1)
+        ids, trace = median_elimination_topk(instance, config)
+        assert_rounds_pull_increasing_ids(trace, pulled, cuts)
+        want_ids, want = oracle_topk(instance, config)
+        assert ids == want_ids and trace.returned_means == want.returned_means
+
+
+def test_a_one_round_search_answers_by_top_ids_alone(monkeypatch):
+    # n = K + 1 is one round: its cut is the answer's top_ids, and eliminate
+    # is never called; rows tie in groups, so the tie rule decides the cut
+    def banned(*args):
+        raise AssertionError("a one-round search called eliminate")
+
+    monkeypatch.setattr(elimination, "eliminate", banned)
+    rng = np.random.default_rng(47)
+    for trial in range(40):
+        k = int(rng.integers(1, 12))
+        distinct = rng.integers(0, 2, (3, int(rng.integers(1, 50)))).astype(float)
+        rewards = distinct[rng.integers(0, 3, k + 1)] if trial % 2 else rng.random((k + 1, 30))
+        config = EliminationConfig(k=k, epsilon=float(rng.choice([0.0, 0.3])), delta=0.1)
+        ids, trace = median_elimination_topk(MatrixArms(rewards), config)
+        want_ids, want = oracle_topk(RowsMatrixArms(rewards), config)
+        assert len(trace.rounds) == 1
+        assert ids == want_ids
+        assert [m.hex() for m in trace.returned_means] == [m.hex() for m in want.returned_means]
